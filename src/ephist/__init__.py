@@ -107,8 +107,7 @@ from .twoslit import (
     SWEEP_K_DELTAS,
     SweepRow,
     TwoSlitConfig,
-    amplitude_lower,
-    amplitude_upper,
+    amplitude,
     arrival_density,
     binned_extended_probabilities,
     deepest_fringe_location,
@@ -118,8 +117,7 @@ from .twoslit import (
     extended_density_from_amplitudes,
     integrate_density,
     interference_integral,
-    path_length_lower,
-    path_length_upper,
+    path_length,
     self_convergence,
     with_bins,
 )

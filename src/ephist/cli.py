@@ -5,12 +5,13 @@ is deterministic byte-for-byte for a fixed command line: floats are
 written with shortest round-trip literals, JSON keys are sorted, and
 the only randomness (dutchbook sampling) is seeded. Failures write
 error.json and exit with the error's status: 2 parse, 3 invariant,
-4 not decoherent, 5 cap exceeded.
+4 not decoherent, 5 cap exceeded. JSON is strict: never NaN or Infinity.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ from .coarsegrain import (
     Partition,
     class_sums,
     coarse_decoherence_functional,
-    greedy_decohering_search,
+    greedy_merge_functional,
     partition_from_literal,
 )
 from .composite import product_rule_report
@@ -96,7 +97,7 @@ def _py(value):
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(_py(obj), indent=2, sort_keys=True) + "\n"
+    return json.dumps(_py(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _fmt_cell(x) -> str:
@@ -153,6 +154,8 @@ def _resolve_partition(model: BuiltModel | None, text: str, fine_count: int) -> 
 
 
 def _tol(args, default: float = DEFAULT_DEC_TOL) -> float:
+    if args.tol is not None and not 0.0 <= args.tol < math.inf:
+        raise InvariantViolation("tolerance", args.tol, "--tol must be finite and non-negative")
     return default if args.tol is None else args.tol
 
 
@@ -249,7 +252,7 @@ def _cmd_coarsen(args, out: _OutDir):
             "dec_monotone": bool(dec_measure(coarse) <= fine.dec + 1e-12),
         }))
     else:
-        result = greedy_decohering_search(hs, psi, target_tol=_tol(args))
+        result = greedy_merge_functional(fine.functional, target_tol=_tol(args))
         out.write("greedy.json", _dump_json({
             "classes": result.partition.classes,
             "dec": result.dec,

@@ -27,10 +27,7 @@ from .histories import (
     class_operator,
     dec_measure,
     decoherence_functional,
-    flatten_index,
-    unflatten_index,
 )
-from .histories import HistoryIndex
 
 
 @dataclass(frozen=True)
@@ -109,7 +106,7 @@ def coarse_class_operator(hs: HistorySet, part: Partition, class_index: int) -> 
         raise DimensionMismatch(f"partition over {part.fine_count} vs {hs.size} histories")
     c = np.zeros((hs.dim, hs.dim), dtype=np.complex128)
     for flat in part.classes[class_index]:
-        c += class_operator(hs, HistoryIndex(unflatten_index(flat, hs.shape)))
+        c += class_operator(hs, hs.index(flat))
     return c
 
 
@@ -132,38 +129,58 @@ def coarse_extended_probabilities(hs: HistorySet, part: Partition, psi: StateVec
     return class_sums(all_extended_probabilities(hs, psi), part)
 
 
+def _group_slots(
+    hs: HistorySet,
+    groupings: Sequence[Sequence[Sequence[int]] | None],
+    labels: Sequence[Sequence[str] | None] | None = None,
+) -> tuple[HistorySet, Partition]:
+    """Sum projectors within each slot's groups (None keeps a slot as it is).
+
+    Returns the merged set and the induced flat-index partition, whose
+    class k lists the fine histories of merged history k in ascending order.
+    """
+    if len(groupings) != hs.n_times:
+        raise DimensionMismatch(f"{len(groupings)} groupings for {hs.n_times} times")
+    slots, group_of = [], []
+    for t, (slot, groups) in enumerate(zip(hs.slots, groupings)):
+        if groups is None:
+            slots.append(slot)
+            group_of.append(np.arange(slot.size))
+            continue
+        grouping = Partition(slot.size, tuple(tuple(g) for g in groups))  # validates shape
+        names = labels[t] if labels else None
+        members = []
+        for k, g in enumerate(grouping.classes):
+            entries = sum(slot.members[i].entries for i in g)
+            label = names[k] if names else "+".join(slot.members[i].label for i in g)
+            members.append(Projector(entries, label=label))
+        slots.append(ProjectorSet(tuple(members), time=slot.time))
+        group_of.append(grouping.class_of())
+    merged = HistorySet(tuple(slots))
+    fine = np.unravel_index(np.arange(hs.size), hs.shape, order="F")   # earliest fastest
+    coarse = np.ravel_multi_index(tuple(g[c] for g, c in zip(group_of, fine)),
+                                  merged.shape, order="F")
+    members_of = np.argsort(coarse, kind="stable")
+    bounds = np.cumsum(np.bincount(coarse, minlength=merged.size))[:-1]
+    return merged, Partition(hs.size, tuple(np.split(members_of, bounds)))
+
+
 def merge_slot_alternatives(
     hs: HistorySet, slot_index: int, groups: Sequence[Sequence[int]],
     labels: Sequence[str] | None = None,
 ) -> HistorySet:
     """Sequence-preserving coarse graining: sum projectors inside one slot."""
-    slot = hs.slots[slot_index]
-    grouping = Partition(slot.size, tuple(tuple(g) for g in groups))  # validates shape
-    members = []
-    for k, g in enumerate(grouping.classes):
-        entries = sum(slot.members[i].entries for i in g)
-        label = labels[k] if labels else "+".join(slot.members[i].label for i in g)
-        members.append(Projector(entries, label=label))
-    new_slot = ProjectorSet(tuple(members), time=slot.time)
-    slots = list(hs.slots)
-    slots[slot_index] = new_slot
-    return HistorySet(tuple(slots))
+    groupings, names = [None] * hs.n_times, [None] * hs.n_times
+    groupings[slot_index], names[slot_index] = groups, labels
+    return _group_slots(hs, groupings, names)[0]
 
 
 def slot_partition(hs: HistorySet, slot_index: int, groups: Sequence[Sequence[int]]) -> Partition:
     """The flat-index partition induced by a slot-wise merge (same class order
     as the merged set's flat order)."""
-    slot = hs.slots[slot_index]
-    grouping = Partition(slot.size, tuple(tuple(g) for g in groups))
-    group_of = grouping.class_of()
-    merged_shape = list(hs.shape)
-    merged_shape[slot_index] = grouping.size
-    classes: list[list[int]] = [[] for _ in range(int(np.prod(merged_shape)))]
-    for flat in range(hs.size):
-        comps = list(unflatten_index(flat, hs.shape))
-        comps[slot_index] = int(group_of[comps[slot_index]])
-        classes[flatten_index(comps, merged_shape)].append(flat)
-    return Partition(hs.size, tuple(tuple(c) for c in classes))
+    groupings = [None] * hs.n_times
+    groupings[slot_index] = groups
+    return _group_slots(hs, groupings)[1]
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapExceeded, DimensionMismatch
-from .hilbert import Projector, StateVector
+from .hilbert import Projector, StateVector, frozen_copy
 from .histories import (
     M_CAP,
     HistoryIndex,
@@ -26,7 +26,6 @@ from .histories import (
     branch_matrix,
     chain_amplitude,
     class_operator,
-    unflatten_index,
 )
 from .records import RecordSet
 
@@ -81,7 +80,7 @@ class CompositeSystem:
     def unflatten_joint(self, joint_flat: int) -> tuple[HistoryIndex, ...]:
         out = []
         for _, hs in reversed(self.factors):
-            out.append(HistoryIndex(unflatten_index(joint_flat % hs.size, hs.shape)))
+            out.append(hs.index(joint_flat % hs.size))
             joint_flat //= hs.size
         return tuple(reversed(out))
 
@@ -170,9 +169,7 @@ class ProductRuleReport:
 
     def __post_init__(self):
         for name in ("joint_ep", "factor_ep_product"):
-            a = np.array(getattr(self, name))
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, frozen_copy(getattr(self, name)))
 
 
 def product_rule_report(cs: CompositeSystem, m_cap: int = M_CAP) -> ProductRuleReport:

@@ -6,6 +6,8 @@ status it maps to. Exit statuses: 2 parse error, 3 invariant violation,
 """
 from __future__ import annotations
 
+import math
+
 
 class EngineError(Exception):
     code = "engine-error"
@@ -38,7 +40,9 @@ class InvariantViolation(EngineError):
         super().__init__(msg + (f": {detail}" if detail else ""))
 
     def payload(self) -> dict:
-        return {**super().payload(), "invariant": self.name, "magnitude": self.magnitude}
+        # JSON has no NaN or infinity: send "nan", "inf" or "-inf" instead
+        magnitude = self.magnitude if math.isfinite(self.magnitude) else repr(self.magnitude)
+        return {**super().payload(), "invariant": self.name, "magnitude": magnitude}
 
 
 class NotDecoherent(EngineError):

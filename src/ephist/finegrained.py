@@ -18,14 +18,14 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapExceeded, DimensionMismatch, InvariantViolation
-from .hilbert import Projector, ProjectorSet, StateVector
+from .hilbert import ProjectorSet, StateVector, frozen_copy
 from .histories import (
     HistorySet,
     all_extended_probabilities,
     flatten_index,
     unflatten_index,
 )
-from .coarsegrain import Partition, class_sums
+from .coarsegrain import Partition, class_sums, _group_slots
 
 FINE_CAP = 4096
 
@@ -72,14 +72,13 @@ class FineGrainedDistribution:
     shape: tuple[int, ...]
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float)
-        v.setflags(write=False)
+        v = frozen_copy(self.values, float)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
         if v.shape != (int(np.prod(self.shape)),):
             raise DimensionMismatch(f"{v.shape[0]} values for shape {self.shape}")
         defect = abs(v.sum() - 1.0)
-        if defect > 1e-10:
+        if not defect <= 1e-10:
             raise InvariantViolation("distribution-normalization", defect)
 
     @property
@@ -104,15 +103,7 @@ def fundamental_distribution(spec: FineGrainedSpec, cap: int = FINE_CAP) -> Fine
 
 def class_sum(dist: FineGrainedDistribution, part: Partition) -> np.ndarray:
     """Per-class sums of w; the extended probabilities of the coarse classes."""
-    if part.fine_count != dist.size:
-        raise DimensionMismatch(f"partition over {part.fine_count} vs {dist.size} outcomes")
     return class_sums(dist.values, part)
-
-
-def _slot_groupings(spec: FineGrainedSpec, groupings: Sequence[Sequence[Sequence[int]]]):
-    if len(groupings) != spec.n_times:
-        raise DimensionMismatch(f"{len(groupings)} groupings for {spec.n_times} times")
-    return [Partition(spec.dim, tuple(tuple(g) for g in groups)) for groups in groupings]
 
 
 def cylinder_history_set(
@@ -120,16 +111,7 @@ def cylinder_history_set(
     labels: Sequence[Sequence[str]] | None = None,
 ) -> HistorySet:
     """Coarse history set whose slot projectors are sums of basis projectors."""
-    parts = _slot_groupings(spec, groupings)
-    slots = []
-    for t, (slot, part) in enumerate(zip(spec.slots, parts)):
-        members = []
-        for k, g in enumerate(part.classes):
-            entries = sum(slot.members[i].entries for i in g)
-            label = labels[t][k] if labels else "+".join(slot.members[i].label for i in g)
-            members.append(Projector(entries, label=label))
-        slots.append(ProjectorSet(tuple(members), time=slot.time))
-    return HistorySet(tuple(slots))
+    return _group_slots(spec.history_set(), groupings, labels)[0]
 
 
 def cylinder_partition(
@@ -140,14 +122,4 @@ def cylinder_partition(
     class_sum over this partition equals the chain extended probabilities
     of cylinder_history_set on the same groupings (multilinearity).
     """
-    parts = _slot_groupings(spec, groupings)
-    group_of = [p.class_of() for p in parts]
-    coarse_shape = [p.size for p in parts]
-    fine_shape = (spec.dim,) * spec.n_times
-    size = spec.dim ** spec.n_times
-    classes: list[list[int]] = [[] for _ in range(int(np.prod(coarse_shape)))]
-    for flat in range(size):
-        comps = unflatten_index(flat, fine_shape)
-        coarse = [int(group_of[t][c]) for t, c in enumerate(comps)]
-        classes[flatten_index(coarse, coarse_shape)].append(flat)
-    return Partition(size, tuple(tuple(c) for c in classes))
+    return _group_slots(spec.history_set(), groupings)[1]

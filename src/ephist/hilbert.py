@@ -24,13 +24,19 @@ TOL_HERM = 1e-12   # Hermiticity, entrywise
 TOL_OP = 1e-10     # operator identities (idempotency, completeness, unitarity)
 
 
+def frozen_copy(values, dtype=None) -> np.ndarray:
+    """A read-only copy of values; dtype=None keeps the values' own dtype."""
+    a = np.array(values, dtype=dtype)
+    a.setflags(write=False)
+    return a
+
+
 def _frozen_array(values, shape_kind: str) -> np.ndarray:
-    a = np.array(values, dtype=np.complex128)
+    a = frozen_copy(values, np.complex128)
     if shape_kind == "vector" and a.ndim != 1:
         raise DimensionMismatch(f"expected a vector, got shape {a.shape}")
     if shape_kind == "matrix" and (a.ndim != 2 or a.shape[0] != a.shape[1]):
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    a.setflags(write=False)
     return a
 
 
@@ -44,7 +50,7 @@ class StateVector:
     def __post_init__(self):
         object.__setattr__(self, "amplitudes", _frozen_array(self.amplitudes, "vector"))
         defect = abs(np.linalg.norm(self.amplitudes) - 1.0)
-        if defect > self.tol:
+        if not defect <= self.tol:   # also rejects NaN and inf
             raise InvariantViolation("state-norm", defect)
 
     @property
@@ -60,7 +66,7 @@ class HermitianOperator:
     def __post_init__(self):
         object.__setattr__(self, "entries", _frozen_array(self.entries, "matrix"))
         defect = np.abs(self.entries - self.entries.conj().T).max(initial=0.0)
-        if defect > self.tol:
+        if not defect <= self.tol:
             raise InvariantViolation("hermiticity", defect)
 
     @property
@@ -83,10 +89,10 @@ class Projector:
     def __post_init__(self):
         object.__setattr__(self, "entries", _frozen_array(self.entries, "matrix"))
         herm = np.abs(self.entries - self.entries.conj().T).max(initial=0.0)
-        if herm > TOL_HERM:
+        if not herm <= TOL_HERM:
             raise InvariantViolation("projector-hermiticity", herm, self.label)
         idem = np.abs(self.entries @ self.entries - self.entries).max(initial=0.0)
-        if idem > self.tol:
+        if not idem <= self.tol:
             raise InvariantViolation("projector-idempotency", idem, self.label)
 
     @property
@@ -116,9 +122,14 @@ class ProjectorSetReport:
     tol: float
 
     @property
+    def worst(self) -> float:
+        """The largest defect; NaN if any defect is NaN."""
+        return float(np.max((self.completeness_defect, self.exclusivity_defect,
+                             self.idempotency_defect)))
+
+    @property
     def passes(self) -> bool:
-        worst = max(self.completeness_defect, self.exclusivity_defect, self.idempotency_defect)
-        return worst <= self.tol
+        return self.worst <= self.tol
 
 
 def validate_projector_set(
@@ -160,9 +171,7 @@ class ProjectorSet:
         object.__setattr__(self, "members", tuple(self.members))
         report = validate_projector_set(self.members, self.tol)
         if not report.passes:
-            worst = max(report.completeness_defect, report.exclusivity_defect,
-                        report.idempotency_defect)
-            raise InvariantViolation("projector-set", worst,
+            raise InvariantViolation("projector-set", report.worst,
                                      f"completeness {report.completeness_defect:.3e}, "
                                      f"exclusivity {report.exclusivity_defect:.3e}")
 
@@ -202,7 +211,7 @@ class EvolutionSpec:
             for t, u in self.unitaries.items():
                 u = _frozen_array(u, "matrix")
                 defect = np.abs(u.conj().T @ u - np.eye(u.shape[0])).max()
-                if defect > TOL_OP:
+                if not defect <= TOL_OP:
                     raise InvariantViolation("unitarity", defect, f"unitary at time {t}")
                 frozen[float(t)] = u
             object.__setattr__(self, "unitaries", frozen)
@@ -225,25 +234,37 @@ def hermitian_exponential(h: HermitianOperator, t: float) -> np.ndarray:
     w, v = np.linalg.eigh(h.entries)
     u = (v * np.exp(-1j * w * t)) @ v.conj().T
     defect = np.abs(u.conj().T @ u - np.eye(h.dim)).max()
-    if defect > TOL_OP:
+    if not defect <= TOL_OP:
         raise InvariantViolation("unitarity", defect, "eigendecomposition produced a non-unitary")
     return u
 
 
-def heisenberg_projector(p: Projector, t: float, evo: EvolutionSpec) -> Projector:
-    """exp(+iHt) P exp(-iHt), or U(t)^dag P U(t) for explicit unitaries."""
+def evolution_operator(evo: EvolutionSpec, t: float, dim: int) -> np.ndarray:
+    """U(t) for projectors of dimension dim: exp(-iHt), or the unitary declared at t."""
     if evo.hamiltonian is not None:
-        if evo.hamiltonian.dim != p.dim:
+        if evo.hamiltonian.dim != dim:
             raise DimensionMismatch(
-                f"projector dim {p.dim} vs Hamiltonian dim {evo.hamiltonian.dim}")
+                f"projector dim {dim} vs Hamiltonian dim {evo.hamiltonian.dim}")
         if not np.isfinite(t):
             raise InvariantViolation("finite-time", abs(t))
-        u = hermitian_exponential(evo.hamiltonian, t)
-    else:
-        if float(t) not in evo.unitaries:
-            raise InvariantViolation("known-time", float(t),
-                                     f"no explicit unitary at time {t}")
-        u = evo.unitaries[float(t)]
-        if u.shape[0] != p.dim:
-            raise DimensionMismatch(f"projector dim {p.dim} vs unitary dim {u.shape[0]}")
-    return Projector(u.conj().T @ p.entries @ u, label=p.label, tol=p.tol)
+        return hermitian_exponential(evo.hamiltonian, t)
+    if float(t) not in evo.unitaries:
+        raise InvariantViolation("known-time", float(t),
+                                 f"no explicit unitary at time {t}")
+    u = evo.unitaries[float(t)]
+    if u.shape[0] != dim:
+        raise DimensionMismatch(f"projector dim {dim} vs unitary dim {u.shape[0]}")
+    return u
+
+
+def heisenberg_projectors(members: Sequence[Projector], t: float,
+                          evo: EvolutionSpec) -> tuple[Projector, ...]:
+    """U(t)^dag P U(t) for every member of one time slot, with U(t) computed once."""
+    u = evolution_operator(evo, t, members[0].dim)
+    return tuple(Projector(u.conj().T @ p.entries @ u, label=p.label, tol=p.tol)
+                 for p in members)
+
+
+def heisenberg_projector(p: Projector, t: float, evo: EvolutionSpec) -> Projector:
+    """exp(+iHt) P exp(-iHt), or U(t)^dag P U(t) for explicit unitaries."""
+    return heisenberg_projectors((p,), t, evo)[0]

@@ -23,9 +23,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, DimensionMismatch
-from .hilbert import ProjectorSet, StateVector
-from .errors import InvariantViolation
+from .errors import CapExceeded, DimensionMismatch, InvariantViolation
+from .hilbert import ProjectorSet, StateVector, frozen_copy
 
 DEFAULT_DEC_TOL = 1e-8   # off-diagonal |D| threshold for medium decoherence
 M_CAP = 4096             # history-count guard against exponential blowup
@@ -99,10 +98,14 @@ class HistorySet:
 
     def indices(self) -> Iterator[HistoryIndex]:
         for flat in range(self.size):
-            yield HistoryIndex(unflatten_index(flat, self.shape))
+            yield self.index(flat)
 
     def flat(self, idx: HistoryIndex) -> int:
         return flatten_index(idx.components, self.shape)
+
+    def index(self, flat: int) -> HistoryIndex:
+        """Inverse of flat."""
+        return HistoryIndex(unflatten_index(flat, self.shape))
 
     def history_label(self, idx: HistoryIndex) -> str:
         self._check_index(idx)
@@ -134,11 +137,10 @@ class BranchVector:
     index: HistoryIndex
 
     def __post_init__(self):
-        a = np.array(self.amplitudes, dtype=np.complex128)
-        a.setflags(write=False)
+        a = frozen_copy(self.amplitudes, np.complex128)
         object.__setattr__(self, "amplitudes", a)
         n = np.linalg.norm(a)
-        if n > 1.0 + 1e-10:
+        if not n <= 1.0 + 1e-10:
             raise InvariantViolation("branch-norm-bound", n - 1.0)
 
     @property
@@ -207,9 +209,7 @@ class DecoherenceReport:
 
     def __post_init__(self):
         for name in ("functional", "ep_probs", "dh_probs"):
-            a = np.array(getattr(self, name))
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, frozen_copy(getattr(self, name)))
 
     @property
     def size(self) -> int:

@@ -19,13 +19,15 @@ whitespace-free tokens):
     composite pair factors a.model b.model   # paths relative to this file
 
 Complex literals are "a+bi" (or "a-bi", suffix i or j); bare reals are
-fine. parse_model gives ParseError with 1-based line and column.
+fine. nan, inf and overflowing literals (1e400) are rejected. parse_model
+gives ParseError with 1-based line and column.
 serialize_model writes a canonical form with shortest round-trip float
 literals, and parse_model(serialize_model(doc)) reproduces doc exactly.
 """
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -38,7 +40,7 @@ from .hilbert import (
     Projector,
     ProjectorSet,
     StateVector,
-    heisenberg_projector,
+    heisenberg_projectors,
     rank_one_projector,
 )
 from .histories import HistorySet
@@ -99,8 +101,15 @@ class ModelDocument:
     composites: tuple[CompositeClause, ...] = ()
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text!r}")
+    return value
+
+
 def parse_complex(text: str) -> complex:
-    """One literal: "1.5", "2i", "1+2i", "-1.5e-3-2e-4j"."""
+    """One finite literal: "1.5", "2i", "1+2i", "-1.5e-3-2e-4j"."""
     s = text.strip()
     if not s:
         raise ValueError("empty number")
@@ -114,9 +123,9 @@ def parse_complex(text: str) -> complex:
             if body[k] in "+-" and body[k - 1] not in "eE":
                 real, imag = body[:k], body[k:]
                 imag = imag if imag not in ("+", "-") else imag + "1"
-                return complex(float(real), float(imag))
-        return complex(0.0, float(body))
-    return complex(float(s), 0.0)
+                return complex(_finite(real), _finite(imag))
+        return complex(0.0, _finite(body))
+    return complex(_finite(s), 0.0)
 
 
 def format_complex(z: complex) -> str:
@@ -329,7 +338,7 @@ class _Parser:
             if self.evolution is not None and self.evolution.kind != "unitary":
                 line.fail("a single evolution kind")
             d = self.need_dim(line, "evolution unitary")
-            t = line.number("a time label", float)
+            t = line.number("a time label", _finite)
             mat = _parse_matrix(line, "a unitary matrix")
             if len(mat) != d or len(mat[0]) != d:
                 line.fail(f"a {d}x{d} matrix", at=0)
@@ -341,7 +350,7 @@ class _Parser:
             line.fail("zero, hamiltonian, or unitary")
 
     def on_slot(self, line: _Line):
-        t = line.number("a time label", float)
+        t = line.number("a time label", _finite)
         self.check_time_order(line, self.slots, t, "slot")
         name = line.word("a slot name")
         self.open_slot = (line, t, name, [])
@@ -381,7 +390,7 @@ class _Parser:
 
     def on_finegrained(self, line: _Line):
         d = self.need_dim(line, "finegrained")
-        t = line.number("a time label", float)
+        t = line.number("a time label", _finite)
         self.check_time_order(line, self.finegrained, t, "finegrained")
         kw = line.word("the word basis")
         if kw != "basis":
@@ -501,28 +510,27 @@ def _member_projector(doc: ModelDocument, m: MemberClause) -> Projector:
     return Projector(np.array(m.matrix, dtype=np.complex128), label=m.label)
 
 
+def _heisenberg_slots(evo: EvolutionSpec, slots) -> tuple[ProjectorSet, ...]:
+    """Heisenberg-picture projector sets from (time, Schrodinger projectors) pairs."""
+    return tuple(ProjectorSet(heisenberg_projectors(members, t, evo), time=t)
+                 for t, members in slots)
+
+
 def build_history_set(doc: ModelDocument) -> HistorySet:
     _require(doc, "slots")
     evo = build_evolution(doc)
-    slots = []
-    for sc in doc.slots:
-        members = tuple(heisenberg_projector(_member_projector(doc, m), sc.time, evo)
-                        for m in sc.members)
-        slots.append(ProjectorSet(members, time=sc.time))
-    return HistorySet(tuple(slots))
+    return HistorySet(_heisenberg_slots(evo, (
+        (sc.time, [_member_projector(doc, m) for m in sc.members]) for sc in doc.slots)))
 
 
 def build_finegrained(doc: ModelDocument) -> FineGrainedSpec:
     _require(doc, "finegrained")
     evo = build_evolution(doc)
-    slots = []
-    for fc in doc.finegrained:
-        members = tuple(
-            heisenberg_projector(rank_one_projector(np.array(row, dtype=np.complex128), str(i)),
-                                 fc.time, evo)
-            for i, row in enumerate(fc.rows))
-        slots.append(ProjectorSet(members, time=fc.time))
-    return FineGrainedSpec(build_state(doc), tuple(slots))
+    slots = _heisenberg_slots(evo, (
+        (fc.time, [rank_one_projector(np.array(row, dtype=np.complex128), str(i))
+                   for i, row in enumerate(fc.rows)])
+        for fc in doc.finegrained))
+    return FineGrainedSpec(build_state(doc), slots)
 
 
 @dataclass(frozen=True)

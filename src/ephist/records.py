@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllBranchesZero, DimensionMismatch, InvariantViolation, NotDecoherent
-from .hilbert import Projector, StateVector, validate_projector_set
+from .hilbert import Projector, StateVector, frozen_copy, validate_projector_set
 from .histories import (
     DEFAULT_DEC_TOL,
     HistorySet,
@@ -45,9 +45,7 @@ class RecordSet:
         object.__setattr__(self, "members", tuple(self.members))
         report = validate_projector_set(self.members)
         if not report.passes:
-            worst = max(report.completeness_defect, report.exclusivity_defect,
-                        report.idempotency_defect)
-            raise InvariantViolation("record-set", worst)
+            raise InvariantViolation("record-set", report.worst)
 
     @property
     def dim(self) -> int:
@@ -95,19 +93,11 @@ def construct_records(hs: HistorySet, psi: StateVector, tol: float = DEFAULT_DEC
     complement = np.eye(d) - q @ q.conj().T
     members = []
     for i in range(hs.size):
-        if i in frames:
-            r = np.outer(frames[i], frames[i].conj())
-            if i == nonzero[0]:
-                r = r + complement
-            members.append(Projector(r, label=hs.history_label(_idx_of(hs, i))))
-        else:
-            members.append(Projector(np.zeros((d, d)), label=hs.history_label(_idx_of(hs, i))))
+        r = np.outer(frames[i], frames[i].conj()) if i in frames else np.zeros((d, d))
+        if i == nonzero[0]:
+            r = r + complement
+        members.append(Projector(r, label=hs.history_label(hs.index(i))))
     return RecordSet(tuple(members), t_rec=max(hs.times) + 1.0, completion_index=nonzero[0])
-
-
-def _idx_of(hs: HistorySet, flat: int):
-    from .histories import HistoryIndex, unflatten_index
-    return HistoryIndex(unflatten_index(flat, hs.shape))
 
 
 @dataclass(frozen=True)
@@ -167,9 +157,7 @@ class CorrelationReport:
 
     def __post_init__(self):
         for name in ("defects", "record_probs", "ep_probs"):
-            a = np.array(getattr(self, name))
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, frozen_copy(getattr(self, name)))
 
     @property
     def max_defect(self) -> float:

@@ -43,10 +43,10 @@ class TwoSlitConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "y_range", (float(self.y_range[0]), float(self.y_range[1])))
-        if self.k <= 0 or self.d <= 0 or self.D <= 0:
-            raise InvariantViolation("positive-geometry", 0.0, "k, d, D must be positive")
-        if self.y_range[1] <= self.y_range[0]:
-            raise InvariantViolation("ordered-range", 0.0, "y_range must be increasing")
+        if not all(0.0 < v < math.inf for v in (self.k, self.d, self.D)):
+            raise InvariantViolation("positive-geometry", 0.0, "k, d, D must be positive, finite")
+        if not -math.inf < self.y_range[0] < self.y_range[1] < math.inf:
+            raise InvariantViolation("ordered-range", 0.0, "y_range must be finite, increasing")
         if self.bins < 1:
             raise InvariantViolation("positive-bins", float(self.bins))
 
@@ -76,7 +76,7 @@ def default_config(k_delta: float = 5.0, k: float = 1.0,
     """
     width = float(y_range[1]) - float(y_range[0])
     delta = k_delta / k
-    bins = round(width / delta)
+    bins = round(width / delta) if 0.0 < delta < math.inf else 0
     if bins < 1 or abs(bins * delta - width) > 1e-9 * width:
         raise InvariantViolation(
             "bin-tiling", abs(bins * delta - width),
@@ -84,55 +84,46 @@ def default_config(k_delta: float = 5.0, k: float = 1.0,
     return TwoSlitConfig(k=k, y_range=(float(y_range[0]), float(y_range[1])), bins=bins)
 
 
-def path_length_upper(cfg: TwoSlitConfig, y):
-    """Distance from the upper slit (at +d/2) to screen point y."""
+def _slit(slit: str) -> tuple[float, str]:
+    """(sign, other slit): +1 for the upper slit at +d/2, -1 for the lower at -d/2."""
+    if slit not in ("U", "L"):
+        raise InvariantViolation("slit-name", 0.0, f"unknown slit {slit!r}")
+    return (1.0, "L") if slit == "U" else (-1.0, "U")
+
+
+def path_length(cfg: TwoSlitConfig, y, slit: str):
+    """Distance from slit "U" (at +d/2) or "L" (at -d/2) to screen point y."""
     y = np.asarray(y, dtype=float)
-    return np.sqrt((cfg.d / 2.0 - y) ** 2 + cfg.D ** 2)
+    # d/2 - (-1)*y is bitwise d/2 + y, so both slits share one expression
+    return np.sqrt((cfg.d / 2.0 - _slit(slit)[0] * y) ** 2 + cfg.D ** 2)
 
 
-def path_length_lower(cfg: TwoSlitConfig, y):
-    y = np.asarray(y, dtype=float)
-    return np.sqrt((cfg.d / 2.0 + y) ** 2 + cfg.D ** 2)
-
-
-def amplitude_upper(cfg: TwoSlitConfig, y):
-    s = path_length_upper(cfg, y)
-    return cfg.a * np.exp(1j * cfg.k * s) / s
-
-
-def amplitude_lower(cfg: TwoSlitConfig, y):
-    s = path_length_lower(cfg, y)
+def amplitude(cfg: TwoSlitConfig, y, slit: str):
+    s = path_length(cfg, y, slit)
     return cfg.a * np.exp(1j * cfg.k * s) / s
 
 
 def extended_density(cfg: TwoSlitConfig, y, slit: str = "U"):
     """Closed-form density(y, slit); can be negative near deep fringes."""
-    su = path_length_upper(cfg, y)
-    sl = path_length_lower(cfg, y)
-    if slit == "U":
-        own, other = su, sl
-    elif slit == "L":
-        own, other = sl, su
-    else:
-        raise InvariantViolation("slit-name", 0.0, f"unknown slit {slit!r}")
+    sign, other_slit = _slit(slit)
+    own = path_length(cfg, y, slit)
+    other = path_length(cfg, y, other_slit)
     mag = abs(cfg.a) ** 2
-    return (mag / own) * (1.0 / own + np.cos(cfg.k * (sl - su)) / other)
+    # k (S_L - S_U) for either slit; negating a difference is exact
+    phase = cfg.k * (sign * (other - own))
+    return (mag / own) * (1.0 / own + np.cos(phase) / other)
 
 
 def extended_density_from_amplitudes(cfg: TwoSlitConfig, y, slit: str = "U"):
     """Same density assembled from the amplitudes; a second code path."""
-    psi_u = amplitude_upper(cfg, y)
-    psi_l = amplitude_lower(cfg, y)
-    if slit == "U":
-        return (np.abs(psi_u) ** 2 + np.real(np.conj(psi_l) * psi_u))
-    if slit == "L":
-        return (np.abs(psi_l) ** 2 + np.real(np.conj(psi_u) * psi_l))
-    raise InvariantViolation("slit-name", 0.0, f"unknown slit {slit!r}")
+    own = amplitude(cfg, y, slit)
+    other = amplitude(cfg, y, _slit(slit)[1])
+    return np.abs(own) ** 2 + np.real(np.conj(other) * own)
 
 
 def arrival_density(cfg: TwoSlitConfig, y):
     """|psi_U + psi_L|^2; the two extended densities sum to this."""
-    return np.abs(amplitude_upper(cfg, y) + amplitude_lower(cfg, y)) ** 2
+    return np.abs(amplitude(cfg, y, "U") + amplitude(cfg, y, "L")) ** 2
 
 
 def _simpson_nodes_weights(lo: float, hi: float, panels: int):
@@ -165,12 +156,9 @@ def binned_extended_probabilities(cfg: TwoSlitConfig, panels: int = DEFAULT_PANE
     carry meaning.
     """
     edges = cfg.bin_edges()
-    upper = np.empty(cfg.bins)
-    lower = np.empty(cfg.bins)
-    for i in range(cfg.bins):
-        upper[i] = integrate_density(cfg, edges[i], edges[i + 1], "U", panels)
-        lower[i] = integrate_density(cfg, edges[i], edges[i + 1], "L", panels)
-    return upper, lower
+    return tuple(np.array([integrate_density(cfg, lo, hi, slit, panels)
+                           for lo, hi in zip(edges[:-1], edges[1:])])
+                 for slit in ("U", "L"))
 
 
 def interference_integral(cfg: TwoSlitConfig, bin_index: int,
@@ -180,7 +168,7 @@ def interference_integral(cfg: TwoSlitConfig, bin_index: int,
         raise DimensionMismatch(f"bin {bin_index} out of range for {cfg.bins} bins")
     edges = cfg.bin_edges()
     nodes, weights = _simpson_nodes_weights(edges[bin_index], edges[bin_index + 1], panels)
-    cross = np.real(np.conj(amplitude_lower(cfg, nodes)) * amplitude_upper(cfg, nodes))
+    cross = np.real(np.conj(amplitude(cfg, nodes, "L")) * amplitude(cfg, nodes, "U"))
     return float(weights @ cross)
 
 

@@ -10,6 +10,8 @@ from ephist import (
     StateVector,
     branch_matrix,
     decoherence_functional,
+    flatten_index,
+    unflatten_index,
 )
 
 
@@ -50,6 +52,18 @@ def random_partition_classes(rng, m):
     assign = rng.integers(0, k, size=m)
     return tuple(tuple(int(i) for i in np.flatnonzero(assign == c))
                  for c in range(k) if (assign == c).any())
+
+
+def slot_grouping_classes(shape, groupings):
+    """Loop oracle for slot-wise coarse graining: each fine flat index is
+    listed under the merged flat index its grouped components map to."""
+    group_of = [{i: k for k, g in enumerate(groups) for i in g} for groups in groupings]
+    merged_shape = [len(groups) for groups in groupings]
+    classes = [[] for _ in range(int(np.prod(merged_shape)))]
+    for flat in range(int(np.prod(shape))):
+        comps = unflatten_index(flat, shape)
+        classes[flatten_index([g[c] for g, c in zip(group_of, comps)], merged_shape)].append(flat)
+    return tuple(tuple(c) for c in classes)
 
 
 def decoherent_fixture(rng, d=None, k=None):

@@ -1,11 +1,15 @@
 """End-to-end CLI runs: artifacts, exit codes, determinism."""
 import json
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ephist.cli import run_command
 
@@ -19,8 +23,13 @@ def run(tmp_path, name, *argv):
     return status, out
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def load(out, name):
-    return json.loads((out / name).read_text())
+    """Parse an artifact, refusing the NaN/Infinity extensions of Python's json."""
+    return json.loads((out / name).read_text(), parse_constant=_reject_constant)
 
 
 def test_version_and_module_entry():
@@ -244,3 +253,70 @@ def test_parse_error_reported_with_position(tmp_path):
     assert err["code"] == "parse-error"
     assert err["line"] == 2
     assert "3 amplitudes" in err["expected"]
+
+
+# ------------------------------------------------------------ non-finite input
+
+def test_eval_rejects_nan_state(tmp_path):
+    bad = tmp_path / "nan.model"
+    bad.write_text("dim 2\nstate [nan,0]\nslot 1.0 z\nmember up basis {0}\nmember dn basis {1}\n")
+    status, out = run(tmp_path, "o", "eval", "--model", str(bad))
+    assert status == 2
+    err = load(out, "error.json")
+    assert (err["line"], err["col"]) == (2, 8)
+
+
+def test_error_json_with_infinite_magnitude_is_valid(tmp_path):
+    huge = tmp_path / "huge.model"     # finite literals whose norm overflows
+    huge.write_text("dim 2\nstate [1e200,0]\nslot 1.0 z\nmember up basis {0}\nmember dn basis {1}\n")
+    status, out = run(tmp_path, "o", "eval", "--model", str(huge))
+    assert status == 3
+    err = load(out, "error.json")
+    assert err["invariant"] == "state-norm"
+    assert err["magnitude"] == "inf"
+
+
+@pytest.mark.parametrize("command", ["decohere", "records", "coarsen"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-8"])
+def test_bad_tolerance_rejected(tmp_path, command, tol):
+    status, out = run(tmp_path, "o", command,
+                      "--model", str(MODELS / "recorded.model"), f"--tol={tol}")
+    assert status == 3
+    err = load(out, "error.json")
+    assert err["invariant"] == "tolerance"
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("k_delta", ["nan", "inf", "-5"])
+def test_twoslit_rejects_bad_resolution(tmp_path, k_delta):
+    status, out = run(tmp_path, "o", "twoslit", "--kDelta", k_delta)
+    assert status == 3
+    load(out, "error.json")
+
+
+NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
+SINGLE_MODELS = [p for p in sorted(MODELS.glob("*.model")) if p.stem != "pair"]
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_non_finite_model_numbers_never_reach_artifacts(data):
+    """Any number of a shipped model replaced by a non-finite or overflowing
+    literal ends in a documented exit status, and every JSON written is
+    strict JSON."""
+    path = data.draw(st.sampled_from(SINGLE_MODELS), label="model")
+    text = path.read_text()
+    start, end = data.draw(st.sampled_from([m.span() for m in NUMBER.finditer(text)]),
+                           label="number")
+    bad = data.draw(st.sampled_from(["nan", "-nan", "inf", "-inf", "1e400", "-1e400"]),
+                    label="literal")
+    command = data.draw(st.sampled_from(["eval", "decohere", "records", "coarsen",
+                                         "finegrained"]), label="command")
+    with tempfile.TemporaryDirectory() as tmp:
+        model = Path(tmp) / path.name
+        model.write_text(text[:start] + bad + text[end:])
+        out = Path(tmp) / "out"
+        status = run_command([command, "--model", str(model), "--out", str(out)])
+        assert status in (0, 2, 3, 4, 5)
+        for written in out.glob("*.json"):
+            load(out, written.name)

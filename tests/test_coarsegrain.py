@@ -10,6 +10,7 @@ from conftest import (
     random_partition_classes,
     random_slot,
     random_state,
+    slot_grouping_classes,
 )
 from ephist import (
     CapExceeded,
@@ -212,6 +213,9 @@ def test_slot_merge_matches_flat_partition(rng):
         merged = merge_slot_alternatives(hs, slot_index, groups)
         part = slot_partition(hs, slot_index, groups)
         assert merged.size == part.size
+        groupings = [[(i,) for i in range(s)] for s in hs.shape]
+        groupings[slot_index] = groups
+        assert part.classes == slot_grouping_classes(hs.shape, groupings)
         assert np.allclose(all_extended_probabilities(merged, psi),
                            class_sums(all_extended_probabilities(hs, psi), part),
                            atol=1e-12)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import haar_basis, random_partition_classes, random_state
+from conftest import haar_basis, random_partition_classes, random_state, slot_grouping_classes
 from ephist import (
     FINE_CAP,
     CapExceeded,
@@ -147,6 +147,7 @@ def test_cylinder_sums_match_coarse_chain_eps(seed):
     from ephist import all_extended_probabilities
     coarse_eps = all_extended_probabilities(coarse_hs, spec.psi)
     assert coarse_hs.size == part.size
+    assert part.classes == slot_grouping_classes((d,) * n, groupings)
     assert np.allclose(class_sum(dist, part), coarse_eps, atol=1e-12)
 
 

@@ -8,6 +8,7 @@ from ephist import (
     InvariantViolation,
     Projector,
     ProjectorSet,
+    ProjectorSetReport,
     StateVector,
     heisenberg_projector,
     hermitian_exponential,
@@ -48,6 +49,28 @@ def test_state_vector_is_read_only():
     s = StateVector(np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         s.amplitudes[0] = 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_constructors_reject_non_finite(bad):
+    with pytest.raises(InvariantViolation):
+        StateVector(np.array([bad, 0.0]))
+    with pytest.raises(InvariantViolation):
+        Projector(np.array([[bad, 0.0], [0.0, 0.0]]))
+    with pytest.raises(InvariantViolation):
+        HermitianOperator(np.array([[bad, 0.0], [0.0, 0.0]]))
+    with pytest.raises(InvariantViolation):
+        EvolutionSpec.from_unitaries({1.0: np.array([[bad, 0.0], [0.0, 1.0]])})
+    assert not validate_projector_set([np.diag([bad, 0.0]), np.diag([0.0, 1.0])]).passes
+
+
+@pytest.mark.parametrize("position", range(3))
+def test_projector_set_report_worst_keeps_nan(position):
+    defects = [0.0, 0.0, 0.0]
+    defects[position] = np.nan
+    report = ProjectorSetReport(*defects, tol=1e-10)
+    assert np.isnan(report.worst)
+    assert not report.passes
 
 
 def test_projector_rejects_non_idempotent():

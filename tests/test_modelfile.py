@@ -46,7 +46,8 @@ def test_parse_complex(text, value):
     assert parse_complex(text) == value
 
 
-@pytest.mark.parametrize("text", ["", "abc", "1+2", "++i", "1i2"])
+@pytest.mark.parametrize("text", ["", "abc", "1+2", "++i", "1i2",
+                                  "nan", "-inf", "1e400", "nani", "1-infi", "0.5+1e400j"])
 def test_parse_complex_rejects(text):
     with pytest.raises(ValueError):
         parse_complex(text)
@@ -114,6 +115,18 @@ def test_bad_number_points_into_literal():
     e = _err("dim 2\nstate [1,zebra]")
     assert (e.line, e.col) == (2, 10)
     assert "number" in e.expected
+
+
+@pytest.mark.parametrize("text,col", [
+    ("dim 2\nstate [nan,0]", 8),
+    ("dim 2\nstate [1,0-1e400i]", 10),
+    ("dim 2\nslot inf x", 5),
+    ("dim 2\nslot 1e400 x", 5),
+    ("dim 2\nevolution unitary nan [[1,0],[0,1]]", 18),
+])
+def test_non_finite_literals_rejected_at_their_column(text, col):
+    e = _err(text)
+    assert (e.line, e.col) == (2, col)
 
 
 def test_unterminated_bracket():

@@ -6,6 +6,7 @@ from ephist import (
     DimensionMismatch,
     InvariantViolation,
     TwoSlitConfig,
+    amplitude,
     arrival_density,
     binned_extended_probabilities,
     deepest_fringe_location,
@@ -15,6 +16,7 @@ from ephist import (
     extended_density_from_amplitudes,
     integrate_density,
     interference_integral,
+    path_length,
     self_convergence,
     with_bins,
 )
@@ -24,11 +26,12 @@ from ephist.twoslit import _simpson_nodes_weights
 # -------------------------------------------------------------- configuration
 
 def test_config_validation():
-    for bad in (dict(k=0.0), dict(d=-1.0), dict(D=0.0)):
+    for bad in (dict(k=0.0), dict(d=-1.0), dict(D=0.0), dict(k=np.nan), dict(D=np.inf)):
         with pytest.raises(InvariantViolation):
             TwoSlitConfig(**bad)
-    with pytest.raises(InvariantViolation):
-        TwoSlitConfig(y_range=(10.0, -10.0))
+    for y_range in ((10.0, -10.0), (np.nan, 1.0), (0.0, np.inf)):
+        with pytest.raises(InvariantViolation):
+            TwoSlitConfig(y_range=y_range)
     with pytest.raises(InvariantViolation):
         TwoSlitConfig(bins=0)
 
@@ -37,9 +40,10 @@ def test_default_config_tiling():
     assert default_config(k_delta=5.0).bins == 32
     assert default_config(k_delta=20.0).bins == 8
     assert default_config(k_delta=1.0).bins == 160
-    with pytest.raises(InvariantViolation) as exc:
-        default_config(k_delta=7.0)    # does not divide 160
-    assert exc.value.name == "bin-tiling"
+    for bad in (7.0, np.nan, np.inf, -5.0):    # 7 does not divide 160
+        with pytest.raises(InvariantViolation) as exc:
+            default_config(k_delta=bad)
+        assert exc.value.name == "bin-tiling"
 
 
 def test_config_derived_quantities():
@@ -57,6 +61,15 @@ def test_config_derived_quantities():
 
 
 # ------------------------------------------------------------------ densities
+
+def test_path_lengths_keep_their_closed_forms():
+    """The signed path length is bitwise the per-slit formula it replaced."""
+    cfg = default_config()
+    y = np.linspace(-80.0, 80.0, 401)
+    assert np.array_equal(path_length(cfg, y, "U"), np.sqrt((cfg.d / 2.0 - y) ** 2 + cfg.D ** 2))
+    assert np.array_equal(path_length(cfg, y, "L"), np.sqrt((cfg.d / 2.0 + y) ** 2 + cfg.D ** 2))
+    assert np.array_equal(path_length(cfg, -y, "L"), path_length(cfg, y, "U"))
+
 
 def test_density_code_paths_agree():
     cfg = default_config()
@@ -96,6 +109,10 @@ def test_unknown_slit_rejected():
         extended_density(cfg, 0.0, "X")
     with pytest.raises(InvariantViolation):
         extended_density_from_amplitudes(cfg, 0.0, "sideways")
+    with pytest.raises(InvariantViolation):
+        path_length(cfg, 0.0, "upper")
+    with pytest.raises(InvariantViolation):
+        amplitude(cfg, 0.0, ["U"])
 
 
 # ------------------------------------------------------------------ quadrature
@@ -121,14 +138,12 @@ def test_simpson_panel_validation():
 def test_bin_integrals_decompose():
     """upper bin = integral of |psi_U|^2 plus the cross-term integral, and
     upper + lower = the arrival integral, all on the same Simpson nodes."""
-    from ephist import amplitude_upper
-
     cfg = default_config(k_delta=20.0)
     upper, lower = binned_extended_probabilities(cfg)
     edges = cfg.bin_edges()
     for i in range(cfg.bins):
         nodes, weights = _simpson_nodes_weights(edges[i], edges[i + 1], 128)
-        own = weights @ (np.abs(amplitude_upper(cfg, nodes)) ** 2)
+        own = weights @ (np.abs(amplitude(cfg, nodes, "U")) ** 2)
         cross = interference_integral(cfg, i)
         assert abs(upper[i] - (own + cross)) < 1e-16
         arrive = weights @ arrival_density(cfg, nodes)
