@@ -49,7 +49,6 @@ from .histories import (
     class_operator,
     dec_measure,
     decoherence_functional,
-    dh_ep_difference,
     dh_probability,
     extended_probability,
     flatten_index,
@@ -67,14 +66,11 @@ from .records import (
     verify_weak_records,
 )
 from .coarsegrain import (
-    ENUMERATION_CAP,
     GreedySearchResult,
     Partition,
     class_sums,
-    coarse_class_operator,
     coarse_decoherence_functional,
     coarse_extended_probabilities,
-    enumerate_partitions,
     greedy_decohering_search,
     greedy_merge_functional,
     identity_partition,
@@ -88,7 +84,6 @@ from .composite import (
     CompositeSystem,
     ProductRuleReport,
     factor_amplitudes,
-    joint_class_operator,
     joint_extended_probability,
     joint_functional,
     product_records,
@@ -98,12 +93,12 @@ from .finegrained import (
     FINE_CAP,
     FineGrainedDistribution,
     FineGrainedSpec,
-    class_sum,
     cylinder_history_set,
     cylinder_partition,
     fundamental_distribution,
 )
 from .twoslit import (
+    BINS_CAP,
     SWEEP_K_DELTAS,
     SweepRow,
     TwoSlitConfig,
@@ -114,12 +109,10 @@ from .twoslit import (
     default_config,
     delta_sweep,
     extended_density,
-    extended_density_from_amplitudes,
     integrate_density,
     interference_integral,
     path_length,
     self_convergence,
-    with_bins,
 )
 from .threebox import (
     SECTOR_FLATS,
@@ -148,4 +141,48 @@ from .modelfile import (
     serialize_model,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # errors
+    "AllBranchesZero", "CapExceeded", "DimensionMismatch", "EngineError", "InvariantViolation",
+    "NotDecoherent", "ParseError",
+    # hilbert
+    "TOL_HERM", "TOL_NORM", "TOL_OP", "EvolutionSpec", "HermitianOperator", "Projector",
+    "ProjectorSet", "ProjectorSetReport", "StateVector", "heisenberg_projector",
+    "hermitian_exponential", "projector_set_from_basis", "rank_one_projector",
+    "validate_projector_set",
+    # histories
+    "DEFAULT_DEC_TOL", "M_CAP", "BranchVector", "DecoherenceReport", "HistoryIndex",
+    "HistorySet", "all_extended_probabilities", "branch_matrix", "branch_vector",
+    "chain_amplitude", "class_operator", "dec_measure", "decoherence_functional",
+    "dh_probability", "extended_probability", "flatten_index", "offdiagonal_offenders",
+    "total_negative", "unflatten_index",
+    # records
+    "CorrelationReport", "RecordCheckReport", "RecordSet", "construct_records",
+    "record_correlation_report", "verify_strong_records", "verify_weak_records",
+    # coarsegrain
+    "GreedySearchResult", "Partition", "class_sums", "coarse_decoherence_functional",
+    "coarse_extended_probabilities", "greedy_decohering_search", "greedy_merge_functional",
+    "identity_partition", "merge_slot_alternatives", "partition_from_literal", "slot_partition",
+    "total_partition",
+    # composite
+    "JOINT_DIM_CAP", "CompositeSystem", "ProductRuleReport", "factor_amplitudes",
+    "joint_extended_probability", "joint_functional", "product_records", "product_rule_report",
+    # finegrained
+    "FINE_CAP", "FineGrainedDistribution", "FineGrainedSpec", "cylinder_history_set",
+    "cylinder_partition", "fundamental_distribution",
+    # twoslit
+    "BINS_CAP", "SWEEP_K_DELTAS", "SweepRow", "TwoSlitConfig", "amplitude", "arrival_density",
+    "binned_extended_probabilities", "deepest_fringe_location", "default_config", "delta_sweep",
+    "extended_density", "integrate_density", "interference_integral", "path_length",
+    "self_convergence",
+    # threebox
+    "SECTOR_FLATS", "BoxSetReport", "ThreeBoxModel", "ThreeBoxReport", "box_coarse_set",
+    "greedy_sector_search", "phi_sector_extended_probabilities", "phi_sector_functional",
+    "three_box_model", "three_box_report",
+    # dutchbook
+    "BetSpec", "GainReport", "dutch_book_gains", "exploit_negative_price", "gain_report",
+    # modelfile
+    "BuiltModel", "ModelDocument", "build_evolution", "build_finegrained", "build_history_set",
+    "build_state", "format_complex", "load_model", "parse_complex", "parse_model",
+    "serialize_model",
+]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -23,6 +22,7 @@ from . import __version__
 from .errors import EngineError, InvariantViolation
 from .histories import (
     DEFAULT_DEC_TOL,
+    _check_tolerance,
     branch_matrix,
     decoherence_functional,
     dec_measure,
@@ -154,9 +154,7 @@ def _resolve_partition(model: BuiltModel | None, text: str, fine_count: int) -> 
 
 
 def _tol(args, default: float = DEFAULT_DEC_TOL) -> float:
-    if args.tol is not None and not 0.0 <= args.tol < math.inf:
-        raise InvariantViolation("tolerance", args.tol, "--tol must be finite and non-negative")
-    return default if args.tol is None else args.tol
+    return default if args.tol is None else _check_tolerance(args.tol)
 
 
 def _cmd_eval(args, out: _OutDir):

@@ -8,23 +8,22 @@ slot, have a dedicated constructor.
 
 The greedy search repeatedly merges the class pair that most reduces
 dec, breaking ties by the lexicographically lowest (i, j) pair, so runs
-are reproducible. Exhaustive partition enumeration (m <= 8) exists as a
-test oracle; everything else is Bell-number territory.
+are reproducible. Exhaustive partition enumeration is Bell-number
+territory and lives with the test oracles, not here.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, DimensionMismatch, InvariantViolation, ParseError
+from .errors import DimensionMismatch, InvariantViolation, ParseError
 from .hilbert import Projector, ProjectorSet, StateVector
 from .histories import (
     HistorySet,
     all_extended_probabilities,
-    class_operator,
     dec_measure,
     decoherence_functional,
 )
@@ -81,12 +80,21 @@ def total_partition(m: int) -> Partition:
     return Partition(m, (tuple(range(m)),))
 
 
+def _load_class_list(text: str, line: int, col: int, expected: str, found: str):
+    """json.loads of a class-list literal that starts at (line, col).
+
+    Any ValueError becomes a ParseError: a JSON syntax error at its own
+    column, and an index past Python's int digit limit at the literal's start.
+    """
+    try:
+        return json.loads(text)
+    except ValueError as e:
+        raise ParseError(line, col + getattr(e, "colno", 1) - 1, expected, found) from None
+
+
 def partition_from_literal(text: str, fine_count: int) -> Partition:
     """Parse a bracketed class list like [[0],[1,2]]."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(1, e.colno, "partition literal like [[0],[1,2]]", text) from None
+    raw = _load_class_list(text, 1, 1, "partition literal like [[0],[1,2]]", text)
     if (not isinstance(raw, list) or not raw
             or any(not isinstance(c, list) for c in raw)
             or any(not isinstance(i, int) or isinstance(i, bool) for c in raw for i in c)):
@@ -99,15 +107,6 @@ def class_sums(values: np.ndarray, part: Partition) -> np.ndarray:
     if values.shape[0] != part.fine_count:
         raise DimensionMismatch(f"{values.shape[0]} values for fine count {part.fine_count}")
     return np.array([values[list(c)].sum() for c in part.classes])
-
-
-def coarse_class_operator(hs: HistorySet, part: Partition, class_index: int) -> np.ndarray:
-    if part.fine_count != hs.size:
-        raise DimensionMismatch(f"partition over {part.fine_count} vs {hs.size} histories")
-    c = np.zeros((hs.dim, hs.dim), dtype=np.complex128)
-    for flat in part.classes[class_index]:
-        c += class_operator(hs, hs.index(flat))
-    return c
 
 
 def coarse_decoherence_functional(functional: np.ndarray, part: Partition) -> np.ndarray:
@@ -251,29 +250,3 @@ def greedy_decohering_search(
     """Greedy merge on the history set's own decoherence functional."""
     report = decoherence_functional(hs, psi)
     return greedy_merge_functional(report.functional, target_tol, min_classes)
-
-
-ENUMERATION_CAP = 8
-
-
-def enumerate_partitions(m: int) -> Iterator[Partition]:
-    """Every set partition of {0..m-1}, restricted-growth-string order.
-
-    Test oracle only; refuses m above the Bell-number comfort zone.
-    """
-    if m > ENUMERATION_CAP:
-        raise CapExceeded("partition enumeration size", m, ENUMERATION_CAP)
-
-    def grow(prefix: list[int], used: int) -> Iterator[list[int]]:
-        if len(prefix) == m:
-            yield prefix
-            return
-        for c in range(used + 1):
-            yield from grow(prefix + [c], max(used, c + 1))
-
-    for rgs in grow([0], 1):
-        k = max(rgs) + 1
-        classes = [[] for _ in range(k)]
-        for i, c in enumerate(rgs):
-            classes[c].append(i)
-        yield Partition(m, tuple(tuple(c) for c in classes))

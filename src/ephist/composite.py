@@ -25,7 +25,6 @@ from .histories import (
     HistorySet,
     branch_matrix,
     chain_amplitude,
-    class_operator,
 )
 from .records import RecordSet
 
@@ -103,15 +102,6 @@ def joint_extended_probability(cs: CompositeSystem, indices: Sequence[HistoryInd
     return float(z.real)
 
 
-def joint_class_operator(cs: CompositeSystem, indices: Sequence[HistoryIndex]) -> np.ndarray:
-    """Dense C1 x ... x CN on the joint space (the independent slow path)."""
-    _check_indices(cs, indices)
-    c = class_operator(cs.factors[0][1], indices[0])
-    for (_, hs), idx in zip(cs.factors[1:], indices[1:]):
-        c = np.kron(c, class_operator(hs, idx))
-    return c
-
-
 def joint_functional(cs: CompositeSystem, m_cap: int = M_CAP) -> np.ndarray:
     """Joint decoherence functional over joint flat indices.
 
@@ -173,13 +163,13 @@ class ProductRuleReport:
 
 
 def product_rule_report(cs: CompositeSystem, m_cap: int = M_CAP) -> ProductRuleReport:
+    """Every joint history at once: Kronecker products of the per-factor
+    amplitude vectors <psi_k|C_k|psi_k>, leftmost factor slowest."""
     if cs.joint_count > m_cap:
         raise CapExceeded("joint history count", cs.joint_count, m_cap)
-    joint = np.empty(cs.joint_count)
-    product = np.empty(cs.joint_count)
-    for flat in range(cs.joint_count):
-        indices = cs.unflatten_joint(flat)
-        amps = factor_amplitudes(cs, indices)
-        joint[flat] = float(np.prod(amps).real)
-        product[flat] = float(np.prod([z.real for z in amps]))
+    amps, product = np.ones(1, dtype=np.complex128), np.ones(1)
+    for psi, hs in cs.factors:
+        z = psi.amplitudes.conj() @ branch_matrix(hs, psi)
+        amps, product = np.kron(amps, z), np.kron(product, z.real)
+    joint = amps.real
     return ProductRuleReport(joint, product, float(np.abs(joint - product).max()))

@@ -35,8 +35,11 @@ class InvariantViolation(EngineError):
 
     def __init__(self, name: str, magnitude: float, detail: str = ""):
         self.name = name
-        self.magnitude = float(magnitude)
-        msg = f"invariant {name!r} violated by {magnitude:.3e}"
+        try:
+            self.magnitude = float(magnitude)
+        except OverflowError:   # an int beyond float range, such as a huge index
+            self.magnitude = math.inf if magnitude > 0 else -math.inf
+        msg = f"invariant {name!r} violated by {self.magnitude:.3e}"
         super().__init__(msg + (f": {detail}" if detail else ""))
 
     def payload(self) -> dict:

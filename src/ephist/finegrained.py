@@ -25,7 +25,7 @@ from .histories import (
     flatten_index,
     unflatten_index,
 )
-from .coarsegrain import Partition, class_sums, _group_slots
+from .coarsegrain import Partition, _group_slots
 
 FINE_CAP = 4096
 
@@ -101,11 +101,6 @@ def fundamental_distribution(spec: FineGrainedSpec, cap: int = FINE_CAP) -> Fine
     return FineGrainedDistribution(values, (spec.dim,) * spec.n_times)
 
 
-def class_sum(dist: FineGrainedDistribution, part: Partition) -> np.ndarray:
-    """Per-class sums of w; the extended probabilities of the coarse classes."""
-    return class_sums(dist.values, part)
-
-
 def cylinder_history_set(
     spec: FineGrainedSpec, groupings: Sequence[Sequence[Sequence[int]]],
     labels: Sequence[Sequence[str]] | None = None,
@@ -119,7 +114,7 @@ def cylinder_partition(
 ) -> Partition:
     """h-space partition whose classes mirror the cylinder set's flat order.
 
-    class_sum over this partition equals the chain extended probabilities
+    class_sums of w over this partition equal the chain extended probabilities
     of cylinder_history_set on the same groupings (multilinearity).
     """
     return _group_slots(spec.history_set(), groupings)[1]

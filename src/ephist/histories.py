@@ -18,7 +18,7 @@ are comparable across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import inf, prod
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -245,6 +245,13 @@ def offdiagonal_offenders(functional: np.ndarray, tol: float) -> list[tuple[tupl
     return out
 
 
+def _check_tolerance(tol: float) -> float:
+    """tol itself if it is finite and non-negative; NaN, inf and negatives raise."""
+    if not 0.0 <= tol < inf:
+        raise InvariantViolation("tolerance", tol, "tolerance must be finite and non-negative")
+    return tol
+
+
 def decoherence_functional(
     hs: HistorySet,
     psi: StateVector,
@@ -256,6 +263,7 @@ def decoherence_functional(
     The matrix is assembled exactly Hermitian with an exactly real
     diagonal (the diagonal is computed as squared column norms).
     """
+    _check_tolerance(tol)
     b = branch_matrix(hs, psi, m_cap)
     g = b.conj().T @ b
     upper = np.triu(g, 1)
@@ -271,11 +279,6 @@ def decoherence_functional(
         linearly_positive=bool(ep.min() >= -tol),
         tolerance=tol,
     )
-
-
-def dh_ep_difference(hs: HistorySet, idx: HistoryIndex, psi: StateVector) -> float:
-    """p_dh - p_ep; identically -Re sum_{b != a} D(b, a), and 0 when decoherent."""
-    return dh_probability(hs, idx, psi) - extended_probability(hs, idx, psi)
 
 
 def total_negative(hs: HistorySet, psi: StateVector, m_cap: int = M_CAP) -> float:

@@ -26,7 +26,6 @@ literals, and parse_model(serialize_model(doc)) reproduces doc exactly.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -44,6 +43,7 @@ from .hilbert import (
     rank_one_projector,
 )
 from .histories import HistorySet
+from .coarsegrain import _load_class_list
 from .finegrained import FineGrainedSpec
 from .composite import CompositeSystem
 
@@ -377,11 +377,8 @@ class _Parser:
         name = line.word("a partition name")
         inner, base = line.bracket("[", "]", "a class list like [[0],[1,2]]")
         literal = "[" + inner + "]"
-        try:
-            raw = json.loads(literal)
-        except json.JSONDecodeError as e:
-            raise ParseError(line.no, base + e.colno - 1, "a class list like [[0],[1,2]]",
-                             literal[:40]) from None
+        raw = _load_class_list(literal, line.no, base, "a class list like [[0],[1,2]]",
+                               literal[:40])
         if (not isinstance(raw, list) or not raw
                 or any(not isinstance(c, list) or not c for c in raw)
                 or any(not isinstance(i, int) or isinstance(i, bool) for c in raw for i in c)):

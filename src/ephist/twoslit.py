@@ -19,13 +19,14 @@ binning; the default window (-80, 80) is wide enough to include them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvariantViolation
+from .errors import CapExceeded, DimensionMismatch, InvariantViolation
 
 DEFAULT_PANELS = 128
+BINS_CAP = 4096          # screen bins; each one costs a Simpson integral per slit
 DEFAULT_Y_RANGE = (-80.0, 80.0)
 SWEEP_K_DELTAS = (1.0, 2.0, 5.0, 10.0, 20.0, 40.0)
 
@@ -48,7 +49,9 @@ class TwoSlitConfig:
         if not -math.inf < self.y_range[0] < self.y_range[1] < math.inf:
             raise InvariantViolation("ordered-range", 0.0, "y_range must be finite, increasing")
         if self.bins < 1:
-            raise InvariantViolation("positive-bins", float(self.bins))
+            raise InvariantViolation("positive-bins", self.bins)
+        if self.bins > BINS_CAP:
+            raise CapExceeded("two-slit bin count", self.bins, BINS_CAP)
 
     @property
     def width(self) -> float:
@@ -76,7 +79,8 @@ def default_config(k_delta: float = 5.0, k: float = 1.0,
     """
     width = float(y_range[1]) - float(y_range[0])
     delta = k_delta / k
-    bins = round(width / delta) if 0.0 < delta < math.inf else 0
+    ratio = width / delta if 0.0 < delta < math.inf else 0.0
+    bins = round(ratio) if ratio < math.inf else 0   # a subnormal delta overflows ratio
     if bins < 1 or abs(bins * delta - width) > 1e-9 * width:
         raise InvariantViolation(
             "bin-tiling", abs(bins * delta - width),
@@ -112,13 +116,6 @@ def extended_density(cfg: TwoSlitConfig, y, slit: str = "U"):
     # k (S_L - S_U) for either slit; negating a difference is exact
     phase = cfg.k * (sign * (other - own))
     return (mag / own) * (1.0 / own + np.cos(phase) / other)
-
-
-def extended_density_from_amplitudes(cfg: TwoSlitConfig, y, slit: str = "U"):
-    """Same density assembled from the amplitudes; a second code path."""
-    own = amplitude(cfg, y, slit)
-    other = amplitude(cfg, y, _slit(slit)[1])
-    return np.abs(own) ** 2 + np.real(np.conj(other) * own)
 
 
 def arrival_density(cfg: TwoSlitConfig, y):
@@ -221,10 +218,6 @@ def self_convergence(cfg: TwoSlitConfig, coarse_panels: int = DEFAULT_PANELS,
     mass = np.abs(fu).sum() + np.abs(fl).sum()
     shift = max(np.abs(fu - cu).max(), np.abs(fl - cl).max())
     return float(shift / mass)
-
-
-def with_bins(cfg: TwoSlitConfig, bins: int) -> TwoSlitConfig:
-    return replace(cfg, bins=bins)
 
 
 def deepest_fringe_location(cfg: TwoSlitConfig) -> float:

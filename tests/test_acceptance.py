@@ -25,7 +25,6 @@ from ephist import (
     Partition,
     all_extended_probabilities,
     binned_extended_probabilities,
-    class_sum,
     class_sums,
     coarse_decoherence_functional,
     coarse_extended_probabilities,
@@ -199,7 +198,7 @@ def test_criterion_7_fine_grained_oracle():
             groupings = [random_partition_classes(rng, d) for _ in range(n)]
             coarse_hs = cylinder_history_set(spec, groupings)
             part = cylinder_partition(spec, groupings)
-            diff = class_sum(dist, part) \
+            diff = class_sums(dist.values, part) \
                 - all_extended_probabilities(coarse_hs, spec.psi)
             worst = max(worst, float(np.max(np.abs(diff))))
         return worst <= 1e-12

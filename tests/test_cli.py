@@ -294,6 +294,46 @@ def test_twoslit_rejects_bad_resolution(tmp_path, k_delta):
     load(out, "error.json")
 
 
+@pytest.mark.parametrize("argv", [["--kDelta", "1e-300"], ["--bins", "100000000000"]])
+def test_twoslit_bin_count_capped(tmp_path, argv):
+    """1e-300 tiles the window with about 1.6e302 bins; without the cap both
+    runs die allocating the bin edges."""
+    status, out = run(tmp_path, "o", "twoslit", *argv)
+    assert status == 5
+    err = load(out, "error.json")
+    assert err["code"] == "cap-exceeded"
+    assert err["cap"] == 4096
+
+
+def test_partition_index_beyond_float_range(tmp_path):
+    """The magnitude of a 401-digit index does not fit a float."""
+    status, out = run(tmp_path, "o", "coarsen", "--model", str(MODELS / "threebox.model"),
+                      "--partition", f"[[0,1,2],[3,4,{'9' * 401}]]")
+    assert status == 3
+    err = load(out, "error.json")
+    assert err["invariant"] == "class-index-range"
+    assert err["magnitude"] == "inf"
+
+
+def test_partition_index_beyond_int_digit_limit(tmp_path):
+    """json.loads refuses an int of more than 4300 digits with a plain
+    ValueError; the literal and a model file's partition line both report it
+    as a parse error."""
+    literal = f"[[0,1,2],[3,4,{'9' * 5001}]]"
+    status, out = run(tmp_path, "lit", "coarsen", "--model", str(MODELS / "threebox.model"),
+                      "--partition", literal)
+    assert status == 2
+    assert load(out, "error.json")["code"] == "parse-error"
+
+    model = tmp_path / "big.model"
+    model.write_text((MODELS / "threebox.model").read_text() + f"partition big {literal}\n")
+    status, out = run(tmp_path, "file", "eval", "--model", str(model))
+    assert status == 2
+    err = load(out, "error.json")
+    assert err["code"] == "parse-error"
+    assert err["col"] == len("partition big ") + 1
+
+
 NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
 SINGLE_MODELS = [p for p in sorted(MODELS.glob("*.model")) if p.stem != "pair"]
 

@@ -24,12 +24,10 @@ from ephist import (
     StateVector,
     all_extended_probabilities,
     class_sums,
-    coarse_class_operator,
     coarse_decoherence_functional,
     coarse_extended_probabilities,
     dec_measure,
     decoherence_functional,
-    enumerate_partitions,
     greedy_decohering_search,
     greedy_merge_functional,
     identity_partition,
@@ -39,6 +37,7 @@ from ephist import (
     total_partition,
 )
 from ephist.histories import HistoryIndex, class_operator, unflatten_index
+from oracles import coarse_class_operator, enumerate_partitions
 
 
 # ---------------------------------------------------------------- partitions
@@ -311,3 +310,23 @@ def test_partition_enumeration_cap():
     with pytest.raises(CapExceeded) as exc:
         next(enumerate_partitions(9))
     assert exc.value.exit_status == 5
+
+
+def test_every_partition_is_monotone_and_additive():
+    """Exhaustive over all Bell(m) partitions of small random sets: dec never
+    grows under coarse graining, and the class sums of the fine extended
+    probabilities are the real column sums of the coarse functional."""
+    rng = np.random.default_rng(6)
+    sizes = []
+    while len(sizes) < 4:
+        psi, hs = random_model(rng, d_max=4, n_max=2)
+        if not 4 <= hs.size <= 6:
+            continue
+        sizes.append(hs.size)
+        fine = decoherence_functional(hs, psi)
+        for part in enumerate_partitions(hs.size):
+            coarse = coarse_decoherence_functional(fine.functional, part)
+            assert dec_measure(coarse) <= fine.dec + 1e-12
+            assert np.allclose(class_sums(fine.ep_probs, part), np.real(coarse.sum(axis=0)),
+                               rtol=0.0, atol=1e-12)
+    assert max(sizes) == 6

@@ -17,13 +17,13 @@ from ephist import (
     construct_records,
     decoherence_functional,
     factor_amplitudes,
-    joint_class_operator,
     joint_extended_probability,
     joint_functional,
     load_model,
     product_records,
     product_rule_report,
 )
+from oracles import joint_class_operator
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 

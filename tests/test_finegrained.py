@@ -16,7 +16,7 @@ from ephist import (
     Partition,
     ProjectorSet,
     StateVector,
-    class_sum,
+    class_sums,
     cylinder_history_set,
     cylinder_partition,
     extended_probability,
@@ -124,7 +124,7 @@ def test_negative_w_two_time_qubit():
 def test_class_sum_checks_size(rng):
     dist = fundamental_distribution(_random_spec(rng, 2, 2))
     with pytest.raises(DimensionMismatch):
-        class_sum(dist, Partition(5, (tuple(range(5)),)))
+        class_sums(dist.values, Partition(5, (tuple(range(5)),)))
 
 
 # ------------------------------------------------------------------ cylinders
@@ -148,7 +148,7 @@ def test_cylinder_sums_match_coarse_chain_eps(seed):
     coarse_eps = all_extended_probabilities(coarse_hs, spec.psi)
     assert coarse_hs.size == part.size
     assert part.classes == slot_grouping_classes((d,) * n, groupings)
-    assert np.allclose(class_sum(dist, part), coarse_eps, atol=1e-12)
+    assert np.allclose(class_sums(dist.values, part), coarse_eps, atol=1e-12)
 
 
 def test_cylinder_labels(rng):

@@ -17,7 +17,6 @@ from ephist import (
     class_operator,
     dec_measure,
     decoherence_functional,
-    dh_ep_difference,
     dh_probability,
     extended_probability,
     flatten_index,
@@ -26,6 +25,7 @@ from ephist import (
     unflatten_index,
 )
 from conftest import diagonal_fixture, random_model, random_slot, random_state
+from oracles import dh_ep_difference
 
 
 @given(st.lists(st.integers(2, 5), min_size=1, max_size=4), st.data())
@@ -140,6 +140,16 @@ def test_decoherence_flags(rng):
     assert rep.max_offdiagonal <= 1e-12
     assert rep.linearly_positive     # decoherent => EP = DH >= 0
     assert dec_measure(rep.functional) <= 1e-12
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-8])
+def test_decoherence_functional_rejects_bad_tolerance(rng, tol):
+    """A NaN tolerance would fail every |D| <= tol comparison silently."""
+    psi, hs = diagonal_fixture(rng)
+    with pytest.raises(InvariantViolation) as exc:
+        decoherence_functional(hs, psi, tol=tol)
+    assert exc.value.name == "tolerance"
+    assert exc.value.exit_status == 3
 
 
 def test_offenders_sorted_and_thresholded(rng):

@@ -1,0 +1,49 @@
+"""The public surface: ephist.__all__ is the exact list of what the package exports."""
+import re
+import types
+from pathlib import Path
+
+import pytest
+
+import ephist
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# slow paths that tests/oracles.py now holds, and wrappers nothing needed
+REMOVED = (
+    "joint_class_operator", "coarse_class_operator", "extended_density_from_amplitudes",
+    "enumerate_partitions", "ENUMERATION_CAP", "dh_ep_difference", "with_bins", "class_sum",
+)
+
+
+def test_all_is_unique_and_resolves_to_non_modules():
+    assert len(ephist.__all__) == len(set(ephist.__all__))
+    for name in ephist.__all__:
+        assert not isinstance(getattr(ephist, name), types.ModuleType), name
+
+
+def test_every_public_attribute_is_listed():
+    public = {name for name, value in vars(ephist).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == set(ephist.__all__)
+
+
+def test_star_import_binds_no_submodules():
+    namespace: dict = {}
+    exec("from ephist import *", namespace)
+    assert not [n for n, v in namespace.items() if isinstance(v, types.ModuleType)]
+
+
+def test_readme_entry_points_are_exported():
+    text = README.read_text()
+    table = text[text.index("| area | functions |"):text.index("## Model files")]
+    names = re.findall(r"`(\w+)`", table)
+    assert len(names) > 30
+    assert sorted(set(names) - set(ephist.__all__)) == []
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_names_are_gone(name):
+    assert not hasattr(ephist, name)
+    with pytest.raises(ImportError):
+        exec(f"from ephist import {name}", {})

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from ephist import (
     HistorySet,
+    InvariantViolation,
     NotDecoherent,
     Projector,
     ProjectorSet,
@@ -158,6 +159,16 @@ def test_construct_tolerance_is_respected(rng):
     assert defect >= max_off / 2 - 1e-12
     with pytest.raises(NotDecoherent):
         construct_records(hs, psi, tol=1e-8)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+def test_construct_rejects_bad_tolerance(rng, tol):
+    """tol=nan would read as "not decoherent" with no offender above nan,
+    leaving NotDecoherent nothing to report."""
+    for psi, hs in (decoherent_fixture(rng), non_decoherent_fixture(rng)):
+        with pytest.raises(InvariantViolation) as exc:
+            construct_records(hs, psi, tol=tol)
+        assert exc.value.name == "tolerance"
 
 
 def test_completion_absorbs_leftover_dimensions(rng):

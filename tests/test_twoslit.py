@@ -1,8 +1,12 @@
 """Two-slit extended densities, Simpson binning, resolution sweep."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from ephist import (
+    BINS_CAP,
+    CapExceeded,
     DimensionMismatch,
     InvariantViolation,
     TwoSlitConfig,
@@ -13,14 +17,13 @@ from ephist import (
     default_config,
     delta_sweep,
     extended_density,
-    extended_density_from_amplitudes,
     integrate_density,
     interference_integral,
     path_length,
     self_convergence,
-    with_bins,
 )
 from ephist.twoslit import _simpson_nodes_weights
+from oracles import extended_density_from_amplitudes
 
 
 # -------------------------------------------------------------- configuration
@@ -34,13 +37,20 @@ def test_config_validation():
             TwoSlitConfig(y_range=y_range)
     with pytest.raises(InvariantViolation):
         TwoSlitConfig(bins=0)
+    assert TwoSlitConfig(bins=BINS_CAP).bins == BINS_CAP
+    for bins in (BINS_CAP + 1, 100_000_000_000, 10 ** 400):
+        with pytest.raises(CapExceeded) as exc:
+            TwoSlitConfig(bins=bins)
+        assert exc.value.exit_status == 5
+    with pytest.raises(InvariantViolation):
+        TwoSlitConfig(bins=-10 ** 400)      # magnitude beyond float range
 
 
 def test_default_config_tiling():
     assert default_config(k_delta=5.0).bins == 32
     assert default_config(k_delta=20.0).bins == 8
     assert default_config(k_delta=1.0).bins == 160
-    for bad in (7.0, np.nan, np.inf, -5.0):    # 7 does not divide 160
+    for bad in (7.0, np.nan, np.inf, -5.0, 1e-320):   # 7 does not divide 160; 160/1e-320 is inf
         with pytest.raises(InvariantViolation) as exc:
             default_config(k_delta=bad)
         assert exc.value.name == "bin-tiling"
@@ -55,7 +65,7 @@ def test_config_derived_quantities():
     assert len(edges) == cfg.bins + 1
     assert edges[0] == cfg.y_range[0] and edges[-1] == cfg.y_range[1]
 
-    rebinned = with_bins(cfg, 8)
+    rebinned = replace(cfg, bins=8)
     assert rebinned.bins == 8 and rebinned.d == cfg.d
     assert rebinned.k_delta == 20.0
 
