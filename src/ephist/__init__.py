@@ -128,6 +128,7 @@ from .threebox import (
 )
 from .dutchbook import BetSpec, GainReport, dutch_book_gains, exploit_negative_price, gain_report
 from .modelfile import (
+    DIM_CAP,
     BuiltModel,
     ModelDocument,
     build_evolution,
@@ -182,7 +183,7 @@ __all__ = [
     # dutchbook
     "BetSpec", "GainReport", "dutch_book_gains", "exploit_negative_price", "gain_report",
     # modelfile
-    "BuiltModel", "ModelDocument", "build_evolution", "build_finegrained", "build_history_set",
-    "build_state", "format_complex", "load_model", "parse_complex", "parse_model",
-    "serialize_model",
+    "DIM_CAP", "BuiltModel", "ModelDocument", "build_evolution", "build_finegrained",
+    "build_history_set", "build_state", "format_complex", "load_model", "parse_complex",
+    "parse_model", "serialize_model",
 ]

@@ -8,7 +8,10 @@ slot, have a dedicated constructor.
 
 The greedy search repeatedly merges the class pair that most reduces
 dec, breaking ties by the lexicographically lowest (i, j) pair, so runs
-are reproducible. Exhaustive partition enumeration is Bell-number
+are reproducible. It costs O(m^3) once, to build the matrix of merged
+cross terms sum_{l != a, b} |D_al + D_bl|, and then O(k^2) numpy work per
+merge over k classes, since each merge updates that matrix instead of
+rescanning every pair. Exhaustive partition enumeration is Bell-number
 territory and lives with the test oracles, not here.
 """
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation, ParseError
-from .hilbert import Projector, ProjectorSet, StateVector
+from .hilbert import HermitianOperator, Projector, ProjectorSet, StateVector
 from .histories import (
     HistorySet,
     all_extended_probabilities,
@@ -191,6 +194,31 @@ class GreedySearchResult:
     trace: tuple[tuple[tuple[int, int], float], ...]
 
 
+def _cross_row(current: np.ndarray, a: int) -> np.ndarray:
+    """[b] = sum over l != a, b of |D_al + D_bl|: the cross terms of classes a
+    and b merged. Entry a is not meaningful."""
+    terms = np.abs(current[a] + current)
+    terms[:, a] = 0.0
+    np.fill_diagonal(terms, 0.0)
+    return terms.sum(axis=1)
+
+
+def _exact_cross(current: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """[p] = sum over l != i[p], j[p] of |D_il + D_jl|, each summed like the
+    plain row sum np.abs(D[i, mask] + D[j, mask]).sum(). Takes k pairs at a
+    time, so no temporary outgrows k x k."""
+    k = current.shape[0]
+    out = []
+    for start in range(0, len(i), k):
+        bi, bj = i[start:start + k], j[start:start + k]
+        terms = np.abs(current[bi] + current[bj])
+        kept = np.ones(terms.shape, dtype=bool)
+        rows = np.arange(len(bi))
+        kept[rows, bi] = kept[rows, bj] = False
+        out.append(terms[kept].reshape(len(bi), k - 2).sum(axis=1))
+    return np.concatenate(out)
+
+
 def greedy_merge_functional(
     functional: np.ndarray, target_tol: float, min_classes: int = 1,
 ) -> GreedySearchResult:
@@ -199,49 +227,73 @@ def greedy_merge_functional(
     Merges the class pair whose merge minimizes the resulting dec, until
     dec <= target_tol or the class count floor is hit. The total merge
     always reaches dec = 0, so with min_classes = 1 the search cannot fail.
+    Ties go to the lexicographically lowest (i, j), i < j, among the current
+    classes. The functional must be square (DimensionMismatch), finite,
+    Hermitian to TOL_HERM and small enough for its merge scores to stay
+    finite (InvariantViolation).
+
+    Cost: an O(m^3) set-up builds cross[a, b] = sum over l != a, b of
+    |D_al + D_bl| one row at a time; each merge then scores every pair from
+    it and updates it in O(k^2) numpy work for k current classes. The pairs
+    whose score lies within a rounding bound of the best are scored again
+    term by term, so the chosen pair and every float are the ones a full
+    rescan of all pairs gives.
     """
-    functional = np.asarray(functional, dtype=np.complex128)
-    m = functional.shape[0]
-    part = identity_partition(m)
-    current = functional.copy()
+    current = HermitianOperator(functional).entries
+    m = current.shape[0]
+    cross = np.array([_cross_row(current, a) for a in range(m)]).reshape(m, m)
+    # no cross entry ever exceeds the input's off-diagonal mass, so its
+    # accumulated rounding is a small multiple of eps * m * that mass
+    off_mass = np.abs(current[~np.eye(m, dtype=bool)]).sum()
+    classes = [(x,) for x in range(m)]
     trace: list[tuple[tuple[int, int], float]] = []
+    dec = dec_measure(current)
 
-    while True:
-        dec = dec_measure(current)
-        if dec <= target_tol:
-            return GreedySearchResult(part, dec, True, tuple(trace))
-        k = part.size
-        if k <= max(min_classes, 1):
-            return GreedySearchResult(part, dec, False, tuple(trace))
+    while not dec <= target_tol and len(classes) > max(min_classes, 1):
+        k = len(classes)
+        absval = np.abs(current)
+        absrow = absval.sum(axis=1) - np.abs(np.diag(current))
+        iu, ju = np.triu_indices(k, 1)
+        off = absval[iu, ju]
+        old_cross = (absrow[iu] - off) + (absrow[ju] - absval[ju, iu])
+        # rows and columns contribute equally (Hermitian functional)
+        approx = dec + 2.0 * (cross[iu, ju] - old_cross) - 2.0 * off
+        if not np.isfinite(approx).all():
+            raise InvariantViolation("finite-merge-scores", absval.sum(),
+                                     "functional too large for float merge scores")
+        # approx differs from the term-by-term score only by rounding, a few
+        # eps * m times the magnitudes involved; every pair that close to the
+        # best is scored again, so the first exact minimum is among them
+        slack = 128 * (m + 1) * np.finfo(float).eps * (
+            off_mass + abs(dec) + np.abs(old_cross).max())
+        near = np.flatnonzero(approx <= approx.min() + slack)   # row-major order
 
-        absrow = np.abs(current).sum(axis=1) - np.abs(np.diag(current))
-        best_pair, best_dec = None, None
-        for i in range(k):
-            for j in range(i + 1, k):
-                mask = np.ones(k, dtype=bool)
-                mask[[i, j]] = False
-                merged_cross = np.abs(current[i, mask] + current[j, mask]).sum()
-                old_cross = (absrow[i] - abs(current[i, j])) + (absrow[j] - abs(current[j, i]))
-                # rows and columns contribute equally (Hermitian functional)
-                cand = dec + 2.0 * (merged_cross - old_cross) - 2.0 * abs(current[i, j])
-                if best_dec is None or cand < best_dec:
-                    best_pair, best_dec = (i, j), cand
+        exact_cross = _exact_cross(current, iu[near], ju[near])
+        exact = dec + 2.0 * (exact_cross - old_cross[near]) - 2.0 * off[near]
+        best = near[np.argmin(exact)]      # first minimum: the lowest (i, j)
+        i, j = int(iu[best]), int(ju[best])
 
-        i, j = best_pair
         keep = [x for x in range(k) if x != j]
-        merged = current[np.ix_(keep, keep)].copy()
-        pos = keep.index(i)
-        merged[pos, :] += current[np.ix_([j], keep)][0]
-        merged[:, pos] += current[np.ix_(keep, [j])][:, 0]
-        merged[pos, pos] += current[j, j]
-        current = merged
+        merged = current[np.ix_(keep, keep)]
+        merged[i, :] += current[j, keep]
+        merged[:, i] += current[keep, j]
+        merged[i, i] += current[j, j]
 
-        new_classes = [
-            tuple(sorted(part.classes[i] + part.classes[j])) if x == i else part.classes[x]
-            for x in keep
-        ]
-        part = Partition(m, tuple(new_classes))
-        trace.append(((i, j), dec_measure(current)))
+        # columns i and j become one column; row and column i are new
+        col_i, col_j, col = current[keep, i], current[keep, j], merged[:, i]
+        cross = cross[np.ix_(keep, keep)]
+        cross -= np.abs(col_i[:, None] + col_i) + np.abs(col_j[:, None] + col_j)
+        cross += np.abs(col[:, None] + col)
+        cross[i] = cross[:, i] = _cross_row(merged, i)
+
+        current = merged
+        classes[i] = tuple(sorted(classes[i] + classes[j]))
+        del classes[j]
+        dec = dec_measure(current)
+        trace.append(((i, j), dec))
+
+    return GreedySearchResult(Partition(m, tuple(classes)), dec, bool(dec <= target_tol),
+                              tuple(trace))
 
 
 def greedy_decohering_search(

@@ -20,7 +20,8 @@ whitespace-free tokens):
 
 Complex literals are "a+bi" (or "a-bi", suffix i or j); bare reals are
 fine. nan, inf and overflowing literals (1e400) are rejected. parse_model
-gives ParseError with 1-based line and column.
+gives ParseError with 1-based line and column, and CapExceeded for a dim
+above DIM_CAP.
 serialize_model writes a canonical form with shortest round-trip float
 literals, and parse_model(serialize_model(doc)) reproduces doc exactly.
 """
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvariantViolation, ParseError
+from .errors import CapExceeded, InvariantViolation, ParseError
 from .hilbert import (
     EvolutionSpec,
     HermitianOperator,
@@ -46,6 +47,8 @@ from .histories import HistorySet
 from .coarsegrain import _load_class_list
 from .finegrained import FineGrainedSpec
 from .composite import CompositeSystem
+
+DIM_CAP = 1024   # Hilbert-space dimension; each operator is a dense d x d complex matrix
 
 Matrix = tuple[tuple[complex, ...], ...]
 
@@ -309,6 +312,8 @@ class _Parser:
         n = line.number("a positive integer dimension", int)
         if n < 1:
             line.fail("a positive integer dimension")
+        if n > DIM_CAP:
+            raise CapExceeded("dimension", n, DIM_CAP)
         self.dim = n
 
     def on_state(self, line: _Line):

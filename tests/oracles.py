@@ -2,7 +2,8 @@
 
 Tests compare the package against these. Each one builds its value
 from first principles (dense class operators, per-point amplitudes,
-per-history probabilities, brute-force enumeration), so it shares no
+per-history probabilities, brute-force enumeration, a rescan of every
+pair at each greedy merge), so it shares no
 shortcut with the code under test.
 """
 from typing import Iterator, Sequence
@@ -13,6 +14,7 @@ from ephist import (
     CapExceeded,
     CompositeSystem,
     DimensionMismatch,
+    GreedySearchResult,
     HistoryIndex,
     HistorySet,
     Partition,
@@ -20,8 +22,10 @@ from ephist import (
     TwoSlitConfig,
     amplitude,
     class_operator,
+    dec_measure,
     dh_probability,
     extended_probability,
+    identity_partition,
 )
 
 ENUMERATION_CAP = 8   # Bell(9) = 21147 partitions is past what a test should walk
@@ -77,3 +81,55 @@ def enumerate_partitions(m: int) -> Iterator[Partition]:
         for i, c in enumerate(rgs):
             classes[c].append(i)
         yield Partition(m, tuple(tuple(c) for c in classes))
+
+
+def greedy_merge_loop(
+    functional: np.ndarray, target_tol: float, min_classes: int = 1,
+) -> GreedySearchResult:
+    """greedy_merge_functional by rescanning every class pair each merge.
+
+    O(k^3) per merge; the strict < keeps the first pair in (i, j) order
+    among equal candidates.
+    """
+    functional = np.asarray(functional, dtype=np.complex128)
+    m = functional.shape[0]
+    part = identity_partition(m)
+    current = functional.copy()
+    trace: list[tuple[tuple[int, int], float]] = []
+
+    while True:
+        dec = dec_measure(current)
+        if dec <= target_tol:
+            return GreedySearchResult(part, dec, True, tuple(trace))
+        k = part.size
+        if k <= max(min_classes, 1):
+            return GreedySearchResult(part, dec, False, tuple(trace))
+
+        absrow = np.abs(current).sum(axis=1) - np.abs(np.diag(current))
+        best_pair, best_dec = None, None
+        for i in range(k):
+            for j in range(i + 1, k):
+                mask = np.ones(k, dtype=bool)
+                mask[[i, j]] = False
+                merged_cross = np.abs(current[i, mask] + current[j, mask]).sum()
+                old_cross = (absrow[i] - abs(current[i, j])) + (absrow[j] - abs(current[j, i]))
+                # rows and columns contribute equally (Hermitian functional)
+                cand = dec + 2.0 * (merged_cross - old_cross) - 2.0 * abs(current[i, j])
+                if best_dec is None or cand < best_dec:
+                    best_pair, best_dec = (i, j), cand
+
+        i, j = best_pair
+        keep = [x for x in range(k) if x != j]
+        merged = current[np.ix_(keep, keep)].copy()
+        pos = keep.index(i)
+        merged[pos, :] += current[np.ix_([j], keep)][0]
+        merged[:, pos] += current[np.ix_(keep, [j])][:, 0]
+        merged[pos, pos] += current[j, j]
+        current = merged
+
+        new_classes = [
+            tuple(sorted(part.classes[i] + part.classes[j])) if x == i else part.classes[x]
+            for x in keep
+        ]
+        part = Partition(m, tuple(new_classes))
+        trace.append(((i, j), dec_measure(current)))

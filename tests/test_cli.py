@@ -305,6 +305,19 @@ def test_twoslit_bin_count_capped(tmp_path, argv):
     assert err["cap"] == 4096
 
 
+@pytest.mark.parametrize("dim", ["1000000000", "9" * 401])
+def test_model_dimension_capped(tmp_path, dim):
+    """Without the cap, dim 1000000000 dies with a numpy memory error while
+    the zero Hamiltonian is allocated; the cap fires as the line is parsed."""
+    model = tmp_path / "big.model"
+    model.write_text(f"dim {dim}\nslot 1.0 x\nmember a basis {{0}}\n")
+    status, out = run(tmp_path, "o", "eval", "--model", str(model))
+    assert status == 5
+    err = load(out, "error.json")
+    assert (err["code"], err["what"], err["value"], err["cap"]) == (
+        "cap-exceeded", "dimension", int(dim), 1024)
+
+
 def test_partition_index_beyond_float_range(tmp_path):
     """The magnitude of a 401-digit index does not fit a float."""
     status, out = run(tmp_path, "o", "coarsen", "--model", str(MODELS / "threebox.model"),

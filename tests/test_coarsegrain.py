@@ -1,4 +1,6 @@
 """Partitions, block-summed functionals, slot merges, greedy search."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,13 +33,19 @@ from ephist import (
     greedy_decohering_search,
     greedy_merge_functional,
     identity_partition,
+    joint_functional,
+    load_model,
     merge_slot_alternatives,
     partition_from_literal,
+    phi_sector_functional,
     slot_partition,
+    three_box_model,
     total_partition,
 )
 from ephist.histories import HistoryIndex, class_operator, unflatten_index
-from oracles import coarse_class_operator, enumerate_partitions
+from oracles import coarse_class_operator, enumerate_partitions, greedy_merge_loop
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 # ---------------------------------------------------------------- partitions
@@ -292,6 +300,72 @@ def test_greedy_respects_min_classes(rng):
     floor = max(2, hs.size - 1)
     res = greedy_merge_functional(fine, target_tol=-1.0, min_classes=floor)
     assert res.partition.size == floor
+
+
+def _same_search(functional, target_tol, min_classes=1):
+    """The search and the loop oracle agree bit for bit: repr spells out every
+    merge pair (and its int type), every class and every float exactly."""
+    fast = greedy_merge_functional(functional, target_tol, min_classes)
+    slow = greedy_merge_loop(functional, target_tol, min_classes)
+    assert repr(fast) == repr(slow)
+
+
+def _shipped_functionals():
+    out = [("threebox-sector", phi_sector_functional(three_box_model())), ("eye4", np.eye(4))]
+    for path in sorted(MODELS.glob("*.model")):
+        built = load_model(path)
+        if built.history_set is not None:
+            out.append((path.stem, decoherence_functional(built.history_set, built.psi).functional))
+        for name, cs in sorted(built.composites.items()):
+            out.append((f"{path.stem}:{name}", joint_functional(cs)))
+    return out
+
+
+SHIPPED = _shipped_functionals()
+
+
+@pytest.mark.parametrize("target_tol", [1e-10, -1.0])
+@pytest.mark.parametrize("name, functional", SHIPPED, ids=[n for n, _ in SHIPPED])
+def test_greedy_matches_loop_oracle_on_shipped_functionals(name, functional, target_tol):
+    _same_search(functional, target_tol)
+
+
+def test_greedy_matches_loop_oracle_on_random_functionals():
+    """Hermitian b^dagger b functionals of rank r <= m, for m up to 64."""
+    rng = np.random.default_rng(11)
+    for m in [64, *rng.integers(2, 64, size=19)]:
+        r = int(rng.integers(1, m + 1))
+        b = rng.normal(size=(r, m)) + 1j * rng.normal(size=(r, m))
+        _same_search(b.conj().T @ b, float(rng.choice([1e-8, 1e-2, -1.0])))
+
+
+@st.composite
+def integer_functionals(draw):
+    m = draw(st.integers(1, 9))
+    upper = np.triu(np.array(draw(st.lists(st.integers(-3, 3), min_size=m * m, max_size=m * m)),
+                             dtype=float).reshape(m, m))
+    return upper + np.triu(upper, 1).T
+
+
+@given(functional=integer_functionals(), target_tol=st.sampled_from([-1.0, 0.0, 4.0]),
+       min_classes=st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_greedy_matches_loop_oracle_on_exact_ties(functional, target_tol, min_classes):
+    """Integer entries sum exactly, so many candidate merges tie exactly and
+    only the tie-break decides between them."""
+    _same_search(functional, target_tol, min_classes)
+
+
+@pytest.mark.parametrize("functional, error", [
+    (np.zeros((2, 3)), DimensionMismatch),                       # not square
+    (np.full((3, 3), np.nan), InvariantViolation),               # non-finite
+    (np.array([[1.0, np.inf], [np.inf, 1.0]]), InvariantViolation),
+    (np.array([[1.0, 1e-9], [0.0, 1.0]]), InvariantViolation),   # not Hermitian
+    (np.full((3, 3), 1e308), InvariantViolation),                # scores overflow
+])
+def test_greedy_rejects_bad_functional(functional, error):
+    with pytest.raises(error):
+        greedy_merge_functional(functional, target_tol=1e-8)
 
 
 # ----------------------------------------------------------------- enumeration

@@ -42,6 +42,14 @@ def test_readme_entry_points_are_exported():
     assert sorted(set(names) - set(ephist.__all__)) == []
 
 
+def test_caps_are_exported_and_documented():
+    caps = {name: getattr(ephist, name) for name in ephist.__all__ if name.endswith("_CAP")}
+    assert caps == {"M_CAP": 4096, "JOINT_DIM_CAP": 4096, "FINE_CAP": 4096, "BINS_CAP": 4096,
+                    "DIM_CAP": 1024}
+    text = README.read_text()
+    assert [name for name in caps if f"`{name}`" not in text] == []
+
+
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_names_are_gone(name):
     assert not hasattr(ephist, name)
