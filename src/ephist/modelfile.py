@@ -19,8 +19,11 @@ whitespace-free tokens):
     composite pair factors a.model b.model   # paths relative to this file
 
 Complex literals are "a+bi" (or "a-bi", suffix i or j); bare reals are
-fine. nan, inf and overflowing literals (1e400) are rejected. parse_model
-gives ParseError with 1-based line and column, and CapExceeded for a dim
+fine. nan, inf and overflowing literals (1e400) are rejected. A bracket
+literal ends with a closer of its own kind, and each matrix row is exactly
+one [...] with only blanks before the next "," or "]". parse_model gives
+ParseError with 1-based line and column and, within a directive's
+arguments, the text from that column on as found; CapExceeded for a dim
 above DIM_CAP.
 serialize_model writes a canonical form with shortest round-trip float
 literals, and parse_model(serialize_model(doc)) reproduces doc exactly.
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,22 +142,25 @@ def format_complex(z: complex) -> str:
     return f"{repr(z.real)}{sign}{repr(abs(z.imag))}i"
 
 
+_SPACE = re.compile(r"\s*")
+_WORD = re.compile(r"\S+")
+_STRUCTURE = re.compile(r"[][{},]")
+
+
 class _Line:
     """Cursor over one logical line; tracks the column for diagnostics."""
 
-    def __init__(self, no: int, text: str):
+    def __init__(self, no: int, text: str, pos: int = 0):
         self.no = no
         self.text = text
-        self.pos = 0
+        self.pos = pos
 
     def fail(self, expected: str, at: int | None = None):
-        col = (self.pos if at is None else at) + 1
-        found = self.text[self.pos:].strip()
-        raise ParseError(self.no, col, expected, found[:40])
+        at = self.pos if at is None else at
+        raise ParseError(self.no, at + 1, expected, self.text[at:].strip()[:40])
 
     def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        self.pos = _SPACE.match(self.text, self.pos).end()
 
     def at_end(self) -> bool:
         self.skip_ws()
@@ -165,90 +172,91 @@ class _Line:
 
     def word(self, expected: str) -> str:
         self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and not self.text[self.pos].isspace():
-            self.pos += 1
-        if self.pos == start:
-            self.fail(expected, at=start)
-        return self.text[start:self.pos]
+        m = _WORD.match(self.text, self.pos)
+        if m is None:
+            self.fail(expected)
+        self.pos = m.end()
+        return m.group()
+
+    def keyword(self, kw: str):
+        if self.word(f"the word {kw}") != kw:
+            self.fail(f"the word {kw}")
 
     def number(self, expected: str, conv):
-        start_ws = self.pos
+        start = self.pos
         w = self.word(expected)
         try:
             return conv(w)
         except ValueError:
-            self.pos = start_ws
-            self.fail(expected)
+            self.fail(expected, at=start)
 
-    def bracket(self, open_ch: str, close_ch: str, expected: str) -> tuple[str, int]:
-        """Balanced literal starting at the cursor; returns (inner, start)."""
+    def literal(self, open_ch: str, expected: str) -> list[tuple[str, int]]:
+        """Balanced literal at the cursor, split at its top-level commas.
+
+        Returns (piece, offset) pairs and moves the cursor past the closer,
+        which must be the same bracket kind as open_ch.
+        """
         self.skip_ws()
         start = self.pos
-        if start >= len(self.text) or self.text[start] != open_ch:
-            self.fail(expected, at=start)
-        depth = 0
-        for k in range(start, len(self.text)):
-            c = self.text[k]
+        if not self.text.startswith(open_ch, start):
+            self.fail(expected)
+        close_ch = "]" if open_ch == "[" else "}"
+        pieces, depth, piece_start = [], 0, start + 1
+        for m in _STRUCTURE.finditer(self.text, start):
+            c, k = m.group(), m.start()
             if c in "[{":
                 depth += 1
-            elif c in "]}":
+            elif c == ",":
+                if depth == 1:
+                    pieces.append((self.text[piece_start:k], piece_start))
+                    piece_start = k + 1
+            else:
                 depth -= 1
                 if depth == 0:
+                    if c != close_ch:
+                        self.fail(f"closing {close_ch!r}", at=k)
+                    pieces.append((self.text[piece_start:k], piece_start))
                     self.pos = k + 1
-                    return self.text[start + 1:k], start + 1
+                    return pieces
         self.fail(f"closing {close_ch!r}", at=len(self.text))
 
 
-def _split_top(inner: str, base: int) -> list[tuple[str, int]]:
-    """Comma-split at bracket depth 0; (piece, absolute offset) pairs."""
-    out = []
-    depth, start = 0, 0
-    for k, c in enumerate(inner + ","):
-        if c in "[{":
-            depth += 1
-        elif c in "]}":
-            depth -= 1
-        elif c == "," and depth == 0:
-            out.append((inner[start:k], base + start))
-            start = k + 1
-    return out
-
-
 def _parse_vector(line: _Line, expected: str) -> tuple[complex, ...]:
-    inner, base = line.bracket("[", "]", expected)
     values = []
-    for piece, off in _split_top(inner, base):
-        if not piece.strip():
-            line.fail("a number", at=off)
+    for piece, off in line.literal("[", expected):
         try:
             values.append(parse_complex(piece))
         except ValueError:
+            if not piece.strip():
+                line.fail("a number", at=off)
             line.fail("a number like 1.5 or 1+2i", at=off + (len(piece) - len(piece.lstrip())))
-    if not values:
-        line.fail("a nonempty vector", at=base - 1)
     return tuple(values)
 
 
 def _parse_matrix(line: _Line, expected: str) -> Matrix:
-    inner, base = line.bracket("[", "]", expected)
+    pieces = line.literal("[", expected)
     rows = []
-    for piece, off in _split_top(inner, base):
-        sub = _Line(line.no, line.text)
-        sub.pos = off
+    for piece, off in pieces:
+        sub = _Line(line.no, line.text, off)
         rows.append(_parse_vector(sub, "a row like [1,0]"))
-    if not rows:
-        line.fail("a nonempty matrix", at=base - 1)
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        line.fail("rows of equal length", at=base - 1)
+        sub.skip_ws()
+        if sub.pos < off + len(piece):
+            sub.fail("',' or ']' after a row")
+    if any(len(r) != len(rows[0]) for r in rows):
+        line.fail("rows of equal length", at=pieces[0][1] - 1)
     return tuple(rows)
 
 
+def _parse_square(line: _Line, d: int, expected: str, what: str = "matrix") -> Matrix:
+    mat = _parse_matrix(line, expected)
+    if len(mat) != d or len(mat[0]) != d:
+        line.fail(f"a {d}x{d} {what}", at=0)
+    return mat
+
+
 def _parse_index_set(line: _Line, dim: int) -> tuple[int, ...]:
-    inner, base = line.bracket("{", "}", "an index set like {0,2}")
     indices = []
-    for piece, off in _split_top(inner, base):
+    for piece, off in line.literal("{", "an index set like {0,2}"):
         try:
             i = int(piece.strip())
         except ValueError:
@@ -256,8 +264,6 @@ def _parse_index_set(line: _Line, dim: int) -> tuple[int, ...]:
         if not 0 <= i < dim:
             line.fail(f"an index in 0..{dim - 1}", at=off)
         indices.append(i)
-    if not indices:
-        line.fail("a nonempty index set", at=base - 1)
     return tuple(indices)
 
 
@@ -335,18 +341,14 @@ class _Parser:
             if self.evolution is not None:
                 line.fail("a single evolution declaration")
             d = self.need_dim(line, "evolution hamiltonian")
-            mat = _parse_matrix(line, "a hamiltonian matrix")
-            if len(mat) != d or len(mat[0]) != d:
-                line.fail(f"a {d}x{d} matrix", at=0)
+            mat = _parse_square(line, d, "a hamiltonian matrix")
             self.evolution = EvolutionClause("hamiltonian", hamiltonian=mat)
         elif kind == "unitary":
             if self.evolution is not None and self.evolution.kind != "unitary":
                 line.fail("a single evolution kind")
             d = self.need_dim(line, "evolution unitary")
             t = line.number("a time label", _finite)
-            mat = _parse_matrix(line, "a unitary matrix")
-            if len(mat) != d or len(mat[0]) != d:
-                line.fail(f"a {d}x{d} matrix", at=0)
+            mat = _parse_square(line, d, "a unitary matrix")
             prior = self.evolution.unitaries if self.evolution else ()
             if any(pt == t for pt, _ in prior):
                 line.fail(f"a time other than {t} (already declared)")
@@ -370,43 +372,37 @@ class _Parser:
             clause = MemberClause(label, "basis", indices=_parse_index_set(line, d))
         elif kind == "matrix":
             d = self.need_dim(line, "member matrix")
-            mat = _parse_matrix(line, "a projector matrix")
-            if len(mat) != d or len(mat[0]) != d:
-                line.fail(f"a {d}x{d} matrix", at=0)
-            clause = MemberClause(label, "matrix", matrix=mat)
+            clause = MemberClause(label, "matrix",
+                                  matrix=_parse_square(line, d, "a projector matrix"))
         else:
             line.fail("basis or matrix")
         self.open_slot[3].append(clause)
 
     def on_partition(self, line: _Line):
         name = line.word("a partition name")
-        inner, base = line.bracket("[", "]", "a class list like [[0],[1,2]]")
-        literal = "[" + inner + "]"
-        raw = _load_class_list(literal, line.no, base, "a class list like [[0],[1,2]]",
+        # the first piece starts just after the opening "["
+        start = line.literal("[", "a class list like [[0],[1,2]]")[0][1] - 1
+        literal = line.text[start:line.pos]
+        raw = _load_class_list(literal, line.no, start + 1, "a class list like [[0],[1,2]]",
                                literal[:40])
         if (not isinstance(raw, list) or not raw
                 or any(not isinstance(c, list) or not c for c in raw)
                 or any(not isinstance(i, int) or isinstance(i, bool) for c in raw for i in c)):
-            line.fail("nonempty lists of integers", at=base - 1)
+            line.fail("nonempty lists of integers", at=start)
         self.partitions.append(PartitionClause(name, tuple(tuple(c) for c in raw)))
 
     def on_finegrained(self, line: _Line):
         d = self.need_dim(line, "finegrained")
         t = line.number("a time label", _finite)
         self.check_time_order(line, self.finegrained, t, "finegrained")
-        kw = line.word("the word basis")
-        if kw != "basis":
-            line.fail("the word basis")
-        rows = _parse_matrix(line, "a basis matrix (one row per vector)")
-        if len(rows) != d or len(rows[0]) != d:
-            line.fail(f"a {d}x{d} basis (rows are vectors)", at=0)
+        line.keyword("basis")
+        rows = _parse_square(line, d, "a basis matrix (one row per vector)",
+                             "basis (rows are vectors)")
         self.finegrained.append(FineClause(t, rows))
 
     def on_composite(self, line: _Line):
         name = line.word("a composite name")
-        kw = line.word("the word factors")
-        if kw != "factors":
-            line.fail("the word factors")
+        line.keyword("factors")
         paths = []
         while not line.at_end():
             paths.append(line.word("a factor path"))

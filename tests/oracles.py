@@ -3,20 +3,23 @@
 Tests compare the package against these. Each one builds its value
 from first principles (dense class operators, per-point amplitudes,
 per-history probabilities, brute-force enumeration, a rescan of every
-pair at each greedy merge), so it shares no
-shortcut with the code under test.
+pair at each greedy merge, a model-file parser that walks each literal
+one character at a time), so it shares no shortcut with the code under
+test.
 """
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from ephist import (
+    DIM_CAP,
     CapExceeded,
     CompositeSystem,
     DimensionMismatch,
     GreedySearchResult,
     HistoryIndex,
     HistorySet,
+    ParseError,
     Partition,
     StateVector,
     TwoSlitConfig,
@@ -26,6 +29,20 @@ from ephist import (
     dh_probability,
     extended_probability,
     identity_partition,
+    parse_complex,
+)
+from ephist.coarsegrain import _load_class_list
+from ephist.modelfile import (
+    _DIRECTIVES,
+    CompositeClause,
+    EvolutionClause,
+    FineClause,
+    Matrix,
+    MemberClause,
+    ModelDocument,
+    PartitionClause,
+    SlotClause,
+    _finite,
 )
 
 ENUMERATION_CAP = 8   # Bell(9) = 21147 partitions is past what a test should walk
@@ -133,3 +150,307 @@ def greedy_merge_loop(
         ]
         part = Partition(m, tuple(new_classes))
         trace.append(((i, j), dec_measure(current)))
+
+
+class _Line:
+    """Cursor over one logical line; tracks the column for diagnostics."""
+
+    def __init__(self, no: int, text: str):
+        self.no = no
+        self.text = text
+        self.pos = 0
+
+    def fail(self, expected: str, at: int | None = None):
+        at = self.pos if at is None else at
+        raise ParseError(self.no, at + 1, expected, self.text[at:].strip()[:40])
+
+    def skip_ws(self):
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def at_end(self) -> bool:
+        self.skip_ws()
+        return self.pos >= len(self.text)
+
+    def expect_end(self):
+        if not self.at_end():
+            self.fail("end of line")
+
+    def word(self, expected: str) -> str:
+        self.skip_ws()
+        start = self.pos
+        while self.pos < len(self.text) and not self.text[self.pos].isspace():
+            self.pos += 1
+        if self.pos == start:
+            self.fail(expected, at=start)
+        return self.text[start:self.pos]
+
+    def number(self, expected: str, conv):
+        start = self.pos
+        w = self.word(expected)
+        try:
+            return conv(w)
+        except ValueError:
+            self.fail(expected, at=start)
+
+    def bracket(self, open_ch: str, close_ch: str, expected: str) -> tuple[str, int]:
+        """Balanced literal starting at the cursor; returns (inner, start)."""
+        self.skip_ws()
+        start = self.pos
+        if start >= len(self.text) or self.text[start] != open_ch:
+            self.fail(expected, at=start)
+        depth = 0
+        for k in range(start, len(self.text)):
+            c = self.text[k]
+            if c in "[{":
+                depth += 1
+            elif c in "]}":
+                depth -= 1
+                if depth == 0:
+                    if c != close_ch:
+                        self.fail(f"closing {close_ch!r}", at=k)
+                    self.pos = k + 1
+                    return self.text[start + 1:k], start + 1
+        self.fail(f"closing {close_ch!r}", at=len(self.text))
+
+
+def _split_top(inner: str, base: int) -> list[tuple[str, int]]:
+    """Comma-split at bracket depth 0; (piece, absolute offset) pairs."""
+    out = []
+    depth, start = 0, 0
+    for k, c in enumerate(inner + ","):
+        if c in "[{":
+            depth += 1
+        elif c in "]}":
+            depth -= 1
+        elif c == "," and depth == 0:
+            out.append((inner[start:k], base + start))
+            start = k + 1
+    return out
+
+
+def _parse_vector(line: _Line, expected: str) -> tuple[complex, ...]:
+    inner, base = line.bracket("[", "]", expected)
+    values = []
+    for piece, off in _split_top(inner, base):
+        if not piece.strip():
+            line.fail("a number", at=off)
+        try:
+            values.append(parse_complex(piece))
+        except ValueError:
+            line.fail("a number like 1.5 or 1+2i", at=off + (len(piece) - len(piece.lstrip())))
+    if not values:
+        line.fail("a nonempty vector", at=base - 1)
+    return tuple(values)
+
+
+def _parse_matrix(line: _Line, expected: str) -> Matrix:
+    inner, base = line.bracket("[", "]", expected)
+    rows = []
+    for piece, off in _split_top(inner, base):
+        sub = _Line(line.no, line.text)
+        sub.pos = off
+        rows.append(_parse_vector(sub, "a row like [1,0]"))
+        sub.skip_ws()
+        if sub.pos < off + len(piece):
+            sub.fail("',' or ']' after a row")
+    if not rows:
+        line.fail("a nonempty matrix", at=base - 1)
+    width = len(rows[0])
+    if any(len(r) != width for r in rows):
+        line.fail("rows of equal length", at=base - 1)
+    return tuple(rows)
+
+
+def _parse_index_set(line: _Line, dim: int) -> tuple[int, ...]:
+    inner, base = line.bracket("{", "}", "an index set like {0,2}")
+    indices = []
+    for piece, off in _split_top(inner, base):
+        try:
+            i = int(piece.strip())
+        except ValueError:
+            line.fail("a basis index", at=off)
+        if not 0 <= i < dim:
+            line.fail(f"an index in 0..{dim - 1}", at=off)
+        indices.append(i)
+    if not indices:
+        line.fail("a nonempty index set", at=base - 1)
+    return tuple(indices)
+
+
+_DIRECTIVES = "dim, state, evolution, slot, member, partition, finegrained, composite"
+
+
+class _Parser:
+    def __init__(self):
+        self.dim: int | None = None
+        self.state = None
+        self.evolution: EvolutionClause | None = None
+        self.slots: list[SlotClause] = []
+        self.partitions: list[PartitionClause] = []
+        self.finegrained: list[FineClause] = []
+        self.composites: list[CompositeClause] = []
+        # open slot being accumulated: (line, time, name, [members])
+        self.open_slot: tuple[_Line, float, str, list[MemberClause]] | None = None
+
+    def need_dim(self, line: _Line, what: str) -> int:
+        if self.dim is None:
+            raise ParseError(line.no, 1, f"dim declared before {what}", "")
+        return self.dim
+
+    def close_slot(self):
+        if self.open_slot is None:
+            return
+        line, time, name, members = self.open_slot
+        if not members:
+            raise ParseError(line.no, 1, "at least one member after slot", "")
+        self.slots.append(SlotClause(time, name, tuple(members)))
+        self.open_slot = None
+
+    def check_time_order(self, line: _Line, clauses, time: float, what: str):
+        pending = [self.open_slot[1]] if (what == "slot" and self.open_slot) else []
+        prior = [c.time for c in clauses] + pending
+        if prior and time <= prior[-1]:
+            line.fail(f"{what} time greater than {prior[-1]}")
+
+    def directive(self, line: _Line):
+        head = line.word("a directive")
+        if head != "member":
+            self.close_slot()
+        handler = getattr(self, "on_" + head, None)
+        if handler is None:
+            raise ParseError(line.no, 1, f"a directive ({_DIRECTIVES})", head)
+        handler(line)
+        line.expect_end()
+
+    def on_dim(self, line: _Line):
+        if self.dim is not None:
+            line.fail("a single dim declaration")
+        n = line.number("a positive integer dimension", int)
+        if n < 1:
+            line.fail("a positive integer dimension")
+        if n > DIM_CAP:
+            raise CapExceeded("dimension", n, DIM_CAP)
+        self.dim = n
+
+    def on_state(self, line: _Line):
+        if self.state is not None:
+            line.fail("a single state declaration")
+        d = self.need_dim(line, "state")
+        vec = _parse_vector(line, "an amplitude vector like [1,0]")
+        if len(vec) != d:
+            line.fail(f"{d} amplitudes", at=0)
+        self.state = vec
+
+    def on_evolution(self, line: _Line):
+        kind = line.word("zero, hamiltonian, or unitary")
+        if kind == "zero":
+            if self.evolution is not None:
+                line.fail("a single evolution declaration")
+            self.evolution = EvolutionClause("zero")
+        elif kind == "hamiltonian":
+            if self.evolution is not None:
+                line.fail("a single evolution declaration")
+            d = self.need_dim(line, "evolution hamiltonian")
+            mat = _parse_matrix(line, "a hamiltonian matrix")
+            if len(mat) != d or len(mat[0]) != d:
+                line.fail(f"a {d}x{d} matrix", at=0)
+            self.evolution = EvolutionClause("hamiltonian", hamiltonian=mat)
+        elif kind == "unitary":
+            if self.evolution is not None and self.evolution.kind != "unitary":
+                line.fail("a single evolution kind")
+            d = self.need_dim(line, "evolution unitary")
+            t = line.number("a time label", _finite)
+            mat = _parse_matrix(line, "a unitary matrix")
+            if len(mat) != d or len(mat[0]) != d:
+                line.fail(f"a {d}x{d} matrix", at=0)
+            prior = self.evolution.unitaries if self.evolution else ()
+            if any(pt == t for pt, _ in prior):
+                line.fail(f"a time other than {t} (already declared)")
+            self.evolution = EvolutionClause("unitary", unitaries=prior + ((t, mat),))
+        else:
+            line.fail("zero, hamiltonian, or unitary")
+
+    def on_slot(self, line: _Line):
+        t = line.number("a time label", _finite)
+        self.check_time_order(line, self.slots, t, "slot")
+        name = line.word("a slot name")
+        self.open_slot = (line, t, name, [])
+
+    def on_member(self, line: _Line):
+        if self.open_slot is None:
+            raise ParseError(line.no, 1, "a slot line before member", "member")
+        label = line.word("a member label")
+        kind = line.word("basis or matrix")
+        if kind == "basis":
+            d = self.need_dim(line, "member basis")
+            clause = MemberClause(label, "basis", indices=_parse_index_set(line, d))
+        elif kind == "matrix":
+            d = self.need_dim(line, "member matrix")
+            mat = _parse_matrix(line, "a projector matrix")
+            if len(mat) != d or len(mat[0]) != d:
+                line.fail(f"a {d}x{d} matrix", at=0)
+            clause = MemberClause(label, "matrix", matrix=mat)
+        else:
+            line.fail("basis or matrix")
+        self.open_slot[3].append(clause)
+
+    def on_partition(self, line: _Line):
+        name = line.word("a partition name")
+        inner, base = line.bracket("[", "]", "a class list like [[0],[1,2]]")
+        literal = "[" + inner + "]"
+        raw = _load_class_list(literal, line.no, base, "a class list like [[0],[1,2]]",
+                               literal[:40])
+        if (not isinstance(raw, list) or not raw
+                or any(not isinstance(c, list) or not c for c in raw)
+                or any(not isinstance(i, int) or isinstance(i, bool) for c in raw for i in c)):
+            line.fail("nonempty lists of integers", at=base - 1)
+        self.partitions.append(PartitionClause(name, tuple(tuple(c) for c in raw)))
+
+    def on_finegrained(self, line: _Line):
+        d = self.need_dim(line, "finegrained")
+        t = line.number("a time label", _finite)
+        self.check_time_order(line, self.finegrained, t, "finegrained")
+        kw = line.word("the word basis")
+        if kw != "basis":
+            line.fail("the word basis")
+        rows = _parse_matrix(line, "a basis matrix (one row per vector)")
+        if len(rows) != d or len(rows[0]) != d:
+            line.fail(f"a {d}x{d} basis (rows are vectors)", at=0)
+        self.finegrained.append(FineClause(t, rows))
+
+    def on_composite(self, line: _Line):
+        name = line.word("a composite name")
+        kw = line.word("the word factors")
+        if kw != "factors":
+            line.fail("the word factors")
+        paths = []
+        while not line.at_end():
+            paths.append(line.word("a factor path"))
+        if len(paths) < 2:
+            line.fail("at least two factor paths")
+        self.composites.append(CompositeClause(name, tuple(paths)))
+
+
+def parse_model_loop(text: str) -> ModelDocument:
+    """parse_model by walking each literal one character at a time."""
+    parser = _Parser()
+    saw_any = False
+    for no, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0]
+        if not body.strip():
+            continue
+        saw_any = True
+        parser.directive(_Line(no, body))
+    parser.close_slot()
+    if not saw_any:
+        raise ParseError(1, 1, f"at least one directive ({_DIRECTIVES})", "")
+    return ModelDocument(
+        dim=parser.dim,
+        state=parser.state,
+        evolution=parser.evolution,
+        slots=tuple(parser.slots),
+        partitions=tuple(parser.partitions),
+        finegrained=tuple(parser.finegrained),
+        composites=tuple(parser.composites),
+    )

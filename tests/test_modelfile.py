@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ephist import (
+    CapExceeded,
     EvolutionSpec,
     HistoryIndex,
     InvariantViolation,
@@ -21,6 +22,7 @@ from ephist import (
     parse_model,
     serialize_model,
 )
+from oracles import parse_model_loop
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -135,6 +137,26 @@ def test_unterminated_bracket():
     assert "closing" in e.expected
 
 
+@pytest.mark.parametrize("text,line,col,expected", [
+    ("dim 2\nstate [1,0}", 2, 11, "closing ']'"),
+    ("dim 2\nslot 1 x\nmember A basis {0]", 3, 18, "closing '}'"),
+    ("dim 2\npartition p [[0,1]}", 2, 19, "closing ']'"),
+])
+def test_mismatched_closer(text, line, col, expected):
+    e = _err(text)
+    assert (e.line, e.col, e.expected) == (line, col, expected)
+
+
+@pytest.mark.parametrize("text,line,col,found", [
+    ("dim 2\nslot 1 x\nmember A matrix [[1,0] junk,[0,0]]", 3, 24, "junk,[0,0]]"),
+    ("dim 2\nevolution hamiltonian [[0,1]x[1,0],[1,0]]", 2, 29, "x[1,0],[1,0]]"),
+])
+def test_text_after_matrix_row(text, line, col, found):
+    e = _err(text)
+    assert (e.line, e.col, e.found) == (line, col, found)
+    assert "after a row" in e.expected
+
+
 def test_member_outside_slot():
     e = _err("dim 2\nmember A basis {0}")
     assert e.line == 2
@@ -220,10 +242,45 @@ def test_finegrained_checks():
 
 
 def test_parse_error_payload():
-    e = _err("dove 3")
-    payload = e.payload()
-    assert payload["line"] == 1 and payload["col"] == 1
-    assert payload["expected"] and payload["found"] == "dove"
+    for text, line, col, found in [
+        ("dove 3", 1, 1, "dove"),
+        ("dim 2\nstate [1,zebra]", 2, 10, "zebra]"),     # found starts at the column
+    ]:
+        payload = _err(text).payload()
+        assert (payload["line"], payload["col"]) == (line, col)
+        assert payload["expected"] and payload["found"] == found
+
+
+EDIT_CHARS = "[]{},+-.eij0123456789 x\n#"
+
+
+@st.composite
+def mutated_models(draw):
+    """A shipped model after 1-3 single-character inserts, deletes or replacements."""
+    text = draw(st.sampled_from(ALL_MODELS)).read_text()
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        new = "" if edit == "delete" else draw(st.sampled_from(EDIT_CHARS))
+        text = text[:at] + new + text[at + (edit != "insert"):]
+    return text
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as e:
+        return ("ParseError", e.line, e.col, e.expected, e.found)
+    except CapExceeded as e:
+        return ("CapExceeded", e.what, e.value, e.cap)
+
+
+@given(text=mutated_models())
+@settings(max_examples=400, deadline=None)
+def test_parser_matches_loop_oracle_on_mutated_models(text):
+    """Same document, or the same error at the same place, as the
+    character-walking parser in tests/oracles.py."""
+    assert _outcome(parse_model, text) == _outcome(parse_model_loop, text)
 
 
 # ------------------------------------------------------------------- building
