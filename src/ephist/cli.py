@@ -164,10 +164,8 @@ def _cmd_eval(args, out: _OutDir):
     b = branch_matrix(hs, psi)
     ep = np.real(psi.amplitudes.conj() @ b)
     dh = np.linalg.norm(b, axis=0) ** 2
-    rows = []
-    for idx in hs.indices():
-        flat = hs.flat(idx)
-        rows.append((flat, hs.history_label(idx), ep[flat], dh[flat], dh[flat] - ep[flat]))
+    rows = [(flat, hs.history_label(hs.index(flat)), ep[flat], dh[flat], dh[flat] - ep[flat])
+            for flat in range(hs.size)]
     out.write("histories.csv", _csv(("flat", "label", "ep", "dh", "dh_minus_ep"), rows))
     out.write("summary.json", _dump_json({
         "dim": hs.dim,
@@ -214,7 +212,7 @@ def _cmd_records(args, out: _OutDir):
     weak = verify_weak_records(hs, psi, rs, tol=tol)
     corr = record_correlation_report(hs, psi, rs, epsilon=tol)
     out.write("records.json", _dump_json({
-        "t_rec": rs.t_rec,
+        "t_rec": rs.time,
         "completion_index": rs.completion_index,
         "labels": [r.label for r in rs.members],
         "ranks": [r.rank for r in rs.members],
@@ -236,18 +234,18 @@ def _cmd_coarsen(args, out: _OutDir):
     fine = decoherence_functional(hs, psi, tol=_tol(args))
     if args.partition:
         part = _resolve_partition(model, args.partition, hs.size)
-        coarse = coarse_decoherence_functional(fine.functional, part)
+        coarse_dec = dec_measure(coarse_decoherence_functional(fine.functional, part))
         coarse_ep = class_sums(fine.ep_probs, part)
         out.write("coarsen.json", _dump_json({
             "classes": part.classes,
             "labels": part.labels,
             "fine_dec": fine.dec,
-            "coarse_dec": dec_measure(coarse),
+            "coarse_dec": coarse_dec,
             "fine_ep": fine.ep_probs,
             "coarse_ep": coarse_ep,
             "fine_total_negative": float(fine.ep_probs[fine.ep_probs < 0.0].sum()),
             "coarse_total_negative": float(coarse_ep[coarse_ep < 0.0].sum()),
-            "dec_monotone": bool(dec_measure(coarse) <= fine.dec + 1e-12),
+            "dec_monotone": bool(coarse_dec <= fine.dec + 1e-12),
         }))
     else:
         result = greedy_merge_functional(fine.functional, target_tol=_tol(args))

@@ -87,12 +87,15 @@ def _load_class_list(text: str, line: int, col: int, expected: str, found: str):
     """json.loads of a class-list literal that starts at (line, col).
 
     Any ValueError becomes a ParseError: a JSON syntax error at its own
-    column, and an index past Python's int digit limit at the literal's start.
+    column, with the literal's text from there on as found, and an index past
+    Python's int digit limit at the literal's start, with the given found.
     """
     try:
         return json.loads(text)
-    except ValueError as e:
-        raise ParseError(line, col + getattr(e, "colno", 1) - 1, expected, found) from None
+    except json.JSONDecodeError as e:
+        raise ParseError(line, col + e.colno - 1, expected, text[e.pos:][:40]) from None
+    except ValueError:
+        raise ParseError(line, col, expected, found) from None
 
 
 def partition_from_literal(text: str, fine_count: int) -> Partition:
@@ -219,14 +222,12 @@ def _exact_cross(current: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarra
     return np.concatenate(out)
 
 
-def greedy_merge_functional(
-    functional: np.ndarray, target_tol: float, min_classes: int = 1,
-) -> GreedySearchResult:
+def greedy_merge_functional(functional: np.ndarray, target_tol: float) -> GreedySearchResult:
     """Greedy pair merging on an explicit functional matrix.
 
     Merges the class pair whose merge minimizes the resulting dec, until
-    dec <= target_tol or the class count floor is hit. The total merge
-    always reaches dec = 0, so with min_classes = 1 the search cannot fail.
+    dec <= target_tol or one class is left. The total merge always reaches
+    dec = 0, so any target_tol >= 0 is met.
     Ties go to the lexicographically lowest (i, j), i < j, among the current
     classes. The functional must be square (DimensionMismatch), finite,
     Hermitian to TOL_HERM and small enough for its merge scores to stay
@@ -249,7 +250,7 @@ def greedy_merge_functional(
     trace: list[tuple[tuple[int, int], float]] = []
     dec = dec_measure(current)
 
-    while not dec <= target_tol and len(classes) > max(min_classes, 1):
+    while not dec <= target_tol and len(classes) > 1:
         k = len(classes)
         absval = np.abs(current)
         absrow = absval.sum(axis=1) - np.abs(np.diag(current))
@@ -297,8 +298,8 @@ def greedy_merge_functional(
 
 
 def greedy_decohering_search(
-    hs: HistorySet, psi: StateVector, target_tol: float, min_classes: int = 1,
+    hs: HistorySet, psi: StateVector, target_tol: float,
 ) -> GreedySearchResult:
     """Greedy merge on the history set's own decoherence functional."""
     report = decoherence_functional(hs, psi)
-    return greedy_merge_functional(report.functional, target_tol, min_classes)
+    return greedy_merge_functional(report.functional, target_tol)

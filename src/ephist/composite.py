@@ -84,6 +84,11 @@ class CompositeSystem:
         return tuple(reversed(out))
 
 
+def _check_joint_count(cs: CompositeSystem) -> None:
+    if cs.joint_count > M_CAP:
+        raise CapExceeded("joint history count", cs.joint_count, M_CAP)
+
+
 def _check_indices(cs: CompositeSystem, indices: Sequence[HistoryIndex]) -> None:
     if len(indices) != len(cs.factors):
         raise DimensionMismatch(f"{len(indices)} indices for {len(cs.factors)} factors")
@@ -102,14 +107,13 @@ def joint_extended_probability(cs: CompositeSystem, indices: Sequence[HistoryInd
     return float(z.real)
 
 
-def joint_functional(cs: CompositeSystem, m_cap: int = M_CAP) -> np.ndarray:
+def joint_functional(cs: CompositeSystem) -> np.ndarray:
     """Joint decoherence functional over joint flat indices.
 
     Computed from per-factor branch inner products; equals the Kronecker
     product of the factor functionals.
     """
-    if cs.joint_count > m_cap:
-        raise CapExceeded("joint history count", cs.joint_count, m_cap)
+    _check_joint_count(cs)
     d = np.ones((1, 1), dtype=np.complex128)
     for psi, hs in cs.factors:
         b = branch_matrix(hs, psi)
@@ -130,8 +134,7 @@ def product_records(cs: CompositeSystem, record_sets: Sequence[RecordSet]) -> Re
             raise DimensionMismatch(f"record dim {rs.dim} vs factor dim {hs.dim}")
         if rs.size != hs.size:
             raise DimensionMismatch(f"{rs.size} records for {hs.size} factor histories")
-    if cs.joint_count > M_CAP:
-        raise CapExceeded("joint history count", cs.joint_count, M_CAP)
+    _check_joint_count(cs)
 
     members = []
     for joint in np.ndindex(*cs.counts):   # leftmost factor slowest, matching kron
@@ -144,8 +147,7 @@ def product_records(cs: CompositeSystem, record_sets: Sequence[RecordSet]) -> Re
     completion = 0
     for rs, count in zip(record_sets, cs.counts):
         completion = completion * count + rs.completion_index
-    return RecordSet(tuple(members),
-                     t_rec=max(rs.t_rec for rs in record_sets),
+    return RecordSet(tuple(members), time=max(rs.time for rs in record_sets),
                      completion_index=completion)
 
 
@@ -162,11 +164,10 @@ class ProductRuleReport:
             object.__setattr__(self, name, frozen_copy(getattr(self, name)))
 
 
-def product_rule_report(cs: CompositeSystem, m_cap: int = M_CAP) -> ProductRuleReport:
+def product_rule_report(cs: CompositeSystem) -> ProductRuleReport:
     """Every joint history at once: Kronecker products of the per-factor
     amplitude vectors <psi_k|C_k|psi_k>, leftmost factor slowest."""
-    if cs.joint_count > m_cap:
-        raise CapExceeded("joint history count", cs.joint_count, m_cap)
+    _check_joint_count(cs)
     amps, product = np.ones(1, dtype=np.complex128), np.ones(1)
     for psi, hs in cs.factors:
         z = psi.amplitudes.conj() @ branch_matrix(hs, psi)

@@ -93,11 +93,11 @@ class FineGrainedDistribution:
             yield unflatten_index(flat, self.shape)
 
 
-def fundamental_distribution(spec: FineGrainedSpec, cap: int = FINE_CAP) -> FineGrainedDistribution:
+def fundamental_distribution(spec: FineGrainedSpec) -> FineGrainedDistribution:
     size = spec.dim ** spec.n_times
-    if size > cap:
-        raise CapExceeded("fine-grained history count", size, cap)
-    values = all_extended_probabilities(spec.history_set(), spec.psi, m_cap=cap)
+    if size > FINE_CAP:
+        raise CapExceeded("fine-grained history count", size, FINE_CAP)
+    values = all_extended_probabilities(spec.history_set(), spec.psi)
     return FineGrainedDistribution(values, (spec.dim,) * spec.n_times)
 
 

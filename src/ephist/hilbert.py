@@ -8,7 +8,8 @@ and model time is a dimensionless ordered label.
 Values are immutable after construction (frozen dataclasses over
 read-only arrays) and all operations are pure, so concurrent use needs
 no synchronization. Invalid inputs are rejected at construction, never
-silently repaired.
+silently repaired. Every check uses the module tolerances below; no
+object or call carries its own.
 """
 from __future__ import annotations
 
@@ -45,12 +46,11 @@ class StateVector:
     """Unit complex vector; the initial state of the closed system."""
 
     amplitudes: np.ndarray
-    tol: float = TOL_NORM
 
     def __post_init__(self):
         object.__setattr__(self, "amplitudes", _frozen_array(self.amplitudes, "vector"))
         defect = abs(np.linalg.norm(self.amplitudes) - 1.0)
-        if not defect <= self.tol:   # also rejects NaN and inf
+        if not defect <= TOL_NORM:   # also rejects NaN and inf
             raise InvariantViolation("state-norm", defect)
 
     @property
@@ -61,12 +61,11 @@ class StateVector:
 @dataclass(frozen=True)
 class HermitianOperator:
     entries: np.ndarray
-    tol: float = TOL_HERM
 
     def __post_init__(self):
         object.__setattr__(self, "entries", _frozen_array(self.entries, "matrix"))
         defect = np.abs(self.entries - self.entries.conj().T).max(initial=0.0)
-        if not defect <= self.tol:
+        if not defect <= TOL_HERM:
             raise InvariantViolation("hermiticity", defect)
 
     @property
@@ -84,7 +83,6 @@ class Projector:
 
     entries: np.ndarray
     label: str = ""
-    tol: float = TOL_OP
 
     def __post_init__(self):
         object.__setattr__(self, "entries", _frozen_array(self.entries, "matrix"))
@@ -92,7 +90,7 @@ class Projector:
         if not herm <= TOL_HERM:
             raise InvariantViolation("projector-hermiticity", herm, self.label)
         idem = np.abs(self.entries @ self.entries - self.entries).max(initial=0.0)
-        if not idem <= self.tol:
+        if not idem <= TOL_OP:
             raise InvariantViolation("projector-idempotency", idem, self.label)
 
     @property
@@ -119,7 +117,6 @@ class ProjectorSetReport:
     completeness_defect: float
     exclusivity_defect: float
     idempotency_defect: float
-    tol: float
 
     @property
     def worst(self) -> float:
@@ -129,12 +126,11 @@ class ProjectorSetReport:
 
     @property
     def passes(self) -> bool:
-        return self.worst <= self.tol
+        return self.worst <= TOL_OP
 
 
 def validate_projector_set(
     members: Union["ProjectorSet", Sequence[Projector], Sequence[np.ndarray]],
-    tol: float = TOL_OP,
 ) -> ProjectorSetReport:
     """Check that the members form an exhaustive set of exclusive alternatives.
 
@@ -156,7 +152,7 @@ def validate_projector_set(
     for i, a in enumerate(mats):
         for b in mats[i + 1:]:
             exclusivity = max(exclusivity, np.abs(a @ b).max(initial=0.0))
-    return ProjectorSetReport(float(completeness), float(exclusivity), float(idempotency), tol)
+    return ProjectorSetReport(float(completeness), float(exclusivity), float(idempotency))
 
 
 @dataclass(frozen=True)
@@ -165,11 +161,10 @@ class ProjectorSet:
 
     members: tuple[Projector, ...]
     time: float
-    tol: float = TOL_OP
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(self.members))
-        report = validate_projector_set(self.members, self.tol)
+        report = validate_projector_set(self.members)
         if not report.passes:
             raise InvariantViolation("projector-set", report.worst,
                                      f"completeness {report.completeness_defect:.3e}, "
@@ -261,7 +256,7 @@ def heisenberg_projectors(members: Sequence[Projector], t: float,
                           evo: EvolutionSpec) -> tuple[Projector, ...]:
     """U(t)^dag P U(t) for every member of one time slot, with U(t) computed once."""
     u = evolution_operator(evo, t, members[0].dim)
-    return tuple(Projector(u.conj().T @ p.entries @ u, label=p.label, tol=p.tol)
+    return tuple(Projector(u.conj().T @ p.entries @ u, label=p.label)
                  for p in members)
 
 

@@ -162,11 +162,11 @@ def branch_vector(hs: HistorySet, idx: HistoryIndex, psi: StateVector) -> Branch
     return BranchVector(v, idx)
 
 
-def branch_matrix(hs: HistorySet, psi: StateVector, m_cap: int = M_CAP) -> np.ndarray:
+def branch_matrix(hs: HistorySet, psi: StateVector) -> np.ndarray:
     """All branch vectors as columns, flat order (earliest time fastest)."""
     _check_state(hs, psi)
-    if hs.size > m_cap:
-        raise CapExceeded("history count", hs.size, m_cap)
+    if hs.size > M_CAP:
+        raise CapExceeded("history count", hs.size, M_CAP)
     b = psi.amplitudes[:, None]
     for slot in hs.slots:
         b = np.hstack([p.entries @ b for p in slot.members])
@@ -190,8 +190,8 @@ def dh_probability(hs: HistorySet, idx: HistoryIndex, psi: StateVector) -> float
     return float(np.vdot(bv.amplitudes, bv.amplitudes).real)
 
 
-def all_extended_probabilities(hs: HistorySet, psi: StateVector, m_cap: int = M_CAP) -> np.ndarray:
-    b = branch_matrix(hs, psi, m_cap)
+def all_extended_probabilities(hs: HistorySet, psi: StateVector) -> np.ndarray:
+    b = branch_matrix(hs, psi)
     return np.real(psi.amplitudes.conj() @ b)
 
 
@@ -253,10 +253,7 @@ def _check_tolerance(tol: float) -> float:
 
 
 def decoherence_functional(
-    hs: HistorySet,
-    psi: StateVector,
-    tol: float = DEFAULT_DEC_TOL,
-    m_cap: int = M_CAP,
+    hs: HistorySet, psi: StateVector, tol: float = DEFAULT_DEC_TOL,
 ) -> DecoherenceReport:
     """Full m x m functional over flattened history indices, plus flags.
 
@@ -264,7 +261,7 @@ def decoherence_functional(
     diagonal (the diagonal is computed as squared column norms).
     """
     _check_tolerance(tol)
-    b = branch_matrix(hs, psi, m_cap)
+    b = branch_matrix(hs, psi)
     g = b.conj().T @ b
     upper = np.triu(g, 1)
     functional = upper + upper.conj().T + np.diag(np.einsum("ij,ij->j", b.conj(), b).real)
@@ -281,7 +278,7 @@ def decoherence_functional(
     )
 
 
-def total_negative(hs: HistorySet, psi: StateVector, m_cap: int = M_CAP) -> float:
+def total_negative(hs: HistorySet, psi: StateVector) -> float:
     """Sum of the strictly negative extended probabilities (<= 0)."""
-    ep = all_extended_probabilities(hs, psi, m_cap)
+    ep = all_extended_probabilities(hs, psi)
     return float(ep[ep < 0].sum())

@@ -115,6 +115,10 @@ def _finite(text: str) -> float:
     return value
 
 
+# the last sign that is neither first nor an exponent's splits real from imaginary
+_SIGN_SPLIT = re.compile(r"(.*[^eE])([+-].*)", re.DOTALL)
+
+
 def parse_complex(text: str) -> complex:
     """One finite literal: "1.5", "2i", "1+2i", "-1.5e-3-2e-4j"."""
     s = text.strip()
@@ -126,12 +130,12 @@ def parse_complex(text: str) -> complex:
             return 1j
         if body == "-":
             return -1j
-        for k in range(len(body) - 1, 0, -1):
-            if body[k] in "+-" and body[k - 1] not in "eE":
-                real, imag = body[:k], body[k:]
-                imag = imag if imag not in ("+", "-") else imag + "1"
-                return complex(_finite(real), _finite(imag))
-        return complex(0.0, _finite(body))
+        split = _SIGN_SPLIT.fullmatch(body)
+        if split is None:
+            return complex(0.0, _finite(body))
+        real, imag = split.groups()
+        imag = imag if imag not in ("+", "-") else imag + "1"
+        return complex(_finite(real), _finite(imag))
     return complex(_finite(s), 0.0)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllBranchesZero, DimensionMismatch, InvariantViolation, NotDecoherent
-from .hilbert import Projector, StateVector, frozen_copy, validate_projector_set
+from .hilbert import Projector, ProjectorSet, StateVector, frozen_copy
 from .histories import (
     DEFAULT_DEC_TOL,
     HistorySet,
@@ -34,26 +34,10 @@ ZERO_BRANCH_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class RecordSet:
-    """One projector per flattened history index, at a time after the last slot."""
+class RecordSet(ProjectorSet):
+    """One projector per flattened history index, at a record time after the last slot."""
 
-    members: tuple[Projector, ...]
-    t_rec: float
     completion_index: int   # flat index whose record absorbed the complement subspace
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
-        report = validate_projector_set(self.members)
-        if not report.passes:
-            raise InvariantViolation("record-set", report.worst)
-
-    @property
-    def dim(self) -> int:
-        return self.members[0].dim
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
 
 
 def _check_record_set(hs: HistorySet, rs: RecordSet) -> None:
@@ -97,7 +81,7 @@ def construct_records(hs: HistorySet, psi: StateVector, tol: float = DEFAULT_DEC
         if i == nonzero[0]:
             r = r + complement
         members.append(Projector(r, label=hs.history_label(hs.index(i))))
-    return RecordSet(tuple(members), t_rec=max(hs.times) + 1.0, completion_index=nonzero[0])
+    return RecordSet(tuple(members), time=max(hs.times) + 1.0, completion_index=nonzero[0])
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from .histories import (
     HistorySet,
     all_extended_probabilities,
     decoherence_functional,
-    dec_measure,
 )
 from .coarsegrain import GreedySearchResult, greedy_merge_functional, merge_slot_alternatives
 
@@ -116,7 +115,7 @@ def three_box_report(tol: float = 1e-10) -> ThreeBoxReport:
         coarse.append(BoxSetReport(which, hs, rep, pair))
     return ThreeBoxReport(
         fine_eps=fine_report.ep_probs,
-        fine_dec=dec_measure(fine_report.functional),
+        fine_dec=fine_report.dec,
         sector_eps=tuple(float(x) for x in sector_eps),
         p_phi=p_phi,
         conditionals=tuple(float(x / p_phi) for x in sector_eps),

@@ -3,9 +3,9 @@
 Tests compare the package against these. Each one builds its value
 from first principles (dense class operators, per-point amplitudes,
 per-history probabilities, brute-force enumeration, a rescan of every
-pair at each greedy merge, a model-file parser that walks each literal
-one character at a time), so it shares no shortcut with the code under
-test.
+pair at each greedy merge, a model-file parser and a complex-literal
+reader that walk each literal one character at a time), so it shares no
+shortcut with the code under test.
 """
 from typing import Iterator, Sequence
 
@@ -29,7 +29,6 @@ from ephist import (
     dh_probability,
     extended_probability,
     identity_partition,
-    parse_complex,
 )
 from ephist.coarsegrain import _load_class_list
 from ephist.modelfile import (
@@ -100,9 +99,7 @@ def enumerate_partitions(m: int) -> Iterator[Partition]:
         yield Partition(m, tuple(tuple(c) for c in classes))
 
 
-def greedy_merge_loop(
-    functional: np.ndarray, target_tol: float, min_classes: int = 1,
-) -> GreedySearchResult:
+def greedy_merge_loop(functional: np.ndarray, target_tol: float) -> GreedySearchResult:
     """greedy_merge_functional by rescanning every class pair each merge.
 
     O(k^3) per merge; the strict < keeps the first pair in (i, j) order
@@ -119,7 +116,7 @@ def greedy_merge_loop(
         if dec <= target_tol:
             return GreedySearchResult(part, dec, True, tuple(trace))
         k = part.size
-        if k <= max(min_classes, 1):
+        if k <= 1:
             return GreedySearchResult(part, dec, False, tuple(trace))
 
         absrow = np.abs(current).sum(axis=1) - np.abs(np.diag(current))
@@ -214,6 +211,26 @@ class _Line:
         self.fail(f"closing {close_ch!r}", at=len(self.text))
 
 
+def parse_complex_loop(text: str) -> complex:
+    """parse_complex with the real/imaginary sign found by a backwards scan."""
+    s = text.strip()
+    if not s:
+        raise ValueError("empty number")
+    if s[-1] in "ij":
+        body = s[:-1]
+        if body in ("", "+"):
+            return 1j
+        if body == "-":
+            return -1j
+        for k in range(len(body) - 1, 0, -1):
+            if body[k] in "+-" and body[k - 1] not in "eE":
+                real, imag = body[:k], body[k:]
+                imag = imag if imag not in ("+", "-") else imag + "1"
+                return complex(_finite(real), _finite(imag))
+        return complex(0.0, _finite(body))
+    return complex(_finite(s), 0.0)
+
+
 def _split_top(inner: str, base: int) -> list[tuple[str, int]]:
     """Comma-split at bracket depth 0; (piece, absolute offset) pairs."""
     out = []
@@ -236,7 +253,7 @@ def _parse_vector(line: _Line, expected: str) -> tuple[complex, ...]:
         if not piece.strip():
             line.fail("a number", at=off)
         try:
-            values.append(parse_complex(piece))
+            values.append(parse_complex_loop(piece))
         except ValueError:
             line.fail("a number like 1.5 or 1+2i", at=off + (len(piece) - len(piece.lstrip())))
     if not values:

@@ -87,6 +87,9 @@ def test_partition_literal():
         with pytest.raises(ParseError) as exc:
             partition_from_literal(bad, 3)
         assert exc.value.exit_status == 2
+    with pytest.raises(ParseError) as exc:
+        partition_from_literal("[[0,],[1]]", 3)
+    assert (exc.value.line, exc.value.col, exc.value.found) == (1, 5, "],[1]]")
 
 
 def test_class_sums():
@@ -269,44 +272,36 @@ def test_greedy_single_step_is_brute_force_optimal(rng):
         psi, hs = random_model(rng)
         fine = decoherence_functional(hs, psi).functional
         m = hs.size
-        res = greedy_merge_functional(fine, target_tol=-1.0, min_classes=m - 1)
+        res = greedy_merge_functional(fine, target_tol=-1.0)
         assert not res.succeeded
-        assert len(res.trace) == 1
+        assert len(res.trace) == m - 1
         (i, j), dec_after = res.trace[0]
         assert 0 <= i < j < m
 
-        best = None
+        decs = {}
         for a in range(m):
             for b in range(a + 1, m):
                 classes = [(x,) for x in range(m) if x not in (a, b)]
                 classes.insert(a, (a, b))
-                d = dec_measure(coarse_decoherence_functional(fine, Partition(m, tuple(classes))))
-                best = d if best is None else min(best, d)
-        assert dec_after <= best + 1e-9
-        assert abs(res.dec - dec_after) < 1e-12
+                decs[a, b] = dec_measure(
+                    coarse_decoherence_functional(fine, Partition(m, tuple(classes))))
+        assert dec_after <= min(decs.values()) + 1e-9
+        assert abs(decs[i, j] - dec_after) < 1e-12
 
 
 def test_greedy_tie_break_is_lexicographic():
-    res = greedy_merge_functional(np.eye(4), target_tol=-1.0, min_classes=3)
+    res = greedy_merge_functional(np.eye(4), target_tol=-1.0)
     assert not res.succeeded
-    assert res.trace[0][0] == (0, 1)
-    assert res.partition.classes == ((0, 1), (2,), (3,))
+    assert res.trace == (((0, 1), 0.0),) * 3
+    assert res.partition.classes == ((0, 1, 2, 3),)
     assert res.dec == 0.0
 
 
-def test_greedy_respects_min_classes(rng):
-    psi, hs = random_model(rng)
-    fine = decoherence_functional(hs, psi).functional
-    floor = max(2, hs.size - 1)
-    res = greedy_merge_functional(fine, target_tol=-1.0, min_classes=floor)
-    assert res.partition.size == floor
-
-
-def _same_search(functional, target_tol, min_classes=1):
+def _same_search(functional, target_tol):
     """The search and the loop oracle agree bit for bit: repr spells out every
     merge pair (and its int type), every class and every float exactly."""
-    fast = greedy_merge_functional(functional, target_tol, min_classes)
-    slow = greedy_merge_loop(functional, target_tol, min_classes)
+    fast = greedy_merge_functional(functional, target_tol)
+    slow = greedy_merge_loop(functional, target_tol)
     assert repr(fast) == repr(slow)
 
 
@@ -347,13 +342,13 @@ def integer_functionals(draw):
     return upper + np.triu(upper, 1).T
 
 
-@given(functional=integer_functionals(), target_tol=st.sampled_from([-1.0, 0.0, 4.0]),
-       min_classes=st.integers(1, 4))
+@given(functional=integer_functionals(), target_tol=st.sampled_from([-1.0, 0.0, 4.0]))
 @settings(max_examples=150, deadline=None)
-def test_greedy_matches_loop_oracle_on_exact_ties(functional, target_tol, min_classes):
+def test_greedy_matches_loop_oracle_on_exact_ties(functional, target_tol):
     """Integer entries sum exactly, so many candidate merges tie exactly and
-    only the tie-break decides between them."""
-    _same_search(functional, target_tol, min_classes)
+    only the tie-break decides between them; with target -1 the trace runs the
+    full chain and spells out every tie-break on the way."""
+    _same_search(functional, target_tol)
 
 
 @pytest.mark.parametrize("functional, error", [

@@ -121,12 +121,21 @@ def test_joint_functional_is_kron_of_factor_functionals(rng):
     assert np.allclose(joint_functional(cs), np.kron(parts[0], parts[1]), atol=1e-12)
 
 
-def test_joint_functional_cap(rng):
-    cs = _two_factor(rng)
+def _qubit_chain(n):
+    """A qubit factor with n two-member slots: 2**n histories."""
+    slots = tuple(
+        ProjectorSet((Projector(np.diag([1.0, 0.0])), Projector(np.diag([0.0, 1.0]))), float(t))
+        for t in range(1, n + 1))
+    return StateVector(np.eye(2)[0]), HistorySet(slots)
+
+
+def test_joint_functional_cap():
+    cs = CompositeSystem((_qubit_chain(7), _qubit_chain(7)))   # 2**14 > M_CAP
+    with pytest.raises(CapExceeded) as exc:
+        joint_functional(cs)
+    assert exc.value.exit_status == 5
     with pytest.raises(CapExceeded):
-        joint_functional(cs, m_cap=cs.joint_count - 1)
-    with pytest.raises(CapExceeded):
-        product_rule_report(cs, m_cap=cs.joint_count - 1)
+        product_rule_report(cs)
 
 
 # --------------------------------------------------------------- product rule
@@ -174,7 +183,7 @@ def test_product_records(rng):
 
     assert joint_records.size == cs.joint_count
     assert joint_records.dim == cs.joint_dim
-    assert joint_records.t_rec == max(rs.t_rec for rs in sets)
+    assert joint_records.time == max(rs.time for rs in sets)
     expected_completion = sets[0].completion_index * cs.counts[1] + sets[1].completion_index
     assert joint_records.completion_index == expected_completion
 

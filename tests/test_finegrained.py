@@ -71,10 +71,6 @@ def test_fine_cap():
     assert exc.value.exit_status == 5
     assert 2 ** 12 <= FINE_CAP
 
-    small = _random_spec(np.random.default_rng(0), 2, 2)
-    with pytest.raises(CapExceeded):
-        fundamental_distribution(small, cap=3)
-
 
 # --------------------------------------------------------------- distribution
 

@@ -16,7 +16,7 @@ from ephist import (
     rank_one_projector,
     validate_projector_set,
 )
-from conftest import haar_basis, random_slot
+from conftest import haar_basis, random_slot, random_state
 
 
 def random_hermitian(rng, d):
@@ -64,11 +64,63 @@ def test_constructors_reject_non_finite(bad):
     assert not validate_projector_set([np.diag([bad, 0.0]), np.diag([0.0, 1.0])]).passes
 
 
+# Non-finite in either part, or finite but huge. The huge entry is complex
+# because a huge real entry on a Hermitian matrix's diagonal is valid.
+BAD_ENTRIES = st.sampled_from([np.nan, np.inf, -np.inf, complex(0.0, np.nan),
+                               complex(0.0, -np.inf), 1e308 * (1 + 1j)])
+
+
+def _spoil(entries, position, bad):
+    """A copy of entries with the entry at flat position (mod size) set to bad."""
+    out = np.array(entries, dtype=np.complex128)
+    out.flat[position % out.size] = bad
+    return out
+
+
+SPOILED_CONSTRUCTORS = {
+    "StateVector": lambda rng, d, at, bad: StateVector(
+        _spoil(random_state(rng, d).amplitudes, at, bad)),
+    "HermitianOperator": lambda rng, d, at, bad: HermitianOperator(
+        _spoil(random_hermitian(rng, d).entries, at, bad)),
+    "Projector": lambda rng, d, at, bad: Projector(
+        _spoil(random_slot(rng, d, 1.0).members[0].entries, at, bad)),
+    "ProjectorSet": lambda rng, d, at, bad: ProjectorSet(
+        tuple(Projector(m) for m in _spoil([p.entries for p in random_slot(rng, d, 1.0).members],
+                                           at, bad)), time=1.0),
+    "EvolutionSpec.from_unitaries": lambda rng, d, at, bad: EvolutionSpec.from_unitaries(
+        {1.0: _spoil(haar_basis(rng, d), at, bad)}),
+}
+
+
+@pytest.mark.parametrize("kind", SPOILED_CONSTRUCTORS)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 4), position=st.integers(0, 63),
+       bad=BAD_ENTRIES)
+@settings(max_examples=60, deadline=None)
+def test_constructor_rejects_bad_entry_anywhere(kind, seed, d, position, bad):
+    with pytest.raises(InvariantViolation):
+        SPOILED_CONSTRUCTORS[kind](np.random.default_rng(seed), d, position, bad)
+
+
+def test_duplicate_member_cannot_double_the_sum_rule():
+    """Two copies of diag(1, 0) would give extended probabilities summing to 2.
+    No tolerance override exists to let such a set through."""
+    p = Projector(np.diag([1.0, 0.0]))
+    with pytest.raises(InvariantViolation) as exc:
+        ProjectorSet((p, p), 1.0)
+    assert exc.value.name == "projector-set"
+    with pytest.raises(TypeError):
+        ProjectorSet((p, p), 1.0, tol=1.0)
+    with pytest.raises(TypeError):
+        Projector(0.5 * np.eye(2), tol=1.0)
+    with pytest.raises(TypeError):
+        StateVector(np.array([2.0, 0.0]), tol=10.0)
+
+
 @pytest.mark.parametrize("position", range(3))
 def test_projector_set_report_worst_keeps_nan(position):
     defects = [0.0, 0.0, 0.0]
     defects[position] = np.nan
-    report = ProjectorSetReport(*defects, tol=1e-10)
+    report = ProjectorSetReport(*defects)
     assert np.isnan(report.worst)
     assert not report.passes
 

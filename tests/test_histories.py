@@ -166,10 +166,10 @@ def test_branch_matrix_cap():
     psi = random_state(np.random.default_rng(0), 2)
     slots = tuple(
         ProjectorSet((Projector(np.diag([1.0, 0.0])), Projector(np.diag([0.0, 1.0]))), float(t))
-        for t in range(1, 5))
-    hs = HistorySet(slots)   # 16 histories
+        for t in range(1, 14))
+    hs = HistorySet(slots)   # 2**13 histories, past M_CAP
     with pytest.raises(CapExceeded) as exc:
-        branch_matrix(hs, psi, m_cap=8)
+        branch_matrix(hs, psi)
     assert exc.value.exit_status == 5
 
 

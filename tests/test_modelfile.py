@@ -22,7 +22,7 @@ from ephist import (
     parse_model,
     serialize_model,
 )
-from oracles import parse_model_loop
+from oracles import parse_complex_loop, parse_model_loop
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -40,6 +40,7 @@ MODELS = Path(__file__).resolve().parent.parent / "models"
     ("1+2i", 1 + 2j),
     ("3-4j", 3 - 4j),
     ("1e-5+2e-6i", complex(1e-5, 2e-6)),
+    ("1e+5i", 1e5j),
     ("-1.5e-3-2e-4j", complex(-1.5e-3, -2e-4)),
     (" 2.5 ", 2.5),
     ("0.5-0.5i", 0.5 - 0.5j),
@@ -53,6 +54,32 @@ def test_parse_complex(text, value):
 def test_parse_complex_rejects(text):
     with pytest.raises(ValueError):
         parse_complex(text)
+
+
+def _complex_outcome(parse, text):
+    try:
+        return repr(parse(text))
+    except ValueError:
+        return "ValueError"
+
+
+# sign, number, exponent and gap pieces over the same alphabet: two parts and
+# a suffix make well-formed and nearly well-formed literals common draws
+_SIGN, _NUMBER, _EXPONENT, _GAP = (st.sampled_from(p) for p in (
+    ("", "+", "-"), ("", "1", "2.5", ".5", "7.", "nan", "inf", "I"),
+    ("", "e5", "E-3", "e+2", "e"), ("", " ", "\n", "\n ")))
+_PART = st.tuples(_SIGN, _NUMBER, _EXPONENT, _GAP).map("".join)
+COMPLEX_TEXT = st.one_of(
+    st.text(alphabet="0123456789+-.eEij nafI\n", max_size=16),
+    st.tuples(_PART, _PART, st.sampled_from(("", "i", "j"))).map("".join))
+
+
+@given(text=COMPLEX_TEXT)
+@settings(max_examples=1000, deadline=None)
+def test_parse_complex_matches_loop_oracle(text):
+    """The regex sign split reads every string over the literal alphabet as
+    the backwards scan does: equal values, or ValueError from both."""
+    assert _complex_outcome(parse_complex, text) == _complex_outcome(parse_complex_loop, text)
 
 
 reals = st.floats(allow_nan=False, allow_infinity=False)
@@ -192,6 +219,8 @@ def test_member_index_range():
 
 def test_bad_partition_literal():
     _err("dim 2\npartition p [[0,]]")
+    e = _err("dim 2\npartition p [[0,],[1]]")
+    assert (e.line, e.col, e.found) == (2, 17, "],[1]]")
     e = _err("dim 2\npartition p [[0],[]]")
     assert "nonempty lists" in e.expected
 

@@ -1,4 +1,6 @@
 """The public surface: ephist.__all__ is the exact list of what the package exports."""
+import dataclasses
+import inspect
 import re
 import types
 from pathlib import Path
@@ -48,6 +50,22 @@ def test_caps_are_exported_and_documented():
                     "DIM_CAP": 1024}
     text = README.read_text()
     assert [name for name in caps if f"`{name}`" not in text] == []
+
+
+def test_tolerances_and_caps_have_no_overrides():
+    """Caps, the greedy search's stopping rule and the structural tolerances
+    are module constants: no call or value carries its own. (CapExceeded's
+    cap is the value it reports, not an option.)"""
+    for name in ephist.__all__:
+        obj = getattr(ephist, name)
+        if not callable(obj) or (isinstance(obj, type) and issubclass(obj, Exception)):
+            continue
+        params = set(inspect.signature(obj).parameters)
+        assert not params & {"m_cap", "cap", "min_classes"}, name
+    for name in ("StateVector", "HermitianOperator", "Projector", "ProjectorSet",
+                 "ProjectorSetReport"):
+        assert "tol" not in {f.name for f in dataclasses.fields(getattr(ephist, name))}, name
+    assert "tol" not in inspect.signature(ephist.validate_projector_set).parameters
 
 
 @pytest.mark.parametrize("name", REMOVED)

@@ -31,8 +31,19 @@ def test_construct_on_decoherent_fixture(seed):
     assert verify_weak_records(hs, psi, rs).max_defect <= 1e-10
     assert validate_projector_set(rs.members).passes
     assert rs.size == hs.size
-    assert rs.t_rec == max(hs.times) + 1.0
+    assert rs.time == max(hs.times) + 1.0
     assert sum(r.rank for r in rs.members) == hs.dim
+
+
+def test_record_set_is_a_projector_set():
+    from ephist import RecordSet
+    p = Projector(np.diag([1.0, 0.0]))
+    rs = RecordSet((p, Projector(np.diag([0.0, 1.0]))), time=2.0, completion_index=0)
+    assert isinstance(rs, ProjectorSet)
+    assert (rs.dim, rs.size, rs.time, rs.labels) == (2, 2, 2.0, ("", ""))
+    with pytest.raises(InvariantViolation) as exc:
+        RecordSet((p, p), time=2.0, completion_index=0)
+    assert exc.value.name == "projector-set"
 
 
 def test_record_labels_follow_histories(rng):
@@ -101,7 +112,7 @@ def test_strong_records_imply_decoherence(rng):
     for j, k in enumerate(keep):
         mats[k] = np.outer(q[:, j], q[:, j].conj())
     mats[keep[0]] = mats[keep[0]] + np.eye(d) - q @ q.conj().T
-    rs = RecordSet(tuple(Projector(m) for m in mats), t_rec=3.0, completion_index=keep[0])
+    rs = RecordSet(tuple(Projector(m) for m in mats), time=3.0, completion_index=keep[0])
     assert verify_strong_records(hs, psi, rs).max_defect >= max_off / 2 - 1e-12
 
     # candidate 2: a complete set unrelated to the branches
@@ -112,7 +123,7 @@ def test_strong_records_imply_decoherence(rng):
     extra = d - hs.size
     first = sum(mats2[: extra + 1])
     rs2 = RecordSet(tuple(Projector(m) for m in [first] + mats2[extra + 1:]),
-                    t_rec=3.0, completion_index=0)
+                    time=3.0, completion_index=0)
     assert verify_strong_records(hs, psi, rs2).max_defect >= max_off / 2 - 1e-12
 
 
