@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import inf
 from typing import Sequence
 
 import numpy as np
@@ -229,7 +230,8 @@ def greedy_merge_functional(functional: np.ndarray, target_tol: float) -> Greedy
     dec <= target_tol or one class is left. The total merge always reaches
     dec = 0, so any target_tol >= 0 is met.
     Ties go to the lexicographically lowest (i, j), i < j, among the current
-    classes. The functional must be square (DimensionMismatch), finite,
+    classes. target_tol must be finite; a negative one merges down to one
+    class. The functional must be square (DimensionMismatch), finite,
     Hermitian to TOL_HERM and small enough for its merge scores to stay
     finite (InvariantViolation).
 
@@ -240,6 +242,8 @@ def greedy_merge_functional(functional: np.ndarray, target_tol: float) -> Greedy
     term by term, so the chosen pair and every float are the ones a full
     rescan of all pairs gives.
     """
+    if not -inf < target_tol < inf:
+        raise InvariantViolation("tolerance", target_tol, "greedy target must be finite")
     current = HermitianOperator(functional).entries
     m = current.shape[0]
     cross = np.array([_cross_row(current, a) for a in range(m)]).reshape(m, m)

@@ -137,6 +137,15 @@ def validate_projector_set(
     Accepts a ProjectorSet, a sequence of Projector, or raw matrices, so
     deliberately broken sets (which ProjectorSet construction rejects)
     can still be reported on.
+
+    Completeness and idempotency cover every member. The exclusivity pairs
+    skip members whose entries are all exactly zero: such a member's
+    product with a finite matrix is exactly zero and with a non-finite one
+    NaN, and neither can raise the running maximum, which starts at 0 and
+    keeps its value against NaN. So every reported value is the one the
+    full pair scan gives, and a set with at most d nonzero members (any
+    valid set, such as the record set of a decoherent history set, which
+    gives most histories a zero record) costs O(d^2) products, not O(m^2).
     """
     if isinstance(members, ProjectorSet):
         members = members.members
@@ -148,9 +157,10 @@ def validate_projector_set(
         raise DimensionMismatch("projector set members have mixed dimensions")
     completeness = np.abs(sum(mats) - np.eye(d)).max()
     idempotency = max(np.abs(m @ m - m).max(initial=0.0) for m in mats)
+    nonzero = [m for m in mats if m.any()]
     exclusivity = 0.0
-    for i, a in enumerate(mats):
-        for b in mats[i + 1:]:
+    for i, a in enumerate(nonzero):
+        for b in nonzero[i + 1:]:
             exclusivity = max(exclusivity, np.abs(a @ b).max(initial=0.0))
     return ProjectorSetReport(float(completeness), float(exclusivity), float(idempotency))
 
@@ -164,6 +174,10 @@ class ProjectorSet:
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(self.members))
+        for i, m in enumerate(self.members):
+            if not isinstance(m, Projector):
+                raise InvariantViolation("projector-member", 1.0,
+                                         f"member {i} is a {type(m).__name__}, not a Projector")
         report = validate_projector_set(self.members)
         if not report.passes:
             raise InvariantViolation("projector-set", report.worst,

@@ -24,6 +24,7 @@ from .hilbert import Projector, ProjectorSet, StateVector, frozen_copy
 from .histories import (
     DEFAULT_DEC_TOL,
     HistorySet,
+    _check_tolerance,
     all_extended_probabilities,
     branch_matrix,
     decoherence_functional,
@@ -48,12 +49,18 @@ def _check_record_set(hs: HistorySet, rs: RecordSet) -> None:
 
 
 def construct_records(hs: HistorySet, psi: StateVector, tol: float = DEFAULT_DEC_TOL) -> RecordSet:
-    """Build the branch-projection record set of a medium-decoherent history set."""
-    report = decoherence_functional(hs, psi, tol)
-    if not report.medium_decoherent:
+    """Build the branch-projection record set of a medium-decoherent history set.
+
+    The decoherence test reads the strict upper triangle of |b^dag b|, which
+    holds the functional's off-diagonal magnitudes once each; the full
+    functional is built only to list the offenders when the test fails.
+    """
+    _check_tolerance(tol)
+    b = branch_matrix(hs, psi)
+    if not np.triu(np.abs(b.conj().T @ b), 1).max(initial=0.0) <= tol:
+        report = decoherence_functional(hs, psi, tol)
         raise NotDecoherent(offdiagonal_offenders(report.functional, tol), tol)
 
-    b = branch_matrix(hs, psi)
     norms = np.linalg.norm(b, axis=0)
     nonzero = [i for i in range(hs.size) if norms[i] > ZERO_BRANCH_TOL]
     if not nonzero:
@@ -97,11 +104,19 @@ class RecordCheckReport:
 def verify_strong_records(
     hs: HistorySet, psi: StateVector, rs: RecordSet, tol: float = DEFAULT_DEC_TOL
 ) -> RecordCheckReport:
-    """max over (a, b) of || R_a C_b psi - delta_ab C_b psi ||."""
+    """max over (a, b) of || R_a C_b psi - delta_ab C_b psi ||.
+
+    A zero record's residual is -C_a psi in column a and 0 elsewhere, so its
+    defect is ||C_a psi||, taken by the same column reduction as the rest.
+    """
     _check_record_set(hs, rs)
     b = branch_matrix(hs, psi)
+    norms = np.linalg.norm(b, axis=0)
     worst = 0.0
     for a, r in enumerate(rs.members):
+        if not r.entries.any():
+            worst = max(worst, float(norms[a]))
+            continue
         resid = r.entries @ b
         resid[:, a] -= b[:, a]
         worst = max(worst, float(np.linalg.norm(resid, axis=0).max()))
@@ -111,12 +126,18 @@ def verify_strong_records(
 def verify_weak_records(
     hs: HistorySet, psi: StateVector, rs: RecordSet, tol: float = DEFAULT_DEC_TOL
 ) -> RecordCheckReport:
-    """max over (b, a) of | Re<psi|R_b C_a|psi> - delta_ba p(a) |."""
+    """max over (b, a) of | Re<psi|R_b C_a|psi> - delta_ba p(a) |.
+
+    A zero record's row is -p(b) at b and 0 elsewhere: its defect is |p(b)|.
+    """
     _check_record_set(hs, rs)
     b = branch_matrix(hs, psi)
     ep = np.real(psi.amplitudes.conj() @ b)
     worst = 0.0
     for beta, r in enumerate(rs.members):
+        if not r.entries.any():
+            worst = max(worst, float(abs(ep[beta])))
+            continue
         row = np.real((r.entries @ psi.amplitudes).conj() @ b)
         row[beta] -= ep[beta]
         worst = max(worst, float(np.abs(row).max()))

@@ -4,10 +4,11 @@ Tests compare the package against these. Each one builds its value
 from first principles (dense class operators, per-point amplitudes,
 per-history probabilities, brute-force enumeration, a rescan of every
 pair at each greedy merge, a model-file parser and a complex-literal
-reader that walk each literal one character at a time), so it shares no
+reader that walk each literal one character at a time, projector-set and
+record checks that multiply every member, zero or not), so it shares no
 shortcut with the code under test.
 """
-from typing import Iterator, Sequence
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -19,11 +20,18 @@ from ephist import (
     GreedySearchResult,
     HistoryIndex,
     HistorySet,
+    InvariantViolation,
     ParseError,
     Partition,
+    Projector,
+    ProjectorSet,
+    ProjectorSetReport,
+    RecordCheckReport,
+    RecordSet,
     StateVector,
     TwoSlitConfig,
     amplitude,
+    branch_matrix,
     class_operator,
     dec_measure,
     dh_probability,
@@ -31,6 +39,8 @@ from ephist import (
     identity_partition,
 )
 from ephist.coarsegrain import _load_class_list
+from ephist.histories import DEFAULT_DEC_TOL
+from ephist.records import _check_record_set
 from ephist.modelfile import (
     _DIRECTIVES,
     CompositeClause,
@@ -97,6 +107,56 @@ def enumerate_partitions(m: int) -> Iterator[Partition]:
         for i, c in enumerate(rgs):
             classes[c].append(i)
         yield Partition(m, tuple(tuple(c) for c in classes))
+
+
+def validate_projector_set_loop(
+    members: Union[ProjectorSet, Sequence[Projector], Sequence[np.ndarray]],
+) -> ProjectorSetReport:
+    """validate_projector_set with every member in the exclusivity pair scan."""
+    if isinstance(members, ProjectorSet):
+        members = members.members
+    mats = [m.entries if isinstance(m, Projector) else np.asarray(m, dtype=np.complex128) for m in members]
+    if not mats:
+        raise InvariantViolation("nonempty-projector-set", 1.0, "no members given")
+    d = mats[0].shape[0]
+    if any(m.shape != (d, d) for m in mats):
+        raise DimensionMismatch("projector set members have mixed dimensions")
+    completeness = np.abs(sum(mats) - np.eye(d)).max()
+    idempotency = max(np.abs(m @ m - m).max(initial=0.0) for m in mats)
+    exclusivity = 0.0
+    for i, a in enumerate(mats):
+        for b in mats[i + 1:]:
+            exclusivity = max(exclusivity, np.abs(a @ b).max(initial=0.0))
+    return ProjectorSetReport(float(completeness), float(exclusivity), float(idempotency))
+
+
+def verify_strong_records_loop(
+    hs: HistorySet, psi: StateVector, rs: RecordSet, tol: float = DEFAULT_DEC_TOL
+) -> RecordCheckReport:
+    """verify_strong_records with a d x m product for every record, zero or not."""
+    _check_record_set(hs, rs)
+    b = branch_matrix(hs, psi)
+    worst = 0.0
+    for a, r in enumerate(rs.members):
+        resid = r.entries @ b
+        resid[:, a] -= b[:, a]
+        worst = max(worst, float(np.linalg.norm(resid, axis=0).max()))
+    return RecordCheckReport(worst, tol)
+
+
+def verify_weak_records_loop(
+    hs: HistorySet, psi: StateVector, rs: RecordSet, tol: float = DEFAULT_DEC_TOL
+) -> RecordCheckReport:
+    """verify_weak_records with a full row for every record, zero or not."""
+    _check_record_set(hs, rs)
+    b = branch_matrix(hs, psi)
+    ep = np.real(psi.amplitudes.conj() @ b)
+    worst = 0.0
+    for beta, r in enumerate(rs.members):
+        row = np.real((r.entries @ psi.amplitudes).conj() @ b)
+        row[beta] -= ep[beta]
+        worst = max(worst, float(np.abs(row).max()))
+    return RecordCheckReport(worst, tol)
 
 
 def greedy_merge_loop(functional: np.ndarray, target_tol: float) -> GreedySearchResult:

@@ -363,6 +363,16 @@ def test_greedy_rejects_bad_functional(functional, error):
         greedy_merge_functional(functional, target_tol=1e-8)
 
 
+@pytest.mark.parametrize("target_tol", [float("nan"), float("inf"), float("-inf")])
+def test_greedy_rejects_non_finite_target(target_tol):
+    """NaN would merge down to one class and report failure; inf would return
+    at once. A finite negative target stays valid (it forces the total merge)."""
+    with pytest.raises(InvariantViolation) as exc:
+        greedy_merge_functional(np.array([[1.0, 0.5], [0.5, 1.0]]), target_tol)
+    assert exc.value.name == "tolerance"
+    assert greedy_merge_functional(np.array([[1.0, 0.5], [0.5, 1.0]]), -1.0).partition.size == 1
+
+
 # ----------------------------------------------------------------- enumeration
 
 def test_partition_enumeration_counts_are_bell_numbers():

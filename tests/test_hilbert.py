@@ -17,6 +17,7 @@ from ephist import (
     validate_projector_set,
 )
 from conftest import haar_basis, random_slot, random_state
+from oracles import validate_projector_set_loop
 
 
 def random_hermitian(rng, d):
@@ -150,6 +151,45 @@ def test_validate_accepts_raw_matrices_and_reports_defects():
     assert not bad.passes
     with pytest.raises(InvariantViolation):
         validate_projector_set([])
+
+
+def test_projector_set_rejects_raw_matrix_members():
+    """validate_projector_set reports on raw matrices, but a ProjectorSet of
+    them would fail later, at .dim or .labels, not at construction."""
+    p = Projector(np.diag([1.0, 0.0]))
+    for members in ((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
+                    (p, np.diag([0.0, 1.0]))):
+        with pytest.raises(InvariantViolation) as exc:
+            ProjectorSet(members, 1.0)
+        assert exc.value.name == "projector-member"
+        assert exc.value.exit_status == 3
+    assert validate_projector_set((np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))).passes
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 5),
+       zeros=st.lists(st.tuples(st.integers(0, 63), st.sampled_from(["raw", "neg", "projector"])),
+                      max_size=5),
+       spoil=st.sampled_from([None, "nan", "inf", "broken"]), spoil_at=st.integers(0, 63))
+@settings(max_examples=80, deadline=None)
+def test_validate_skipping_zero_members_matches_loop(seed, d, zeros, spoil, spoil_at):
+    """Every defect equals, to the last bit, the one from the scan over all pairs."""
+    rng = np.random.default_rng(seed)
+    mats = [p.entries for p in random_slot(rng, d, 1.0).members]
+    for position, kind in zeros:
+        zero = {"raw": np.zeros((d, d)), "neg": -np.zeros((d, d)),
+                "projector": Projector(np.zeros((d, d)))}[kind]
+        mats.insert(position % (len(mats) + 1), zero)
+    if spoil is not None:
+        k = spoil_at % len(mats)
+        if spoil == "broken":
+            mats[k] = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        else:
+            mats[k] = np.array(mats[k].entries if isinstance(mats[k], Projector) else mats[k],
+                               dtype=complex)
+            mats[k][rng.integers(d), rng.integers(d)] = np.nan if spoil == "nan" else np.inf
+    fast, slow = validate_projector_set(mats), validate_projector_set_loop(mats)
+    for name in ("completeness_defect", "exclusivity_defect", "idempotency_defect"):
+        assert repr(getattr(fast, name)) == repr(getattr(slow, name))
 
 
 def test_projector_set_rejects_incomplete():

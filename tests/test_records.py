@@ -4,21 +4,31 @@ from hypothesis import given, settings, strategies as st
 
 from ephist import (
     HistorySet,
+    M_CAP,
     InvariantViolation,
     NotDecoherent,
     Projector,
     ProjectorSet,
+    RecordSet,
     StateVector,
     all_extended_probabilities,
     branch_matrix,
     construct_records,
     decoherence_functional,
+    flatten_index,
     record_correlation_report,
     validate_projector_set,
     verify_strong_records,
     verify_weak_records,
 )
-from conftest import decoherent_fixture, non_decoherent_fixture, random_state
+from conftest import (
+    decoherent_fixture,
+    diagonal_fixture,
+    haar_basis,
+    non_decoherent_fixture,
+    random_state,
+)
+from oracles import verify_strong_records_loop, verify_weak_records_loop
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -190,3 +200,56 @@ def test_completion_absorbs_leftover_dimensions(rng):
     assert rs.completion_index == min(
         i for i in range(hs.size)
         if np.linalg.norm(branch_matrix(hs, psi)[:, i]) > 1e-12)
+
+
+@given(seed=st.integers(0, 2**32 - 1), fixture=st.sampled_from(["diagonal", "decoherent"]),
+       shuffle=st.booleans(), other_state=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_record_checks_skipping_zero_records_match_loops(seed, fixture, shuffle, other_state):
+    """Both defects equal, to the last bit, the ones from a product per record.
+    Shuffled records put zero records on nonzero branches, and another state
+    moves every branch, so the skipped records' defects are not all ~0."""
+    rng = np.random.default_rng(seed)
+    if fixture == "diagonal":
+        psi, hs = diagonal_fixture(rng, d=int(rng.integers(3, 7)))
+    else:
+        psi, hs = decoherent_fixture(rng)
+    rs = construct_records(hs, psi)
+    assert any(not r.entries.any() for r in rs.members)
+    if shuffle:
+        rs = RecordSet(tuple(rs.members[i] for i in rng.permutation(rs.size)),
+                       rs.time, rs.completion_index)
+    if other_state:
+        psi = random_state(rng, hs.dim)
+    for fast, slow in ((verify_strong_records, verify_strong_records_loop),
+                       (verify_weak_records, verify_weak_records_loop)):
+        assert repr(fast(hs, psi, rs).max_defect) == repr(slow(hs, psi, rs).max_defect)
+
+
+def test_records_at_the_history_cap(rng):
+    """M_CAP histories over d=32: three slots of 16 rank-2 members over one
+    shared basis. A history's branch is nonzero only if some basis vector
+    lies in all three of its members, so at most 32 records are nonzero."""
+    d, basis = 32, haar_basis(rng, 32)
+    slots, owner = [], []
+    for t in range(3):
+        groups = rng.permutation(d).reshape(16, 2)
+        members = tuple(
+            Projector(sum(np.outer(basis[i], basis[i].conj()) for i in g), label=f"t{t}g{k}")
+            for k, g in enumerate(groups))
+        slots.append(ProjectorSet(members, time=float(t + 1)))
+        owner.append(np.argsort(groups.ravel()) // 2)   # basis vector -> member
+    hs = HistorySet(tuple(slots))
+    psi = random_state(rng, d)
+    assert hs.size == M_CAP
+    live = {flatten_index([o[k] for o in owner], hs.shape) for k in range(d)}
+
+    rs = construct_records(hs, psi)
+    assert verify_strong_records(hs, psi, rs).passes
+    assert verify_weak_records(hs, psi, rs).passes
+    assert record_correlation_report(hs, psi, rs).passes
+    assert validate_projector_set(rs).passes
+    ranks = [r.rank for r in rs.members]
+    assert sum(ranks) == d
+    assert {i for i, r in enumerate(ranks) if r > 0} == live
+    assert ranks.count(0) == M_CAP - len(live)
