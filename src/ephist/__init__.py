@@ -38,23 +38,14 @@ from .hilbert import (
 from .histories import (
     DEFAULT_DEC_TOL,
     M_CAP,
-    BranchVector,
     DecoherenceReport,
-    HistoryIndex,
     HistorySet,
     all_extended_probabilities,
     branch_matrix,
-    branch_vector,
-    chain_amplitude,
-    class_operator,
     dec_measure,
     decoherence_functional,
-    dh_probability,
-    extended_probability,
-    flatten_index,
     offdiagonal_offenders,
     total_negative,
-    unflatten_index,
 )
 from .records import (
     CorrelationReport,
@@ -83,8 +74,6 @@ from .composite import (
     JOINT_DIM_CAP,
     CompositeSystem,
     ProductRuleReport,
-    factor_amplitudes,
-    joint_extended_probability,
     joint_functional,
     product_records,
     product_rule_report,
@@ -152,11 +141,9 @@ __all__ = [
     "hermitian_exponential", "projector_set_from_basis", "rank_one_projector",
     "validate_projector_set",
     # histories
-    "DEFAULT_DEC_TOL", "M_CAP", "BranchVector", "DecoherenceReport", "HistoryIndex",
-    "HistorySet", "all_extended_probabilities", "branch_matrix", "branch_vector",
-    "chain_amplitude", "class_operator", "dec_measure", "decoherence_functional",
-    "dh_probability", "extended_probability", "flatten_index", "offdiagonal_offenders",
-    "total_negative", "unflatten_index",
+    "DEFAULT_DEC_TOL", "M_CAP", "DecoherenceReport", "HistorySet", "all_extended_probabilities",
+    "branch_matrix", "dec_measure", "decoherence_functional", "offdiagonal_offenders",
+    "total_negative",
     # records
     "CorrelationReport", "RecordCheckReport", "RecordSet", "construct_records",
     "record_correlation_report", "verify_strong_records", "verify_weak_records",
@@ -166,8 +153,8 @@ __all__ = [
     "identity_partition", "merge_slot_alternatives", "partition_from_literal", "slot_partition",
     "total_partition",
     # composite
-    "JOINT_DIM_CAP", "CompositeSystem", "ProductRuleReport", "factor_amplitudes",
-    "joint_extended_probability", "joint_functional", "product_records", "product_rule_report",
+    "JOINT_DIM_CAP", "CompositeSystem", "ProductRuleReport", "joint_functional",
+    "product_records", "product_rule_report",
     # finegrained
     "FINE_CAP", "FineGrainedDistribution", "FineGrainedSpec", "cylinder_history_set",
     "cylinder_partition", "fundamental_distribution",

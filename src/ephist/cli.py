@@ -77,27 +77,22 @@ class RunManifest:
         })
 
 
-def _py(value):
-    """Recursively convert to JSON-serializable builtins."""
+def _json_default(value):
+    """Encode the values json has no encoder for; everything else is native."""
     if isinstance(value, np.ndarray):
-        return [_py(v) for v in value.tolist()]
-    if isinstance(value, (list, tuple)):
-        return [_py(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _py(v) for k, v in value.items()}
-    if isinstance(value, (bool, np.bool_)):
+        return value.tolist()
+    if isinstance(value, np.bool_):
         return bool(value)
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if isinstance(value, (complex, np.complexfloating)):
+    if isinstance(value, complex):   # np.complex128 too; its parts repr as np.float64
         return format_complex(complex(value))
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(_py(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False,
+                      default=_json_default) + "\n"
 
 
 def _fmt_cell(x) -> str:
@@ -164,8 +159,8 @@ def _cmd_eval(args, out: _OutDir):
     b = branch_matrix(hs, psi)
     ep = np.real(psi.amplitudes.conj() @ b)
     dh = np.linalg.norm(b, axis=0) ** 2
-    rows = [(flat, hs.history_label(hs.index(flat)), ep[flat], dh[flat], dh[flat] - ep[flat])
-            for flat in range(hs.size)]
+    rows = [(flat, label, ep[flat], dh[flat], dh[flat] - ep[flat])
+            for flat, label in enumerate(hs.history_labels())]
     out.write("histories.csv", _csv(("flat", "label", "ep", "dh", "dh_minus_ep"), rows))
     out.write("summary.json", _dump_json({
         "dim": hs.dim,

@@ -7,7 +7,7 @@ of Re's). For recorded factor histories the amplitudes are real and the
 product rule comes back.
 
 Kronecker ordering: leftmost factor is the slowest-varying index, both
-for the joint state and for joint (per-factor index tuple) flattening.
+for the joint state and for the joint flat history index.
 """
 from __future__ import annotations
 
@@ -19,13 +19,7 @@ import numpy as np
 
 from .errors import CapExceeded, DimensionMismatch
 from .hilbert import Projector, StateVector, frozen_copy
-from .histories import (
-    M_CAP,
-    HistoryIndex,
-    HistorySet,
-    branch_matrix,
-    chain_amplitude,
-)
+from .histories import M_CAP, HistorySet, branch_matrix
 from .records import RecordSet
 
 JOINT_DIM_CAP = 4096
@@ -70,41 +64,10 @@ class CompositeSystem:
             amps = np.kron(amps, psi.amplitudes)
         return StateVector(amps)
 
-    def joint_flat(self, indices: Sequence[HistoryIndex]) -> int:
-        flat = 0
-        for (_, hs), idx in zip(self.factors, indices):
-            flat = flat * hs.size + hs.flat(idx)
-        return flat
-
-    def unflatten_joint(self, joint_flat: int) -> tuple[HistoryIndex, ...]:
-        out = []
-        for _, hs in reversed(self.factors):
-            out.append(hs.index(joint_flat % hs.size))
-            joint_flat //= hs.size
-        return tuple(reversed(out))
-
 
 def _check_joint_count(cs: CompositeSystem) -> None:
     if cs.joint_count > M_CAP:
         raise CapExceeded("joint history count", cs.joint_count, M_CAP)
-
-
-def _check_indices(cs: CompositeSystem, indices: Sequence[HistoryIndex]) -> None:
-    if len(indices) != len(cs.factors):
-        raise DimensionMismatch(f"{len(indices)} indices for {len(cs.factors)} factors")
-
-
-def factor_amplitudes(cs: CompositeSystem, indices: Sequence[HistoryIndex]) -> tuple[complex, ...]:
-    _check_indices(cs, indices)
-    return tuple(chain_amplitude(hs, idx, psi) for (psi, hs), idx in zip(cs.factors, indices))
-
-
-def joint_extended_probability(cs: CompositeSystem, indices: Sequence[HistoryIndex]) -> float:
-    """Re of the product of per-factor amplitudes."""
-    z = 1.0 + 0.0j
-    for zk in factor_amplitudes(cs, indices):
-        z *= zk
-    return float(z.real)
 
 
 def joint_functional(cs: CompositeSystem) -> np.ndarray:

@@ -13,18 +13,14 @@ matching the history-set flattening.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Sequence
 
 import numpy as np
 
 from .errors import CapExceeded, DimensionMismatch, InvariantViolation
 from .hilbert import ProjectorSet, StateVector, frozen_copy
-from .histories import (
-    HistorySet,
-    all_extended_probabilities,
-    flatten_index,
-    unflatten_index,
-)
+from .histories import HistorySet, all_extended_probabilities
 from .coarsegrain import Partition, _group_slots
 
 FINE_CAP = 4096
@@ -86,11 +82,14 @@ class FineGrainedDistribution:
         return self.values.shape[0]
 
     def value(self, h: Sequence[int]) -> float:
-        return float(self.values[flatten_index(h, self.shape)])
+        h = tuple(h)
+        if len(h) != len(self.shape) or not all(0 <= b < s for b, s in zip(h, self.shape)):
+            raise DimensionMismatch(f"outcome {h} outside h-space of shape {self.shape}")
+        return float(self.values[np.ravel_multi_index(h, self.shape, order="F")])
 
     def outcomes(self):
-        for flat in range(self.size):
-            yield unflatten_index(flat, self.shape)
+        for h in product(*(range(s) for s in reversed(self.shape))):
+            yield h[::-1]
 
 
 def fundamental_distribution(spec: FineGrainedSpec) -> FineGrainedDistribution:

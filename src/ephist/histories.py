@@ -11,15 +11,16 @@ and the branch-norm probability ||C psi||^2, which is non-negative but
 only additive when the set decoheres. The decoherence functional
 D(a, b) = <psi_a|psi_b> measures the interference between branches.
 
-Multi-index flattening is row-major with the EARLIEST time varying
-fastest: flat = a1 + s1*a2 + s1*s2*a3 + ... . Fixed so report matrices
-are comparable across runs.
+Histories are numbered by one flat index, with the EARLIEST time
+varying fastest: history (a1, a2, a3, ...) of slots sized (s1, s2, ...)
+is flat = a1 + s1*a2 + s1*s2*a3 + ... . Fixed so report matrices are
+comparable across runs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import inf, prod
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -28,30 +29,6 @@ from .hilbert import ProjectorSet, StateVector, frozen_copy
 
 DEFAULT_DEC_TOL = 1e-8   # off-diagonal |D| threshold for medium decoherence
 M_CAP = 4096             # history-count guard against exponential blowup
-
-
-def flatten_index(components: Sequence[int], shape: Sequence[int]) -> int:
-    flat, stride = 0, 1
-    for c, s in zip(components, shape):
-        flat += c * stride
-        stride *= s
-    return flat
-
-
-def unflatten_index(flat: int, shape: Sequence[int]) -> tuple[int, ...]:
-    components = []
-    for s in shape:
-        components.append(flat % s)
-        flat //= s
-    return tuple(components)
-
-
-@dataclass(frozen=True)
-class HistoryIndex:
-    components: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "components", tuple(int(c) for c in self.components))
 
 
 @dataclass(frozen=True)
@@ -96,70 +73,14 @@ class HistorySet:
     def labels(self) -> tuple[tuple[str, ...], ...]:
         return tuple(s.labels for s in self.slots)
 
-    def indices(self) -> Iterator[HistoryIndex]:
-        for flat in range(self.size):
-            yield self.index(flat)
-
-    def flat(self, idx: HistoryIndex) -> int:
-        return flatten_index(idx.components, self.shape)
-
-    def index(self, flat: int) -> HistoryIndex:
-        """Inverse of flat."""
-        return HistoryIndex(unflatten_index(flat, self.shape))
-
-    def history_label(self, idx: HistoryIndex) -> str:
-        self._check_index(idx)
-        return ",".join(s.labels[c] for s, c in zip(self.slots, idx.components))
-
-    def _check_index(self, idx: HistoryIndex) -> None:
-        if len(idx.components) != len(self.slots):
-            raise DimensionMismatch(
-                f"index has {len(idx.components)} components for {len(self.slots)} slots")
-        for c, s in zip(idx.components, self.slots):
-            if not 0 <= c < s.size:
-                raise DimensionMismatch(f"component {c} out of range for slot of size {s.size}")
-
-
-def class_operator(hs: HistorySet, idx: HistoryIndex) -> np.ndarray:
-    """Chain product of the chosen projectors, latest time leftmost."""
-    hs._check_index(idx)
-    c = hs.slots[0].members[idx.components[0]].entries
-    for slot, comp in zip(hs.slots[1:], idx.components[1:]):
-        c = slot.members[comp].entries @ c
-    return np.array(c)
-
-
-@dataclass(frozen=True)
-class BranchVector:
-    """C_alpha |psi>, NOT normalized; its squared norm is the DH probability."""
-
-    amplitudes: np.ndarray
-    index: HistoryIndex
-
-    def __post_init__(self):
-        a = frozen_copy(self.amplitudes, np.complex128)
-        object.__setattr__(self, "amplitudes", a)
-        n = np.linalg.norm(a)
-        if not n <= 1.0 + 1e-10:
-            raise InvariantViolation("branch-norm-bound", n - 1.0)
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
+    def history_labels(self) -> tuple[str, ...]:
+        """One label per history, flat order: the slot labels joined by commas."""
+        return tuple(",".join(reversed(t)) for t in product(*reversed(self.labels)))
 
 
 def _check_state(hs: HistorySet, psi: StateVector) -> None:
     if psi.dim != hs.dim:
         raise DimensionMismatch(f"state dim {psi.dim} vs history-set dim {hs.dim}")
-
-
-def branch_vector(hs: HistorySet, idx: HistoryIndex, psi: StateVector) -> BranchVector:
-    _check_state(hs, psi)
-    hs._check_index(idx)
-    v = psi.amplitudes
-    for slot, comp in zip(hs.slots, idx.components):
-        v = slot.members[comp].entries @ v
-    return BranchVector(v, idx)
 
 
 def branch_matrix(hs: HistorySet, psi: StateVector) -> np.ndarray:
@@ -171,23 +92,6 @@ def branch_matrix(hs: HistorySet, psi: StateVector) -> np.ndarray:
     for slot in hs.slots:
         b = np.hstack([p.entries @ b for p in slot.members])
     return b
-
-
-def chain_amplitude(hs: HistorySet, idx: HistoryIndex, psi: StateVector) -> complex:
-    """<psi|C|psi>: the complex amplitude whose real part is the extended probability."""
-    bv = branch_vector(hs, idx, psi)
-    return complex(np.vdot(psi.amplitudes, bv.amplitudes))
-
-
-def extended_probability(hs: HistorySet, idx: HistoryIndex, psi: StateVector) -> float:
-    """Re<psi|C|psi>. Additive and normalized, but may be < 0 or > 1."""
-    return chain_amplitude(hs, idx, psi).real
-
-
-def dh_probability(hs: HistorySet, idx: HistoryIndex, psi: StateVector) -> float:
-    """||C psi||^2: the branch-norm probability, always in [0, 1]."""
-    bv = branch_vector(hs, idx, psi)
-    return float(np.vdot(bv.amplitudes, bv.amplitudes).real)
 
 
 def all_extended_probabilities(hs: HistorySet, psi: StateVector) -> np.ndarray:

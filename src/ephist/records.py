@@ -82,12 +82,12 @@ def construct_records(hs: HistorySet, psi: StateVector, tol: float = DEFAULT_DEC
 
     q = np.column_stack([frames[i] for i in nonzero])
     complement = np.eye(d) - q @ q.conj().T
-    members = []
+    members, labels = [], hs.history_labels()
     for i in range(hs.size):
         r = np.outer(frames[i], frames[i].conj()) if i in frames else np.zeros((d, d))
         if i == nonzero[0]:
             r = r + complement
-        members.append(Projector(r, label=hs.history_label(hs.index(i))))
+        members.append(Projector(r, label=labels[i]))
     return RecordSet(tuple(members), time=max(hs.times) + 1.0, completion_index=nonzero[0])
 
 

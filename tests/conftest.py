@@ -10,9 +10,8 @@ from ephist import (
     StateVector,
     branch_matrix,
     decoherence_functional,
-    flatten_index,
-    unflatten_index,
 )
+from oracles import flatten_index, unflatten_index
 
 
 def haar_basis(rng, d):

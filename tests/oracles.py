@@ -1,12 +1,13 @@
 """Slow, independent routes to quantities the package computes faster.
 
 Tests compare the package against these. Each one builds its value
-from first principles (dense class operators, per-point amplitudes,
-per-history probabilities, brute-force enumeration, a rescan of every
-pair at each greedy merge, a model-file parser and a complex-literal
-reader that walk each literal one character at a time, projector-set and
-record checks that multiply every member, zero or not), so it shares no
-shortcut with the code under test.
+from first principles (histories as component tuples flattened by
+loops, dense class operators, one branch vector and one chain amplitude
+per history, per-point amplitudes, brute-force enumeration, a rescan of
+every pair at each greedy merge, a model-file parser and a
+complex-literal reader that walk each literal one character at a time,
+projector-set and record checks that multiply every member, zero or
+not), so it shares no shortcut with the code under test.
 """
 from typing import Iterator, Sequence, Union
 
@@ -18,7 +19,6 @@ from ephist import (
     CompositeSystem,
     DimensionMismatch,
     GreedySearchResult,
-    HistoryIndex,
     HistorySet,
     InvariantViolation,
     ParseError,
@@ -32,10 +32,7 @@ from ephist import (
     TwoSlitConfig,
     amplitude,
     branch_matrix,
-    class_operator,
     dec_measure,
-    dh_probability,
-    extended_probability,
     identity_partition,
 )
 from ephist.coarsegrain import _load_class_list
@@ -57,13 +54,121 @@ from ephist.modelfile import (
 ENUMERATION_CAP = 8   # Bell(9) = 21147 partitions is past what a test should walk
 
 
-def joint_class_operator(cs: CompositeSystem, indices: Sequence[HistoryIndex]) -> np.ndarray:
+# A history is a tuple of components, one alternative index per slot. Its
+# flat index has the earliest slot fastest; a joint history is a tuple of
+# factor component tuples, and its joint flat index has the leftmost
+# factor slowest.
+
+def flatten_index(components: Sequence[int], shape: Sequence[int]) -> int:
+    if len(components) != len(shape) or not all(0 <= c < s for c, s in zip(components, shape)):
+        raise DimensionMismatch(f"history {tuple(components)} outside shape {tuple(shape)}")
+    flat, stride = 0, 1
+    for c, s in zip(components, shape):
+        flat += c * stride
+        stride *= s
+    return flat
+
+
+def unflatten_index(flat: int, shape: Sequence[int]) -> tuple[int, ...]:
+    if not 0 <= flat < int(np.prod(shape)):
+        raise DimensionMismatch(f"flat index {flat} outside shape {tuple(shape)}")
+    components = []
+    for s in shape:
+        components.append(flat % s)
+        flat //= s
+    return tuple(components)
+
+
+def joint_flat(cs: CompositeSystem, indices: Sequence[Sequence[int]]) -> int:
+    flat = 0
+    for (_, hs), components in zip(cs.factors, indices):
+        flat = flat * hs.size + flatten_index(components, hs.shape)
+    return flat
+
+
+def unflatten_joint(cs: CompositeSystem, flat: int) -> tuple[tuple[int, ...], ...]:
+    if not 0 <= flat < cs.joint_count:
+        raise DimensionMismatch(f"joint flat index {flat} outside {cs.joint_count} histories")
+    out = []
+    for _, hs in reversed(cs.factors):
+        out.append(unflatten_index(flat % hs.size, hs.shape))
+        flat //= hs.size
+    return tuple(reversed(out))
+
+
+def _check_components(hs: HistorySet, components: Sequence[int]) -> None:
+    if len(components) != len(hs.slots):
+        raise DimensionMismatch(
+            f"history has {len(components)} components for {len(hs.slots)} slots")
+    for c, s in zip(components, hs.slots):
+        if not 0 <= c < s.size:
+            raise DimensionMismatch(f"component {c} out of range for slot of size {s.size}")
+
+
+def history_label(hs: HistorySet, components: Sequence[int]) -> str:
+    _check_components(hs, components)
+    return ",".join(s.labels[c] for s, c in zip(hs.slots, components))
+
+
+def class_operator(hs: HistorySet, components: Sequence[int]) -> np.ndarray:
+    """Chain product of the chosen projectors, latest time leftmost."""
+    _check_components(hs, components)
+    c = hs.slots[0].members[components[0]].entries
+    for slot, comp in zip(hs.slots[1:], components[1:]):
+        c = slot.members[comp].entries @ c
+    return np.array(c)
+
+
+def branch_vector(hs: HistorySet, components: Sequence[int], psi: StateVector) -> np.ndarray:
+    """C_alpha |psi>, one projector at a time; NOT normalized."""
+    if psi.dim != hs.dim:
+        raise DimensionMismatch(f"state dim {psi.dim} vs history-set dim {hs.dim}")
+    _check_components(hs, components)
+    v = psi.amplitudes
+    for slot, comp in zip(hs.slots, components):
+        v = slot.members[comp].entries @ v
+    return v
+
+
+def chain_amplitude(hs: HistorySet, components: Sequence[int], psi: StateVector) -> complex:
+    """<psi|C|psi>: the complex amplitude whose real part is the extended probability."""
+    return complex(np.vdot(psi.amplitudes, branch_vector(hs, components, psi)))
+
+
+def extended_probability(hs: HistorySet, components: Sequence[int], psi: StateVector) -> float:
+    """Re<psi|C|psi>. Additive and normalized, but may be < 0 or > 1."""
+    return chain_amplitude(hs, components, psi).real
+
+
+def dh_probability(hs: HistorySet, components: Sequence[int], psi: StateVector) -> float:
+    """||C psi||^2: the branch-norm probability, always in [0, 1]."""
+    v = branch_vector(hs, components, psi)
+    return float(np.vdot(v, v).real)
+
+
+def factor_amplitudes(
+    cs: CompositeSystem, indices: Sequence[Sequence[int]],
+) -> tuple[complex, ...]:
+    if len(indices) != len(cs.factors):
+        raise DimensionMismatch(f"{len(indices)} indices for {len(cs.factors)} factors")
+    return tuple(chain_amplitude(hs, comps, psi) for (psi, hs), comps in zip(cs.factors, indices))
+
+
+def joint_extended_probability(cs: CompositeSystem, indices: Sequence[Sequence[int]]) -> float:
+    """Re of the product of per-factor amplitudes."""
+    z = 1.0 + 0.0j
+    for zk in factor_amplitudes(cs, indices):
+        z *= zk
+    return float(z.real)
+
+
+def joint_class_operator(cs: CompositeSystem, indices: Sequence[Sequence[int]]) -> np.ndarray:
     """Dense C1 x ... x CN on the joint space, leftmost factor slowest."""
     if len(indices) != len(cs.factors):
         raise DimensionMismatch(f"{len(indices)} indices for {len(cs.factors)} factors")
     c = class_operator(cs.factors[0][1], indices[0])
-    for (_, hs), idx in zip(cs.factors[1:], indices[1:]):
-        c = np.kron(c, class_operator(hs, idx))
+    for (_, hs), comps in zip(cs.factors[1:], indices[1:]):
+        c = np.kron(c, class_operator(hs, comps))
     return c
 
 
@@ -73,7 +178,7 @@ def coarse_class_operator(hs: HistorySet, part: Partition, class_index: int) -> 
         raise DimensionMismatch(f"partition over {part.fine_count} vs {hs.size} histories")
     c = np.zeros((hs.dim, hs.dim), dtype=np.complex128)
     for flat in part.classes[class_index]:
-        c += class_operator(hs, hs.index(flat))
+        c += class_operator(hs, unflatten_index(flat, hs.shape))
     return c
 
 
@@ -84,9 +189,9 @@ def extended_density_from_amplitudes(cfg: TwoSlitConfig, y, slit: str = "U"):
     return np.abs(own) ** 2 + np.real(np.conj(other) * own)
 
 
-def dh_ep_difference(hs: HistorySet, idx: HistoryIndex, psi: StateVector) -> float:
+def dh_ep_difference(hs: HistorySet, components: Sequence[int], psi: StateVector) -> float:
     """p_dh - p_ep; identically -Re sum_{b != a} D(b, a), and 0 when decoherent."""
-    return dh_probability(hs, idx, psi) - extended_probability(hs, idx, psi)
+    return dh_probability(hs, components, psi) - extended_probability(hs, components, psi)
 
 
 def enumerate_partitions(m: int) -> Iterator[Partition]:

@@ -42,8 +42,13 @@ from ephist import (
     three_box_model,
     total_partition,
 )
-from ephist.histories import HistoryIndex, class_operator, unflatten_index
-from oracles import coarse_class_operator, enumerate_partitions, greedy_merge_loop
+from oracles import (
+    class_operator,
+    coarse_class_operator,
+    enumerate_partitions,
+    greedy_merge_loop,
+    unflatten_index,
+)
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -150,7 +155,7 @@ def test_coarse_class_operator_sums_fine_ones(rng):
     psi, hs = random_model(rng)
     part = Partition(hs.size, random_partition_classes(rng, hs.size))
     for k, cls in enumerate(part.classes):
-        expect = sum(class_operator(hs, HistoryIndex(unflatten_index(f, hs.shape)))
+        expect = sum(class_operator(hs, unflatten_index(f, hs.shape))
                      for f in cls)
         assert np.allclose(coarse_class_operator(hs, part, k), expect, atol=1e-13)
 

@@ -16,14 +16,18 @@ from ephist import (
     StateVector,
     construct_records,
     decoherence_functional,
-    factor_amplitudes,
-    joint_extended_probability,
     joint_functional,
     load_model,
     product_records,
     product_rule_report,
 )
-from oracles import joint_class_operator
+from oracles import (
+    factor_amplitudes,
+    joint_class_operator,
+    joint_extended_probability,
+    joint_flat,
+    unflatten_joint,
+)
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -74,19 +78,21 @@ def test_joint_state_kron_order(rng):
 def test_joint_flat_round_trip(rng):
     cs = _two_factor(rng)
     for flat in range(cs.joint_count):
-        indices = cs.unflatten_joint(flat)
-        assert cs.joint_flat(indices) == flat
+        indices = unflatten_joint(cs, flat)
+        assert joint_flat(cs, indices) == flat
     # leftmost factor is the slow digit
-    first = cs.unflatten_joint(0)
-    stepped = cs.unflatten_joint(cs.counts[1])
+    first = unflatten_joint(cs, 0)
+    stepped = unflatten_joint(cs, cs.counts[1])
     assert stepped[1] == first[1]
     assert stepped[0] != first[0]
+    with pytest.raises(DimensionMismatch):
+        unflatten_joint(cs, cs.joint_count)   # no wrap-around to history 0
 
 
 def test_factor_amplitude_count_checked(rng):
     cs = _two_factor(rng)
     with pytest.raises(DimensionMismatch):
-        factor_amplitudes(cs, cs.unflatten_joint(0)[:1])
+        factor_amplitudes(cs, unflatten_joint(cs, 0)[:1])
 
 
 # ------------------------------------------------------------------ joint EPs
@@ -96,7 +102,7 @@ def test_joint_ep_routes_agree(rng):
     cs = _two_factor(rng)
     joint_amps = cs.joint_state().amplitudes
     for flat in range(cs.joint_count):
-        indices = cs.unflatten_joint(flat)
+        indices = unflatten_joint(cs, flat)
         fast = joint_extended_probability(cs, indices)
         op = joint_class_operator(cs, indices)
         slow = float(np.real(np.vdot(joint_amps, op @ joint_amps)))
@@ -108,7 +114,7 @@ def test_joint_functional_matches_branches(rng):
     f = joint_functional(cs)
     assert f.shape == (cs.joint_count, cs.joint_count)
     joint_amps = cs.joint_state().amplitudes
-    branches = [joint_class_operator(cs, cs.unflatten_joint(a)) @ joint_amps
+    branches = [joint_class_operator(cs, unflatten_joint(cs, a)) @ joint_amps
                 for a in range(cs.joint_count)]
     for a in range(cs.joint_count):
         for b in range(cs.joint_count):
@@ -145,7 +151,7 @@ def test_product_rule_report_consistent(rng):
     rep = product_rule_report(cs)
     worst = 0.0
     for flat in range(cs.joint_count):
-        amps = factor_amplitudes(cs, cs.unflatten_joint(flat))
+        amps = factor_amplitudes(cs, unflatten_joint(cs, flat))
         assert abs(rep.joint_ep[flat] - np.prod(amps).real) < 1e-14
         assert abs(rep.factor_ep_product[flat] - np.prod([z.real for z in amps])) < 1e-14
         worst = max(worst, abs(rep.joint_ep[flat] - rep.factor_ep_product[flat]))
@@ -195,7 +201,7 @@ def test_product_records(rng):
 
     # strong record property on the joint space
     joint_amps = cs.joint_state().amplitudes
-    branches = [joint_class_operator(cs, cs.unflatten_joint(b)) @ joint_amps
+    branches = [joint_class_operator(cs, unflatten_joint(cs, b)) @ joint_amps
                 for b in range(cs.joint_count)]
     total = np.zeros((cs.joint_dim, cs.joint_dim), dtype=complex)
     for a, rec in enumerate(joint_records.members):
@@ -208,7 +214,7 @@ def test_product_records(rng):
     # the records read the joint extended probabilities back out
     for a in range(cs.joint_count):
         prob = float(np.real(np.vdot(joint_amps, joint_records.members[a].entries @ joint_amps)))
-        assert abs(prob - joint_extended_probability(cs, cs.unflatten_joint(a))) < 1e-12
+        assert abs(prob - joint_extended_probability(cs, unflatten_joint(cs, a))) < 1e-12
 
 
 def test_product_records_validation(rng):

@@ -1,4 +1,6 @@
 """Fundamental distribution w(h) and cylinder-set consistency."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from ephist import (
     DimensionMismatch,
     FineGrainedDistribution,
     FineGrainedSpec,
-    HistoryIndex,
     InvariantViolation,
     Partition,
     ProjectorSet,
@@ -19,11 +20,13 @@ from ephist import (
     class_sums,
     cylinder_history_set,
     cylinder_partition,
-    extended_probability,
     fundamental_distribution,
+    load_model,
     projector_set_from_basis,
-    unflatten_index,
 )
+from oracles import extended_probability
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def _basis_slot(vectors, time, labels=None):
@@ -80,7 +83,7 @@ def test_values_are_chain_extended_probabilities(rng):
     hs = spec.history_set()
     assert abs(dist.values.sum() - 1.0) < 1e-10
     for flat, h in enumerate(dist.outcomes()):
-        ep = extended_probability(hs, HistoryIndex(h), spec.psi)
+        ep = extended_probability(hs, h, spec.psi)
         assert abs(dist.value(h) - ep) < 1e-14
         assert dist.value(h) == dist.values[flat]
 
@@ -95,6 +98,18 @@ def test_h_space_is_little_endian_in_time(rng):
     assert outs[0] == (0, 0)
     assert outs[1] == (1, 0)     # earliest outcome varies fastest
     assert len(outs) == dist.size == 9
+
+
+def test_value_rejects_outcomes_outside_h_space():
+    """An outcome off the grid is an error, not another cell: (3, 0) on a
+    3 x 3 grid once read w(0, 1), and (0,) and (-1, 0) were accepted."""
+    dist = fundamental_distribution(load_model(MODELS / "threebox.model").finegrained)
+    assert dist.shape == (3, 3)
+    for h in [(3, 0), (0,), (-1, 0), (0, 3), (0, 0, 0)]:
+        with pytest.raises(DimensionMismatch) as exc:
+            dist.value(h)
+        assert exc.value.exit_status == 3
+    assert dist.value((2, 2)) == dist.values[8]
 
 
 def test_negative_w_two_time_qubit():

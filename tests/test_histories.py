@@ -5,27 +5,47 @@ from hypothesis import given, settings, strategies as st
 from ephist import (
     CapExceeded,
     DimensionMismatch,
-    HistoryIndex,
     HistorySet,
     InvariantViolation,
     Projector,
     ProjectorSet,
     all_extended_probabilities,
     branch_matrix,
+    dec_measure,
+    decoherence_functional,
+    offdiagonal_offenders,
+    total_negative,
+)
+from conftest import diagonal_fixture, random_model, random_slot, random_state
+from oracles import (
     branch_vector,
     chain_amplitude,
     class_operator,
-    dec_measure,
-    decoherence_functional,
+    dh_ep_difference,
     dh_probability,
     extended_probability,
     flatten_index,
-    offdiagonal_offenders,
-    total_negative,
+    history_label,
     unflatten_index,
 )
-from conftest import diagonal_fixture, random_model, random_slot, random_state
-from oracles import dh_ep_difference
+
+
+def _model_of_shape(rng, shape, d=4):
+    """Random state and Haar-split slots with the given member counts."""
+    slots = tuple(random_slot(rng, d, t + 1.0, k=k) for t, k in enumerate(shape))
+    return random_state(rng, d), HistorySet(slots)
+
+
+def _assert_flat_order(hs, psi):
+    """Column f of branch_matrix and label f of history_labels belong to the
+    history the oracle loop unflattens f into."""
+    b = branch_matrix(hs, psi)
+    labels = hs.history_labels()
+    assert b.shape == (hs.dim, hs.size) and len(labels) == hs.size
+    for f in range(hs.size):
+        comps = unflatten_index(f, hs.shape)
+        assert np.allclose(b[:, f], class_operator(hs, comps) @ psi.amplitudes, atol=1e-13)
+        assert labels[f] == history_label(hs, comps)
 
 
 @given(st.lists(st.integers(2, 5), min_size=1, max_size=4), st.data())
@@ -35,14 +55,23 @@ def test_flatten_unflatten_round_trip(shape, data):
     flat = flatten_index(comps, shape)
     assert 0 <= flat < int(np.prod(shape))
     assert unflatten_index(flat, shape) == comps
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    psi, hs = _model_of_shape(rng, shape, d=max(shape))
+    b = branch_matrix(hs, psi)
+    assert np.allclose(b[:, flat], class_operator(hs, comps) @ psi.amplitudes, atol=1e-13)
+    assert hs.history_labels()[flat] == history_label(hs, comps)
 
 
-def test_flat_order_earliest_time_fastest():
+def test_flat_order_earliest_time_fastest(rng):
     # slot sizes 2 then 3: flat = a1 + 2 * a2
     shape = (2, 3)
     seen = [flatten_index((a1, a2), shape) for a2 in range(3) for a1 in range(2)]
     assert seen == list(range(6))
     assert flatten_index((1, 2), shape) == 5
+    assert flatten_index((1, 0, 2), (2, 1, 3)) == 5   # a single-member slot adds no digit
+    for shape in [(2, 3), (2, 1, 3), (3, 1), (1, 4)]:
+        psi, hs = _model_of_shape(rng, shape)
+        _assert_flat_order(hs, psi)
 
 
 def two_slot_qubit():
@@ -55,13 +84,17 @@ def two_slot_qubit():
     return HistorySet((s1, s2))
 
 
-def test_class_operator_latest_time_leftmost():
+def test_class_operator_latest_time_leftmost(rng):
     hs = two_slot_qubit()
-    idx = HistoryIndex((0, 1))   # "0" at t1, "-" at t2
+    comps = (0, 1)   # "0" at t1, "-" at t2
     p1 = hs.slots[0].members[0].entries
     p2 = hs.slots[1].members[1].entries
-    assert np.allclose(class_operator(hs, idx), p2 @ p1)
-    assert not np.allclose(class_operator(hs, idx), p1 @ p2)
+    assert np.allclose(class_operator(hs, comps), p2 @ p1)
+    assert not np.allclose(class_operator(hs, comps), p1 @ p2)
+    psi = random_state(rng, 2)
+    column = branch_matrix(hs, psi)[:, flatten_index(comps, hs.shape)]
+    assert np.allclose(column, p2 @ p1 @ psi.amplitudes)
+    assert not np.allclose(column, p1 @ p2 @ psi.amplitudes)
 
 
 def test_history_set_validation():
@@ -79,18 +112,21 @@ def test_history_set_validation():
 def test_labels_and_history_label():
     hs = two_slot_qubit()
     assert hs.labels == (("0", "1"), ("+", "-"))
-    assert hs.history_label(HistoryIndex((1, 0))) == "1,+"
+    assert hs.history_labels()[flatten_index((1, 0), hs.shape)] == "1,+"
+    assert hs.history_labels() == ("0,+", "1,+", "0,-", "1,-")
 
 
 def test_chain_amplitude_routes_agree(rng):
     psi, hs = random_model(rng)
-    for idx in hs.indices():
-        c = class_operator(hs, idx)
+    _assert_flat_order(hs, psi)
+    for f in range(hs.size):
+        comps = unflatten_index(f, hs.shape)
+        c = class_operator(hs, comps)
         z = np.vdot(psi.amplitudes, c @ psi.amplitudes)
-        assert abs(chain_amplitude(hs, idx, psi) - z) < 1e-12
-        assert abs(extended_probability(hs, idx, psi) - z.real) < 1e-12
-        bv = branch_vector(hs, idx, psi)
-        assert abs(dh_probability(hs, idx, psi) - np.linalg.norm(bv.amplitudes) ** 2) < 1e-12
+        assert abs(chain_amplitude(hs, comps, psi) - z) < 1e-12
+        assert abs(extended_probability(hs, comps, psi) - z.real) < 1e-12
+        v = branch_vector(hs, comps, psi)
+        assert abs(dh_probability(hs, comps, psi) - np.linalg.norm(v) ** 2) < 1e-12
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -105,8 +141,8 @@ def test_sum_rule_random_models(seed):
 def test_all_extended_probabilities_matches_loop(rng):
     psi, hs = random_model(rng)
     ep = all_extended_probabilities(hs, psi)
-    for idx in hs.indices():
-        assert abs(ep[hs.flat(idx)] - extended_probability(hs, idx, psi)) < 1e-14
+    for f in range(hs.size):
+        assert abs(ep[f] - extended_probability(hs, unflatten_index(f, hs.shape), psi)) < 1e-14
 
 
 def test_functional_structure(rng):
@@ -125,9 +161,8 @@ def test_dh_ep_difference_dual_route(rng):
     psi, hs = random_model(rng)
     rep = decoherence_functional(hs, psi)
     d = rep.functional
-    for idx in hs.indices():
-        flat = hs.flat(idx)
-        direct = dh_ep_difference(hs, idx, psi)
+    for flat in range(hs.size):
+        direct = dh_ep_difference(hs, unflatten_index(flat, hs.shape), psi)
         via_functional = -(d[:, flat].sum() - d[flat, flat]).real
         assert abs(direct - via_functional) < 1e-12
         assert abs(direct - (rep.dh_probs[flat] - rep.ep_probs[flat])) < 1e-12

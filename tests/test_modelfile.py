@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from ephist import (
     CapExceeded,
     EvolutionSpec,
-    HistoryIndex,
     InvariantViolation,
     ParseError,
     all_extended_probabilities,
@@ -357,7 +356,7 @@ def test_precession_model_probabilities():
 def test_load_threebox_model():
     bm = load_model(MODELS / "threebox.model")
     assert bm.psi is not None and bm.history_set.size == 6
-    assert bm.history_set.history_label(HistoryIndex((0, 0))) == "A,Phi"
+    assert bm.history_set.history_labels()[0] == "A,Phi"
     assert set(bm.partitions) == {"sector", "merge_ac", "cylinders"}
     assert bm.finegrained is not None and bm.finegrained.n_times == 2
     assert bm.evolution is not None

@@ -1,6 +1,10 @@
 """The public surface: ephist.__all__ is the exact list of what the package exports."""
+import ast
+import contextlib
 import dataclasses
+import importlib
 import inspect
+import io
 import re
 import types
 from pathlib import Path
@@ -9,12 +13,16 @@ import pytest
 
 import ephist
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 # slow paths that tests/oracles.py now holds, and wrappers nothing needed
 REMOVED = (
     "joint_class_operator", "coarse_class_operator", "extended_density_from_amplitudes",
     "enumerate_partitions", "ENUMERATION_CAP", "dh_ep_difference", "with_bins", "class_sum",
+    "HistoryIndex", "BranchVector", "branch_vector", "chain_amplitude", "extended_probability",
+    "dh_probability", "class_operator", "flatten_index", "unflatten_index", "factor_amplitudes",
+    "joint_extended_probability",
 )
 
 
@@ -42,6 +50,30 @@ def test_readme_entry_points_are_exported():
     names = re.findall(r"`(\w+)`", table)
     assert len(names) > 30
     assert sorted(set(names) - set(ephist.__all__)) == []
+
+
+def test_readme_quick_start_output():
+    """The first python block of the README prints the block that follows it."""
+    text = README.read_text()
+    code = re.search(r"```python\n(.*?)```", text, re.S)
+    shown = re.match(r"\s*```\n(.*?)```", text[code.end():], re.S)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(code.group(1), {})
+    assert out.getvalue() == shown.group(1)
+
+
+def test_benchmark_traced_names_resolve():
+    """Every function the benchmark's tracer wraps is still defined in its
+    layer's module. TRACED is read from the tracer's source, not imported."""
+    source = (ROOT / "perfbench" / "tracer.py").read_text()
+    traced = next(ast.literal_eval(node.value) for node in ast.parse(source).body
+                  if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets] == ["TRACED"])
+    assert "histories" in traced
+    for layer, names in traced.items():
+        module = importlib.import_module(f"ephist.{layer}")
+        assert [name for name in names if not callable(getattr(module, name, None))] == [], layer
 
 
 def test_caps_are_exported_and_documented():

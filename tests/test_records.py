@@ -15,7 +15,6 @@ from ephist import (
     branch_matrix,
     construct_records,
     decoherence_functional,
-    flatten_index,
     record_correlation_report,
     validate_projector_set,
     verify_strong_records,
@@ -28,7 +27,13 @@ from conftest import (
     non_decoherent_fixture,
     random_state,
 )
-from oracles import verify_strong_records_loop, verify_weak_records_loop
+from oracles import (
+    flatten_index,
+    history_label,
+    unflatten_index,
+    verify_strong_records_loop,
+    verify_weak_records_loop,
+)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -59,8 +64,8 @@ def test_record_set_is_a_projector_set():
 def test_record_labels_follow_histories(rng):
     psi, hs = decoherent_fixture(rng, d=4, k=2)
     rs = construct_records(hs, psi)
-    labels = [hs.history_label(idx) for idx in hs.indices()]
-    assert [r.label for r in rs.members] == labels
+    labels = [history_label(hs, unflatten_index(f, hs.shape)) for f in range(hs.size)]
+    assert [r.label for r in rs.members] == labels == list(hs.history_labels())
 
 
 def test_record_probabilities_match_ep(rng):
