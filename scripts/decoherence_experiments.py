@@ -4,6 +4,7 @@ and greedy decoherence search statistics.
 Generates random (state, history set) pairs at small dimension, checks
 the exact identities hold to near machine precision, and reports how
 often the greedy merge finds a nontrivial decoherent coarse graining.
+The random-model generators here are the ones the test suite draws from.
 """
 import argparse
 
@@ -11,6 +12,7 @@ import numpy as np
 
 from ephist import (
     HistorySet,
+    Partition,
     Projector,
     ProjectorSet,
     StateVector,
@@ -23,14 +25,22 @@ from ephist import (
 
 
 def haar_basis(rng, d):
+    """Rows are an orthonormal basis, Haar-distributed."""
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     q, r = np.linalg.qr(z)
     return (q * (np.diag(r) / np.abs(np.diag(r)))).T
 
 
-def random_slot(rng, d, time):
+def random_state(rng, d):
+    v = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return StateVector(v / np.linalg.norm(v))
+
+
+def random_slot(rng, d, time, k=None):
+    """Random exhaustive projector set: a Haar basis split into k groups
+    (k drawn from 2..d when not given)."""
     basis = haar_basis(rng, d)
-    k = int(rng.integers(2, d + 1))
+    k = int(k or rng.integers(2, d + 1))
     cuts = np.sort(rng.choice(np.arange(1, d), size=k - 1, replace=False))
     members = []
     for gi, g in enumerate(np.split(np.arange(d), cuts)):
@@ -42,8 +52,7 @@ def random_slot(rng, d, time):
 def random_model(rng, d_max=6, n_max=3):
     d = int(rng.integers(2, d_max + 1))
     n = int(rng.integers(1, n_max + 1))
-    v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    psi = StateVector(v / np.linalg.norm(v))
+    psi = random_state(rng, d)
     hs = HistorySet(tuple(random_slot(rng, d, t + 1.0) for t in range(n)))
     return psi, hs
 
@@ -52,7 +61,6 @@ def random_partition(rng, m):
     k = int(rng.integers(1, m + 1))
     assign = rng.integers(0, k, size=m)
     classes = [tuple(np.flatnonzero(assign == c)) for c in range(k) if (assign == c).any()]
-    from ephist import Partition
     return Partition(m, tuple(classes))
 
 

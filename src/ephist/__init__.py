@@ -64,11 +64,8 @@ from .coarsegrain import (
     coarse_extended_probabilities,
     greedy_decohering_search,
     greedy_merge_functional,
-    identity_partition,
-    merge_slot_alternatives,
+    group_slots,
     partition_from_literal,
-    slot_partition,
-    total_partition,
 )
 from .composite import (
     JOINT_DIM_CAP,
@@ -79,11 +76,8 @@ from .composite import (
     product_rule_report,
 )
 from .finegrained import (
-    FINE_CAP,
     FineGrainedDistribution,
     FineGrainedSpec,
-    cylinder_history_set,
-    cylinder_partition,
     fundamental_distribution,
 )
 from .twoslit import (
@@ -150,14 +144,12 @@ __all__ = [
     # coarsegrain
     "GreedySearchResult", "Partition", "class_sums", "coarse_decoherence_functional",
     "coarse_extended_probabilities", "greedy_decohering_search", "greedy_merge_functional",
-    "identity_partition", "merge_slot_alternatives", "partition_from_literal", "slot_partition",
-    "total_partition",
+    "group_slots", "partition_from_literal",
     # composite
     "JOINT_DIM_CAP", "CompositeSystem", "ProductRuleReport", "joint_functional",
     "product_records", "product_rule_report",
     # finegrained
-    "FINE_CAP", "FineGrainedDistribution", "FineGrainedSpec", "cylinder_history_set",
-    "cylinder_partition", "fundamental_distribution",
+    "FineGrainedDistribution", "FineGrainedSpec", "fundamental_distribution",
     # twoslit
     "BINS_CAP", "SWEEP_K_DELTAS", "SweepRow", "TwoSlitConfig", "amplitude", "arrival_density",
     "binned_extended_probabilities", "deepest_fringe_location", "default_config", "delta_sweep",

@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -57,24 +56,6 @@ from .twoslit import (
 from .threebox import greedy_sector_search, three_box_model, three_box_report
 from .dutchbook import BetSpec, exploit_negative_price, gain_report
 from .modelfile import BuiltModel, format_complex, load_model
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """What ran, with which options, and what it wrote."""
-
-    command: str
-    engine_version: str
-    options: dict
-    outputs: tuple[str, ...]
-
-    def to_json(self) -> str:
-        return _dump_json({
-            "command": self.command,
-            "engine_version": self.engine_version,
-            "options": self.options,
-            "outputs": list(self.outputs),
-        })
 
 
 def _json_default(value):
@@ -139,6 +120,12 @@ def _require(model: BuiltModel, attr: str, what: str):
     return value
 
 
+def _history_model(args):
+    """(model, history set, state) of --model; both of the latter must be declared."""
+    model = _require_model(args)
+    return model, _require(model, "history_set", "slots"), _require(model, "psi", "state")
+
+
 def _resolve_partition(model: BuiltModel | None, text: str, fine_count: int) -> Partition:
     if text.lstrip().startswith("["):
         return partition_from_literal(text, fine_count)
@@ -153,9 +140,7 @@ def _tol(args, default: float = DEFAULT_DEC_TOL) -> float:
 
 
 def _cmd_eval(args, out: _OutDir):
-    model = _require_model(args)
-    hs = _require(model, "history_set", "slots")
-    psi = _require(model, "psi", "state")
+    _, hs, psi = _history_model(args)
     b = branch_matrix(hs, psi)
     ep = np.real(psi.amplitudes.conj() @ b)
     dh = np.linalg.norm(b, axis=0) ** 2
@@ -174,9 +159,7 @@ def _cmd_eval(args, out: _OutDir):
 
 
 def _cmd_decohere(args, out: _OutDir):
-    model = _require_model(args)
-    hs = _require(model, "history_set", "slots")
-    psi = _require(model, "psi", "state")
+    _, hs, psi = _history_model(args)
     report = decoherence_functional(hs, psi, tol=_tol(args))
     out.write("functional.csv", _csv(
         tuple(f"c{j}" for j in range(report.size)),
@@ -198,9 +181,7 @@ def _cmd_decohere(args, out: _OutDir):
 
 
 def _cmd_records(args, out: _OutDir):
-    model = _require_model(args)
-    hs = _require(model, "history_set", "slots")
-    psi = _require(model, "psi", "state")
+    _, hs, psi = _history_model(args)
     tol = _tol(args)
     rs = construct_records(hs, psi, tol=tol)
     strong = verify_strong_records(hs, psi, rs, tol=tol)
@@ -223,9 +204,7 @@ def _cmd_records(args, out: _OutDir):
 
 
 def _cmd_coarsen(args, out: _OutDir):
-    model = _require_model(args)
-    hs = _require(model, "history_set", "slots")
-    psi = _require(model, "psi", "state")
+    model, hs, psi = _history_model(args)
     fine = decoherence_functional(hs, psi, tol=_tol(args))
     if args.partition:
         part = _resolve_partition(model, args.partition, hs.size)
@@ -233,7 +212,7 @@ def _cmd_coarsen(args, out: _OutDir):
         coarse_ep = class_sums(fine.ep_probs, part)
         out.write("coarsen.json", _dump_json({
             "classes": part.classes,
-            "labels": part.labels,
+            "labels": [f"c{k}" for k in range(part.size)],
             "fine_dec": fine.dec,
             "coarse_dec": coarse_dec,
             "fine_ep": fine.ep_probs,
@@ -450,13 +429,12 @@ def run_command(argv: Sequence[str]) -> int:
         out.write("error.json", _dump_json({"command": args.command, **err.payload()}))
         print(f"error: {err}", file=sys.stderr)
         return err.exit_status
-    manifest = RunManifest(
-        command=args.command,
-        engine_version=__version__,
-        options=options,
-        outputs=tuple(sorted(out.written)),
-    )
-    out.write("manifest.json", manifest.to_json())
+    out.write("manifest.json", _dump_json({
+        "command": args.command,
+        "engine_version": __version__,
+        "options": options,
+        "outputs": sorted(out.written),
+    }))
     print(f"{args.command}: wrote {len(out.written)} file(s) to {args.out}")
     return 0
 

@@ -3,8 +3,8 @@
 Coarse graining block-sums class operators, extended probabilities, and
 the decoherence functional; dec(D) never increases under it. Partitions
 act on flattened history indices. Slot-wise ("sequence-preserving")
-merges, which keep the chain form by summing projectors inside one time
-slot, have a dedicated constructor.
+merges, which keep the chain form by summing projectors inside each time
+slot, come from group_slots together with the partition they induce.
 
 The greedy search repeatedly merges the class pair that most reduces
 dec, breaking ties by the lexicographically lowest (i, j) pair, so runs
@@ -39,15 +39,10 @@ class Partition:
 
     fine_count: int
     classes: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         classes = tuple(tuple(int(i) for i in c) for c in self.classes)
         object.__setattr__(self, "classes", classes)
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(f"c{k}" for k in range(len(classes))))
-        if len(self.labels) != len(classes):
-            raise DimensionMismatch(f"{len(self.labels)} labels for {len(classes)} classes")
         seen: set[int] = set()
         for c in classes:
             if not c:
@@ -74,14 +69,6 @@ class Partition:
         for k, c in enumerate(self.classes):
             out[list(c)] = k
         return out
-
-
-def identity_partition(m: int) -> Partition:
-    return Partition(m, tuple((i,) for i in range(m)))
-
-
-def total_partition(m: int) -> Partition:
-    return Partition(m, (tuple(range(m)),))
 
 
 def _load_class_list(text: str, line: int, col: int, expected: str, found: str):
@@ -135,30 +122,41 @@ def coarse_extended_probabilities(hs: HistorySet, part: Partition, psi: StateVec
     return class_sums(all_extended_probabilities(hs, psi), part)
 
 
-def _group_slots(
+def group_slots(
     hs: HistorySet,
     groupings: Sequence[Sequence[Sequence[int]] | None],
     labels: Sequence[Sequence[str] | None] | None = None,
 ) -> tuple[HistorySet, Partition]:
     """Sum projectors within each slot's groups (None keeps a slot as it is).
 
-    Returns the merged set and the induced flat-index partition, whose
-    class k lists the fine histories of merged history k in ascending order.
+    Takes one grouping per slot, and optionally one label list per slot
+    (None for a kept slot); a merged member is otherwise labelled by
+    joining its members' labels with "+". Returns the merged set and the
+    induced flat-index partition, whose class k lists the fine histories
+    of merged history k in ascending order. class_sums of the fine
+    extended probabilities over that partition equal the merged set's
+    chain extended probabilities (multilinearity).
     """
     if len(groupings) != hs.n_times:
         raise DimensionMismatch(f"{len(groupings)} groupings for {hs.n_times} times")
+    if labels is not None and len(labels) != hs.n_times:
+        raise DimensionMismatch(f"{len(labels)} label lists for {hs.n_times} times")
     slots, group_of = [], []
     for t, (slot, groups) in enumerate(zip(hs.slots, groupings)):
+        names = None if labels is None else labels[t]
         if groups is None:
+            if names is not None:
+                raise DimensionMismatch(f"labels given for slot {t}, which is not grouped")
             slots.append(slot)
             group_of.append(np.arange(slot.size))
             continue
         grouping = Partition(slot.size, tuple(tuple(g) for g in groups))  # validates shape
-        names = labels[t] if labels else None
+        if names is not None and len(names) != grouping.size:
+            raise DimensionMismatch(f"{len(names)} labels for {grouping.size} groups")
         members = []
         for k, g in enumerate(grouping.classes):
             entries = sum(slot.members[i].entries for i in g)
-            label = names[k] if names else "+".join(slot.members[i].label for i in g)
+            label = names[k] if names is not None else "+".join(slot.members[i].label for i in g)
             members.append(Projector(entries, label=label))
         slots.append(ProjectorSet(tuple(members), time=slot.time))
         group_of.append(grouping.class_of())
@@ -169,24 +167,6 @@ def _group_slots(
     members_of = np.argsort(coarse, kind="stable")
     bounds = np.cumsum(np.bincount(coarse, minlength=merged.size))[:-1]
     return merged, Partition(hs.size, tuple(np.split(members_of, bounds)))
-
-
-def merge_slot_alternatives(
-    hs: HistorySet, slot_index: int, groups: Sequence[Sequence[int]],
-    labels: Sequence[str] | None = None,
-) -> HistorySet:
-    """Sequence-preserving coarse graining: sum projectors inside one slot."""
-    groupings, names = [None] * hs.n_times, [None] * hs.n_times
-    groupings[slot_index], names[slot_index] = groups, labels
-    return _group_slots(hs, groupings, names)[0]
-
-
-def slot_partition(hs: HistorySet, slot_index: int, groups: Sequence[Sequence[int]]) -> Partition:
-    """The flat-index partition induced by a slot-wise merge (same class order
-    as the merged set's flat order)."""
-    groupings = [None] * hs.n_times
-    groupings[slot_index] = groups
-    return _group_slots(hs, groupings)[1]
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ A fine-grained spec fixes one complete orthonormal basis (d rank-1
 projectors) per time, in the Heisenberg picture, plus the state. The
 distribution assigns w(h) = Re<psi|P_{b_n}(t_n)...P_{b_1}(t_1)|psi> to
 every outcome string h = (b_1, ..., b_n); every coarse-grained value is
-a class sum of these. The preferred basis is a per-model designation,
-not something the engine derives.
+a class sum of these, over the partition that group_slots returns with
+the coarse set. The preferred basis is a per-model designation, not
+something the engine derives.
 
 h-space enumeration is little-endian in time (b_1 varies fastest),
 matching the history-set flattening.
@@ -18,46 +19,30 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapExceeded, DimensionMismatch, InvariantViolation
-from .hilbert import ProjectorSet, StateVector, frozen_copy
+from .errors import DimensionMismatch, InvariantViolation
+from .hilbert import StateVector, frozen_copy
 from .histories import HistorySet, all_extended_probabilities
-from .coarsegrain import Partition, _group_slots
-
-FINE_CAP = 4096
 
 
 @dataclass(frozen=True)
 class FineGrainedSpec:
-    """State plus one rank-1 basis slot per time."""
+    """State plus a history set whose every slot is a complete rank-1 basis."""
 
     psi: StateVector
-    slots: tuple[ProjectorSet, ...]
+    history_set: HistorySet
 
     def __post_init__(self):
-        object.__setattr__(self, "slots", tuple(self.slots))
-        hs = HistorySet(self.slots)   # validates slot structure and times
+        hs = self.history_set
+        if not isinstance(hs, HistorySet):
+            raise InvariantViolation("history-set", 1.0,
+                                     f"history_set is a {type(hs).__name__}, not a HistorySet")
         if self.psi.dim != hs.dim:
             raise DimensionMismatch(f"state dim {self.psi.dim} vs slot dim {hs.dim}")
-        for slot in self.slots:
+        for slot in hs.slots:
             if slot.size != slot.dim or any(p.rank != 1 for p in slot.members):
                 raise InvariantViolation(
                     "rank-one-basis", slot.size,
                     f"slot at time {slot.time} is not a complete rank-1 basis")
-
-    @property
-    def dim(self) -> int:
-        return self.slots[0].dim
-
-    @property
-    def n_times(self) -> int:
-        return len(self.slots)
-
-    @property
-    def times(self) -> tuple[float, ...]:
-        return tuple(s.time for s in self.slots)
-
-    def history_set(self) -> HistorySet:
-        return HistorySet(self.slots)
 
 
 @dataclass(frozen=True)
@@ -93,27 +78,6 @@ class FineGrainedDistribution:
 
 
 def fundamental_distribution(spec: FineGrainedSpec) -> FineGrainedDistribution:
-    size = spec.dim ** spec.n_times
-    if size > FINE_CAP:
-        raise CapExceeded("fine-grained history count", size, FINE_CAP)
-    values = all_extended_probabilities(spec.history_set(), spec.psi)
-    return FineGrainedDistribution(values, (spec.dim,) * spec.n_times)
-
-
-def cylinder_history_set(
-    spec: FineGrainedSpec, groupings: Sequence[Sequence[Sequence[int]]],
-    labels: Sequence[Sequence[str]] | None = None,
-) -> HistorySet:
-    """Coarse history set whose slot projectors are sums of basis projectors."""
-    return _group_slots(spec.history_set(), groupings, labels)[0]
-
-
-def cylinder_partition(
-    spec: FineGrainedSpec, groupings: Sequence[Sequence[Sequence[int]]],
-) -> Partition:
-    """h-space partition whose classes mirror the cylinder set's flat order.
-
-    class_sums of w over this partition equal the chain extended probabilities
-    of cylinder_history_set on the same groupings (multilinearity).
-    """
-    return _group_slots(spec.history_set(), groupings)[1]
+    """w over h-space; branch_matrix enforces M_CAP on the d^n histories."""
+    hs = spec.history_set
+    return FineGrainedDistribution(all_extended_probabilities(hs, spec.psi), hs.shape)

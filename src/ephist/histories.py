@@ -107,6 +107,7 @@ class DecoherenceReport:
     dec: float
     ep_probs: np.ndarray
     dh_probs: np.ndarray
+    max_offdiagonal: float
     medium_decoherent: bool
     linearly_positive: bool
     tolerance: float
@@ -119,13 +120,9 @@ class DecoherenceReport:
     def size(self) -> int:
         return self.functional.shape[0]
 
-    @property
-    def max_offdiagonal(self) -> float:
-        return _max_offdiagonal(self.functional)
-
 
 def _max_offdiagonal(functional: np.ndarray) -> float:
-    a = np.abs(functional).copy()
+    a = np.abs(functional)
     np.fill_diagonal(a, 0.0)
     return float(a.max(initial=0.0))
 
@@ -171,12 +168,14 @@ def decoherence_functional(
     functional = upper + upper.conj().T + np.diag(np.einsum("ij,ij->j", b.conj(), b).real)
     ep = np.real(psi.amplitudes.conj() @ b)
     dh = np.diag(functional).real.copy()
+    max_off = _max_offdiagonal(functional)
     return DecoherenceReport(
         functional=functional,
         dec=dec_measure(functional),
         ep_probs=ep,
         dh_probs=dh,
-        medium_decoherent=_max_offdiagonal(functional) <= tol,
+        max_offdiagonal=max_off,
+        medium_decoherent=max_off <= tol,
         linearly_positive=bool(ep.min() >= -tol),
         tolerance=tol,
     )

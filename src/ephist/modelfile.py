@@ -532,7 +532,7 @@ def build_finegrained(doc: ModelDocument) -> FineGrainedSpec:
         (fc.time, [rank_one_projector(np.array(row, dtype=np.complex128), str(i))
                    for i, row in enumerate(fc.rows)])
         for fc in doc.finegrained))
-    return FineGrainedSpec(build_state(doc), slots)
+    return FineGrainedSpec(build_state(doc), HistorySet(slots))
 
 
 @dataclass(frozen=True)

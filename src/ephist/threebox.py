@@ -25,7 +25,7 @@ from .histories import (
     all_extended_probabilities,
     decoherence_functional,
 )
-from .coarsegrain import GreedySearchResult, greedy_merge_functional, merge_slot_alternatives
+from .coarsegrain import GreedySearchResult, greedy_merge_functional, group_slots
 
 SECTOR_FLATS = (0, 1, 2)   # (A,Phi), (B,Phi), (C,Phi) under earliest-fastest flattening
 
@@ -58,8 +58,8 @@ def box_coarse_set(model: ThreeBoxModel, which: str) -> HistorySet:
     """Two-slot set keeping one box distinct and merging the other two."""
     keep = "ABC".index(which)
     rest = [i for i in range(3) if i != keep]
-    return merge_slot_alternatives(
-        model.fine, 0, ((keep,), tuple(rest)), labels=(which, "~" + which))
+    return group_slots(model.fine, (((keep,), tuple(rest)), None),
+                       labels=((which, "~" + which), None))[0]
 
 
 def phi_sector_functional(model: ThreeBoxModel) -> np.ndarray:

@@ -1,5 +1,10 @@
 """Shared random-model builders. Every test seeds its own Generator so
-the suite stays reproducible run to run."""
+the suite stays reproducible run to run. The random-model generators are
+the ones scripts/decoherence_experiments.py defines, so the experiments
+and the tests draw the same models from the same seed."""
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,43 +12,18 @@ from ephist import (
     HistorySet,
     Projector,
     ProjectorSet,
-    StateVector,
     branch_matrix,
     decoherence_functional,
 )
 from oracles import flatten_index, unflatten_index
 
-
-def haar_basis(rng, d):
-    """Rows are an orthonormal basis, Haar-distributed."""
-    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(z)
-    return (q * (np.diag(r) / np.abs(np.diag(r)))).T
-
-
-def random_state(rng, d):
-    v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    return StateVector(v / np.linalg.norm(v))
-
-
-def random_slot(rng, d, time, k=None):
-    """Random exhaustive projector set: a Haar basis split into k groups."""
-    basis = haar_basis(rng, d)
-    k = int(k or rng.integers(2, d + 1))
-    cuts = np.sort(rng.choice(np.arange(1, d), size=k - 1, replace=False))
-    members = []
-    for gi, g in enumerate(np.split(np.arange(d), cuts)):
-        p = sum(np.outer(basis[i], basis[i].conj()) for i in g)
-        members.append(Projector(p, label=f"g{gi}"))
-    return ProjectorSet(tuple(members), time=float(time))
-
-
-def random_model(rng, d_max=6, n_max=3):
-    d = int(rng.integers(2, d_max + 1))
-    n = int(rng.integers(1, n_max + 1))
-    psi = random_state(rng, d)
-    hs = HistorySet(tuple(random_slot(rng, d, t + 1.0) for t in range(n)))
-    return psi, hs
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+from decoherence_experiments import (  # noqa: E402
+    haar_basis,
+    random_model,
+    random_slot,
+    random_state,
+)
 
 
 def random_partition_classes(rng, m):

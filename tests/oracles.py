@@ -33,7 +33,6 @@ from ephist import (
     amplitude,
     branch_matrix,
     dec_measure,
-    identity_partition,
 )
 from ephist.coarsegrain import _load_class_list
 from ephist.histories import DEFAULT_DEC_TOL
@@ -272,7 +271,7 @@ def greedy_merge_loop(functional: np.ndarray, target_tol: float) -> GreedySearch
     """
     functional = np.asarray(functional, dtype=np.complex128)
     m = functional.shape[0]
-    part = identity_partition(m)
+    part = Partition(m, tuple((i,) for i in range(m)))
     current = functional.copy()
     trace: list[tuple[tuple[int, int], float]] = []
 

@@ -21,6 +21,7 @@ from ephist import (
     BetSpec,
     CompositeSystem,
     FineGrainedSpec,
+    HistorySet,
     NotDecoherent,
     Partition,
     all_extended_probabilities,
@@ -29,8 +30,6 @@ from ephist import (
     coarse_decoherence_functional,
     coarse_extended_probabilities,
     construct_records,
-    cylinder_history_set,
-    cylinder_partition,
     dec_measure,
     decoherence_functional,
     default_config,
@@ -38,6 +37,7 @@ from ephist import (
     extended_density,
     fundamental_distribution,
     gain_report,
+    group_slots,
     load_model,
     product_rule_report,
     projector_set_from_basis,
@@ -193,11 +193,10 @@ def test_criterion_7_fine_grained_oracle():
             n = int(rng.integers(1, max_n[d] + 1))
             slots = tuple(projector_set_from_basis(haar_basis(rng, d), t + 1.0)
                           for t in range(n))
-            spec = FineGrainedSpec(random_state(rng, d), slots)
+            spec = FineGrainedSpec(random_state(rng, d), HistorySet(slots))
             dist = fundamental_distribution(spec)
             groupings = [random_partition_classes(rng, d) for _ in range(n)]
-            coarse_hs = cylinder_history_set(spec, groupings)
-            part = cylinder_partition(spec, groupings)
+            coarse_hs, part = group_slots(spec.history_set, groupings)
             diff = class_sums(dist.values, part) \
                 - all_extended_probabilities(coarse_hs, spec.psi)
             worst = max(worst, float(np.max(np.abs(diff))))

@@ -32,15 +32,12 @@ from ephist import (
     decoherence_functional,
     greedy_decohering_search,
     greedy_merge_functional,
-    identity_partition,
+    group_slots,
     joint_functional,
     load_model,
-    merge_slot_alternatives,
     partition_from_literal,
     phi_sector_functional,
-    slot_partition,
     three_box_model,
-    total_partition,
 )
 from oracles import (
     class_operator,
@@ -58,14 +55,7 @@ MODELS = Path(__file__).resolve().parent.parent / "models"
 def test_partition_basic():
     p = Partition(4, ((0, 2), (1,), (3,)))
     assert p.size == 3
-    assert p.labels == ("c0", "c1", "c2")
     assert list(p.class_of()) == [0, 1, 0, 2]
-
-    named = Partition(2, ((0,), (1,)), labels=("yes", "no"))
-    assert named.labels == ("yes", "no")
-
-    assert identity_partition(3).classes == ((0,), (1,), (2,))
-    assert total_partition(3).classes == ((0, 1, 2),)
 
 
 @pytest.mark.parametrize("classes", [
@@ -77,11 +67,6 @@ def test_partition_basic():
 def test_partition_rejects_bad_classes(classes):
     with pytest.raises(InvariantViolation):
         Partition(3, classes)
-
-
-def test_partition_rejects_label_mismatch():
-    with pytest.raises(DimensionMismatch):
-        Partition(2, ((0,), (1,)), labels=("only-one",))
 
 
 def test_partition_literal():
@@ -106,7 +91,7 @@ def test_class_sums():
 
 
 def test_class_sums_keep_complex_dtype():
-    p = total_partition(2)
+    p = Partition(2, ((0, 1),))
     out = class_sums(np.array([1 + 2j, 3 - 1j]), p)
     assert out[0] == 4 + 1j
 
@@ -162,12 +147,13 @@ def test_coarse_class_operator_sums_fine_ones(rng):
 
 def test_coarse_class_operator_requires_matching_size(rng):
     psi, hs = random_model(rng)
+    wrong = Partition(hs.size + 1, tuple((i,) for i in range(hs.size + 1)))
     with pytest.raises(DimensionMismatch):
-        coarse_class_operator(hs, identity_partition(hs.size + 1), 0)
+        coarse_class_operator(hs, wrong, 0)
     with pytest.raises(DimensionMismatch):
-        coarse_extended_probabilities(hs, identity_partition(hs.size + 1), psi)
+        coarse_extended_probabilities(hs, wrong, psi)
     with pytest.raises(DimensionMismatch):
-        coarse_decoherence_functional(np.eye(hs.size), identity_partition(hs.size + 1))
+        coarse_decoherence_functional(np.eye(hs.size), wrong)
 
 
 @given(seed=st.integers(0, 10_000))
@@ -209,15 +195,16 @@ def _labelled_model():
     return psi, HistorySet((slot1, slot2))
 
 
-def test_merge_slot_alternatives_labels():
+def test_group_slots_labels():
     psi, hs = _labelled_model()
-    merged = merge_slot_alternatives(hs, 0, [[0, 2], [1]])
+    merged, _ = group_slots(hs, [[[0, 2], [1]], None])
     assert merged.slots[0].labels == ("a+c", "b")
     assert merged.slots[0].time == 1.0
     assert merged.slots[1].labels == ("x", "y", "z")
 
-    named = merge_slot_alternatives(hs, 0, [[0, 2], [1]], labels=("pair", "solo"))
+    named, _ = group_slots(hs, [[[0, 2], [1]], None], labels=[("pair", "solo"), None])
     assert named.slots[0].labels == ("pair", "solo")
+    assert named.slots[1].labels == ("x", "y", "z")
 
 
 def test_slot_merge_matches_flat_partition(rng):
@@ -225,8 +212,9 @@ def test_slot_merge_matches_flat_partition(rng):
         psi, hs = random_model(rng)
         slot_index = int(rng.integers(hs.n_times))
         groups = random_partition_classes(rng, hs.slots[slot_index].size)
-        merged = merge_slot_alternatives(hs, slot_index, groups)
-        part = slot_partition(hs, slot_index, groups)
+        merging = [None] * hs.n_times
+        merging[slot_index] = groups
+        merged, part = group_slots(hs, merging)
         assert merged.size == part.size
         groupings = [[(i,) for i in range(s)] for s in hs.shape]
         groupings[slot_index] = groups
@@ -239,9 +227,29 @@ def test_slot_merge_matches_flat_partition(rng):
 def test_slot_merge_rejects_bad_groups():
     psi, hs = _labelled_model()
     with pytest.raises(InvariantViolation):
-        merge_slot_alternatives(hs, 0, [[0], [1]])          # drops member 2
+        group_slots(hs, [[[0], [1]], None])                 # drops member 2
     with pytest.raises(InvariantViolation):
-        slot_partition(hs, 0, [[0, 1], [1, 2]])             # overlap
+        group_slots(hs, [[[0, 1], [1, 2]], None])           # overlap
+
+
+def test_group_slots_takes_one_grouping_per_slot():
+    """No slot is picked by index: a groupings list shorter or longer than
+    the slot count is refused, not read as some other slot."""
+    psi, hs = _labelled_model()
+    assert hs.n_times == 2
+    for groupings in ([[[0, 1], [2]]], [[[0, 1], [2]], None, None]):
+        with pytest.raises(DimensionMismatch):
+            group_slots(hs, groupings)
+
+
+def test_group_slots_checks_label_counts():
+    psi, hs = _labelled_model()
+    with pytest.raises(DimensionMismatch):
+        group_slots(hs, [[[0, 2], [1]], None], labels=[("pair", "solo")])
+    with pytest.raises(DimensionMismatch):
+        group_slots(hs, [[[0, 2], [1]], None], labels=[("pair",), None])
+    with pytest.raises(DimensionMismatch):                   # slot 1 is kept as it is
+        group_slots(hs, [[[0, 2], [1]], None], labels=[None, ("x", "y", "z")])
 
 
 # -------------------------------------------------------------- greedy search
@@ -250,7 +258,7 @@ def test_greedy_trivial_when_already_decoherent(rng):
     psi, hs = decoherent_fixture(rng)
     res = greedy_decohering_search(hs, psi, target_tol=1e-8)
     assert res.succeeded
-    assert res.partition.classes == identity_partition(hs.size).classes
+    assert res.partition.classes == tuple((i,) for i in range(hs.size))
     assert res.trace == ()
     assert res.dec <= 1e-8
 

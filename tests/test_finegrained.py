@@ -8,19 +8,20 @@ from hypothesis import strategies as st
 
 from conftest import haar_basis, random_partition_classes, random_state, slot_grouping_classes
 from ephist import (
-    FINE_CAP,
+    M_CAP,
     CapExceeded,
     DimensionMismatch,
     FineGrainedDistribution,
     FineGrainedSpec,
+    HistorySet,
     InvariantViolation,
     Partition,
     ProjectorSet,
     StateVector,
+    all_extended_probabilities,
     class_sums,
-    cylinder_history_set,
-    cylinder_partition,
     fundamental_distribution,
+    group_slots,
     load_model,
     projector_set_from_basis,
 )
@@ -36,7 +37,7 @@ def _basis_slot(vectors, time, labels=None):
 
 def _random_spec(rng, d, n):
     slots = tuple(_basis_slot(haar_basis(rng, d), t + 1.0) for t in range(n))
-    return FineGrainedSpec(random_state(rng, d), slots)
+    return FineGrainedSpec(random_state(rng, d), HistorySet(slots))
 
 
 # ----------------------------------------------------------------- validation
@@ -48,14 +49,22 @@ def test_spec_requires_rank_one_slots(rng):
         Projector(np.diag([0.0, 0.0, 1.0]), label="high"),
     ), time=1.0)
     with pytest.raises(InvariantViolation) as exc:
-        FineGrainedSpec(random_state(rng, 3), (coarse,))
+        FineGrainedSpec(random_state(rng, 3), HistorySet((coarse,)))
     assert exc.value.name == "rank-one-basis"
 
 
 def test_spec_requires_matching_state_dim(rng):
     slot = _basis_slot(np.eye(3), 1.0)
     with pytest.raises(DimensionMismatch):
+        FineGrainedSpec(random_state(rng, 2), HistorySet((slot,)))
+
+
+def test_spec_requires_a_history_set(rng):
+    """Raw slots are refused, as ProjectorSet refuses raw members."""
+    slot = _basis_slot(np.eye(2), 1.0)
+    with pytest.raises(InvariantViolation) as exc:
         FineGrainedSpec(random_state(rng, 2), (slot,))
+    assert exc.value.name == "history-set"
 
 
 def test_distribution_must_sum_to_one():
@@ -68,11 +77,12 @@ def test_distribution_must_sum_to_one():
 
 def test_fine_cap():
     slots = tuple(_basis_slot(np.eye(2), float(t + 1)) for t in range(13))
-    spec = FineGrainedSpec(StateVector(np.eye(2)[0]), slots)
+    spec = FineGrainedSpec(StateVector(np.eye(2)[0]), HistorySet(slots))
     with pytest.raises(CapExceeded) as exc:
-        fundamental_distribution(spec)     # 2**13 > FINE_CAP
+        fundamental_distribution(spec)     # 2**13 histories > M_CAP
     assert exc.value.exit_status == 5
-    assert 2 ** 12 <= FINE_CAP
+    assert (exc.value.value, exc.value.cap) == (2 ** 13, M_CAP)
+    assert 2 ** 12 <= M_CAP
 
 
 # --------------------------------------------------------------- distribution
@@ -80,7 +90,7 @@ def test_fine_cap():
 def test_values_are_chain_extended_probabilities(rng):
     spec = _random_spec(rng, 3, 2)
     dist = fundamental_distribution(spec)
-    hs = spec.history_set()
+    hs = spec.history_set
     assert abs(dist.values.sum() - 1.0) < 1e-10
     for flat, h in enumerate(dist.outcomes()):
         ep = extended_probability(hs, h, spec.psi)
@@ -119,7 +129,7 @@ def test_negative_w_two_time_qubit():
     slot1 = _basis_slot(np.eye(2), 1.0, labels=("0", "1"))
     rot = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
     slot2 = _basis_slot(rot, 2.0, labels=("+", "-"))
-    spec = FineGrainedSpec(StateVector(np.array([c, s])), (slot1, slot2))
+    spec = FineGrainedSpec(StateVector(np.array([c, s])), HistorySet((slot1, slot2)))
     dist = fundamental_distribution(spec)
 
     expect = -s * (c - s) / 2.0
@@ -152,10 +162,8 @@ def test_cylinder_sums_match_coarse_chain_eps(seed):
     dist = fundamental_distribution(spec)
 
     groupings = [random_partition_classes(rng, d) for _ in range(n)]
-    coarse_hs = cylinder_history_set(spec, groupings)
-    part = cylinder_partition(spec, groupings)
+    coarse_hs, part = group_slots(spec.history_set, groupings)
 
-    from ephist import all_extended_probabilities
     coarse_eps = all_extended_probabilities(coarse_hs, spec.psi)
     assert coarse_hs.size == part.size
     assert part.classes == slot_grouping_classes((d,) * n, groupings)
@@ -164,12 +172,13 @@ def test_cylinder_sums_match_coarse_chain_eps(seed):
 
 def test_cylinder_labels(rng):
     spec = _random_spec(rng, 3, 2)
-    hs = cylinder_history_set(spec, [((0, 2), (1,)), ((0,), (1, 2))])
+    groupings = [((0, 2), (1,)), ((0,), (1, 2))]
+    hs, _ = group_slots(spec.history_set, groupings)
     assert hs.slots[0].labels == ("0+2", "1")
     assert hs.slots[1].labels == ("0", "1+2")
 
-    named = cylinder_history_set(spec, [((0, 2), (1,)), ((0,), (1, 2))],
-                                 labels=[("even", "odd"), ("lo", "hi")])
+    named, _ = group_slots(spec.history_set, groupings,
+                           labels=[("even", "odd"), ("lo", "hi")])
     assert named.slots[0].labels == ("even", "odd")
     assert named.slots[1].labels == ("lo", "hi")
 
@@ -177,4 +186,4 @@ def test_cylinder_labels(rng):
 def test_cylinder_grouping_count_checked(rng):
     spec = _random_spec(rng, 2, 2)
     with pytest.raises(DimensionMismatch):
-        cylinder_history_set(spec, [((0,), (1,))])   # one grouping, two times
+        group_slots(spec.history_set, [((0,), (1,))])   # one grouping, two times

@@ -358,7 +358,7 @@ def test_load_threebox_model():
     assert bm.psi is not None and bm.history_set.size == 6
     assert bm.history_set.history_labels()[0] == "A,Phi"
     assert set(bm.partitions) == {"sector", "merge_ac", "cylinders"}
-    assert bm.finegrained is not None and bm.finegrained.n_times == 2
+    assert bm.finegrained is not None and bm.finegrained.history_set.n_times == 2
     assert bm.evolution is not None
 
     eps = all_extended_probabilities(bm.history_set, bm.psi)

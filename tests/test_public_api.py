@@ -22,7 +22,9 @@ REMOVED = (
     "enumerate_partitions", "ENUMERATION_CAP", "dh_ep_difference", "with_bins", "class_sum",
     "HistoryIndex", "BranchVector", "branch_vector", "chain_amplitude", "extended_probability",
     "dh_probability", "class_operator", "flatten_index", "unflatten_index", "factor_amplitudes",
-    "joint_extended_probability",
+    "joint_extended_probability", "merge_slot_alternatives", "slot_partition",
+    "cylinder_history_set", "cylinder_partition", "identity_partition", "total_partition",
+    "FINE_CAP",
 )
 
 
@@ -78,8 +80,7 @@ def test_benchmark_traced_names_resolve():
 
 def test_caps_are_exported_and_documented():
     caps = {name: getattr(ephist, name) for name in ephist.__all__ if name.endswith("_CAP")}
-    assert caps == {"M_CAP": 4096, "JOINT_DIM_CAP": 4096, "FINE_CAP": 4096, "BINS_CAP": 4096,
-                    "DIM_CAP": 1024}
+    assert caps == {"M_CAP": 4096, "JOINT_DIM_CAP": 4096, "BINS_CAP": 4096, "DIM_CAP": 1024}
     text = README.read_text()
     assert [name for name in caps if f"`{name}`" not in text] == []
 
@@ -98,6 +99,15 @@ def test_tolerances_and_caps_have_no_overrides():
                  "ProjectorSetReport"):
         assert "tol" not in {f.name for f in dataclasses.fields(getattr(ephist, name))}, name
     assert "tol" not in inspect.signature(ephist.validate_projector_set).parameters
+
+
+def test_no_public_callable_picks_a_slot_by_index():
+    """Slot-wise merges take one grouping per slot (group_slots), so no call
+    selects a slot by a position it would have to range-check."""
+    for name in ephist.__all__:
+        obj = getattr(ephist, name)
+        if callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception)):
+            assert "slot_index" not in inspect.signature(obj).parameters, name
 
 
 @pytest.mark.parametrize("name", REMOVED)
