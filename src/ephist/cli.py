@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from . import __version__
 from .errors import EngineError, InvariantViolation
 from .histories import (
     DEFAULT_DEC_TOL,
+    DecoherenceReport,
     _check_tolerance,
     branch_matrix,
     decoherence_functional,
@@ -94,15 +95,84 @@ def _csv(header: Sequence[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _functional_csv(functional: np.ndarray) -> Iterator[str]:
+    """_csv of the c0..c{m-1} header and the functional's rows, one row per chunk.
+
+    decoherence_functional assembles the matrix exactly Hermitian, so
+    cell (j, i) has the real bits of cell (i, j) and the negated
+    imaginary part: only the upper triangle is formatted. Row i keeps
+    the mirrored text of its cell (i, j) for row j until row j is
+    written.
+    """
+    m = functional.shape[0]
+    yield ",".join(f"c{j}" for j in range(m)) + "\n"
+    pending = [[] for _ in range(m)]
+    for i in range(m):
+        row = functional[i, i:]
+        cells, mirrored = pending[i], []
+        pending[i] = None
+        for re, im in zip(map(repr, row.real.tolist()), row.imag.tolist()):
+            if im == 0.0:
+                cells.append(re)
+                mirrored.append(re)
+            else:   # the signs format_complex gives im and -im; NaN prints "-" both ways
+                mag = repr(abs(im))
+                cells.append(f"{re}{'+' if im >= 0 else '-'}{mag}i")
+                mirrored.append(f"{re}{'+' if im < 0 else '-'}{mag}i")
+        yield ",".join(cells) + "\n"
+        list(map(list.append, pending[i + 1:], mirrored[1:]))
+
+
+_OFFENDER = '    {{\n      "alpha": {},\n      "beta": {},\n      "magnitude": {!r}\n    }}'
+
+
+def _float_array(values: np.ndarray) -> str:
+    """indent=2 text of a float array held by a member of the top-level object."""
+    items = ",\n    ".join(map(repr, values.tolist()))
+    return f"[\n    {items}\n  ]" if items else "[]"
+
+
+def _decoherence_json(report: DecoherenceReport,
+                      offenders: list[tuple[tuple[int, int], float]]) -> Iterator[str]:
+    """decoherence.json in chunks: the bytes _dump_json gives for the same payload.
+
+    As allow_nan=False does, a NaN or infinite value raises ValueError;
+    here that happens before any chunk is written.
+    """
+    magnitudes = np.fromiter((mag for _, mag in offenders), float, len(offenders))
+    values = np.concatenate(((report.dec, report.max_offdiagonal, report.tolerance),
+                             report.ep_probs, report.dh_probs, magnitudes))
+    if not np.isfinite(values).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    return _decoherence_chunks(report, offenders)
+
+
+def _decoherence_chunks(report: DecoherenceReport, offenders) -> Iterator[str]:
+    def scalar(value) -> str:
+        return json.dumps(value, default=_json_default)
+
+    yield (f'{{\n  "dec": {scalar(report.dec)},\n'
+           f'  "dh": {_float_array(report.dh_probs)},\n'
+           f'  "ep": {_float_array(report.ep_probs)},\n'
+           f'  "linearly_positive": {scalar(report.linearly_positive)},\n'
+           f'  "max_offdiagonal": {scalar(report.max_offdiagonal)},\n'
+           f'  "medium_decoherent": {scalar(report.medium_decoherent)},\n'
+           '  "offenders": [')
+    for k, ((a, b), mag) in enumerate(offenders):
+        yield (",\n" if k else "\n") + _OFFENDER.format(a, b, mag)
+    yield ("\n  ]" if offenders else "]") + f',\n  "tolerance": {scalar(report.tolerance)}\n}}\n'
+
+
 class _OutDir:
     def __init__(self, path: str):
         self.path = path
         os.makedirs(path, exist_ok=True)
         self.written: list[str] = []
 
-    def write(self, name: str, text: str):
+    def write(self, name: str, text: str | Iterable[str]):
+        """Write one string, or an iterable of chunks in order."""
         with open(os.path.join(self.path, name), "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines((text,) if isinstance(text, str) else text)
         self.written.append(name)
 
 
@@ -161,23 +231,9 @@ def _cmd_eval(args, out: _OutDir):
 def _cmd_decohere(args, out: _OutDir):
     _, hs, psi = _history_model(args)
     report = decoherence_functional(hs, psi, tol=_tol(args))
-    out.write("functional.csv", _csv(
-        tuple(f"c{j}" for j in range(report.size)),
-        report.functional,
-    ))
-    out.write("decoherence.json", _dump_json({
-        "tolerance": report.tolerance,
-        "dec": report.dec,
-        "max_offdiagonal": report.max_offdiagonal,
-        "medium_decoherent": report.medium_decoherent,
-        "linearly_positive": report.linearly_positive,
-        "ep": report.ep_probs,
-        "dh": report.dh_probs,
-        "offenders": [
-            {"alpha": a, "beta": bta, "magnitude": mag}
-            for (a, bta), mag in offdiagonal_offenders(report.functional, report.tolerance)
-        ],
-    }))
+    out.write("functional.csv", _functional_csv(report.functional))
+    out.write("decoherence.json", _decoherence_json(
+        report, offdiagonal_offenders(report.functional, report.tolerance)))
 
 
 def _cmd_records(args, out: _OutDir):

@@ -134,16 +134,16 @@ def dec_measure(functional: np.ndarray) -> float:
 
 
 def offdiagonal_offenders(functional: np.ndarray, tol: float) -> list[tuple[tuple[int, int], float]]:
-    """Off-diagonal pairs with |D| > tol, worst first; upper triangle only."""
-    out = []
-    m = functional.shape[0]
-    for a in range(m):
-        for b in range(a + 1, m):
-            mag = abs(functional[a, b])
-            if mag > tol:
-                out.append(((a, b), float(mag)))
-    out.sort(key=lambda pair: (-pair[1], pair[0]))
-    return out
+    """Off-diagonal pairs with |D| > tol, worst first; upper triangle only.
+
+    Ties keep row-major order. |D| is np.hypot of the parts, which is the
+    value the scalar abs() of each entry gives, bit for bit.
+    """
+    mag = np.hypot(functional.real, functional.imag)
+    a, b = np.nonzero(np.triu(mag > tol, 1))
+    mag = mag[a, b]
+    order = np.argsort(-mag, kind="stable")
+    return list(zip(zip(a[order].tolist(), b[order].tolist()), mag[order].tolist()))
 
 
 def _check_tolerance(tol: float) -> float:

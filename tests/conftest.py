@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from ephist import (
     HistorySet,
@@ -24,6 +25,11 @@ from decoherence_experiments import (  # noqa: E402
     random_slot,
     random_state,
 )
+
+# Parts of functional entries: exact zeros of both signs and repeated values
+# (tied magnitudes) next to finite values from about 1e-300 to 1e300.
+FLOAT_PARTS = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 0.25]),
+                        st.floats(-1e300, 1e300, allow_subnormal=False))
 
 
 def random_partition_classes(rng, m):

@@ -7,7 +7,8 @@ per history, per-point amplitudes, brute-force enumeration, a rescan of
 every pair at each greedy merge, a model-file parser and a
 complex-literal reader that walk each literal one character at a time,
 projector-set and record checks that multiply every member, zero or
-not), so it shares no shortcut with the code under test.
+not, an offender scan that takes abs() of one cell at a time), so it
+shares no shortcut with the code under test.
 """
 from typing import Iterator, Sequence, Union
 
@@ -191,6 +192,19 @@ def extended_density_from_amplitudes(cfg: TwoSlitConfig, y, slit: str = "U"):
 def dh_ep_difference(hs: HistorySet, components: Sequence[int], psi: StateVector) -> float:
     """p_dh - p_ep; identically -Re sum_{b != a} D(b, a), and 0 when decoherent."""
     return dh_probability(hs, components, psi) - extended_probability(hs, components, psi)
+
+
+def offdiagonal_offenders_loop(functional: np.ndarray, tol: float) -> list[tuple[tuple[int, int], float]]:
+    """offdiagonal_offenders by visiting every upper cell and taking its scalar abs()."""
+    out = []
+    m = functional.shape[0]
+    for a in range(m):
+        for b in range(a + 1, m):
+            mag = abs(functional[a, b])
+            if mag > tol:
+                out.append(((a, b), float(mag)))
+    out.sort(key=lambda pair: (-pair[1], pair[0]))
+    return out
 
 
 def enumerate_partitions(m: int) -> Iterator[Partition]:

@@ -11,7 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ephist.cli import run_command
+from ephist import (
+    DecoherenceReport,
+    ModelDocument,
+    dec_measure,
+    decoherence_functional,
+    load_model,
+    offdiagonal_offenders,
+    serialize_model,
+)
+from ephist.cli import _csv, _decoherence_json, _dump_json, _functional_csv, _OutDir, run_command
+from ephist.modelfile import EvolutionClause, MemberClause, SlotClause
+from conftest import FLOAT_PARTS, random_model
+from oracles import offdiagonal_offenders_loop
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 NINTH = 1.0 / 9.0
@@ -373,3 +385,114 @@ def test_non_finite_model_numbers_never_reach_artifacts(data):
         assert status in (0, 2, 3, 4, 5)
         for written in out.glob("*.json"):
             load(out, written.name)
+
+
+def _oracle_decohere(report):
+    """functional.csv and decoherence.json as the generic _csv and _dump_json write
+    them, with the offenders of the loop oracle."""
+    offenders = offdiagonal_offenders_loop(report.functional, report.tolerance)
+    payload = {
+        "tolerance": report.tolerance,
+        "dec": report.dec,
+        "max_offdiagonal": report.max_offdiagonal,
+        "medium_decoherent": report.medium_decoherent,
+        "linearly_positive": report.linearly_positive,
+        "ep": report.ep_probs,
+        "dh": report.dh_probs,
+        "offenders": [{"alpha": a, "beta": b, "magnitude": mag} for (a, b), mag in offenders],
+    }
+    return _csv(tuple(f"c{j}" for j in range(report.size)), report.functional), _dump_json(payload)
+
+
+@st.composite
+def _reports(draw):
+    """A DecoherenceReport whose functional is assembled as decoherence_functional does."""
+    m = draw(st.integers(1, 6), label="m")
+    g = np.array(draw(st.lists(FLOAT_PARTS, min_size=2 * m * m, max_size=2 * m * m))).view(complex)
+    upper = np.triu(g.reshape(m, m), 1)
+    dh = np.array(draw(st.lists(FLOAT_PARTS, min_size=m, max_size=m)))
+    functional = upper + upper.conj().T + np.diag(dh)
+    ep = np.array(draw(st.lists(FLOAT_PARTS, min_size=m, max_size=m)))
+    tol = draw(st.sampled_from([0.0, 1e-8, 0.5, 1e300]), label="tol")
+    mag = np.abs(functional)
+    np.fill_diagonal(mag, 0.0)
+    return DecoherenceReport(
+        functional=functional, dec=dec_measure(functional), ep_probs=ep,
+        dh_probs=np.diag(functional).real.copy(), max_offdiagonal=float(mag.max()),
+        medium_decoherent=bool(mag.max() <= tol), linearly_positive=bool(ep.min() >= -tol),
+        tolerance=tol)
+
+
+@given(report=_reports())
+@settings(max_examples=200, deadline=None)
+def test_decohere_writers_match_generic_route(report):
+    """The streaming writers give the bytes of _csv and _dump_json, offenders or none."""
+    offenders = offdiagonal_offenders(report.functional, report.tolerance)
+    csv, decoherence = _oracle_decohere(report)
+    assert "".join(_functional_csv(report.functional)) == csv
+    assert "".join(_decoherence_json(report, offenders)) == decoherence
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_functional_csv_matches_generic_route_on_non_finite_parts(data):
+    """NaN and infinite parts too: format_complex prints a NaN imaginary part as
+    "-nan" on both sides of the diagonal."""
+    m = data.draw(st.integers(1, 4), label="m")
+    parts = st.one_of(FLOAT_PARTS, st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+    g = np.array(data.draw(st.lists(parts, min_size=2 * m * m, max_size=2 * m * m))).view(complex)
+    upper = np.triu(g.reshape(m, m), 1)
+    functional = upper + upper.conj().T + np.diag(np.ones(m))
+    assert "".join(_functional_csv(functional)) == \
+        _csv(tuple(f"c{j}" for j in range(m)), functional)
+
+
+def _model_file(path, psi, hs):
+    """Write (psi, hs) as a model file with explicit member matrices and no evolution."""
+    slots = tuple(
+        SlotClause(slot.time, f"s{k}", tuple(
+            MemberClause(p.label, "matrix", matrix=tuple(map(tuple, p.entries.tolist())))
+            for p in slot.members))
+        for k, slot in enumerate(hs.slots))
+    path.write_text(serialize_model(ModelDocument(
+        dim=hs.dim, state=tuple(psi.amplitudes.tolist()),
+        evolution=EvolutionClause("zero"), slots=slots)))
+    return path
+
+
+def test_decohere_large_model_matches_generic_route(tmp_path):
+    """512 histories of a random model: run_command writes the generic route's bytes."""
+    psi, hs = random_model(np.random.default_rng(863), d_max=12, n_max=3)
+    assert hs.size == 512
+    model = _model_file(tmp_path / "m512.model", psi, hs)
+    status, out = run(tmp_path, "o", "decohere", "--model", str(model))
+    assert status == 0
+    built = load_model(str(model))
+    report = decoherence_functional(built.history_set, built.psi)
+    assert not report.medium_decoherent
+    csv, decoherence = _oracle_decohere(report)
+    assert (out / "functional.csv").read_bytes() == csv.encode()
+    assert (out / "decoherence.json").read_bytes() == decoherence.encode()
+
+
+@pytest.mark.parametrize("field", ["dec", "ep", "dh", "magnitude"])
+def test_decoherence_json_refuses_non_finite_values(tmp_path, field):
+    """As strict JSON does, and before decoherence.json is opened."""
+    cross = complex(0.0, float("inf") if field == "magnitude" else 0.25)
+    functional = np.array([[0.5, cross], [cross.conjugate(), 0.5]])
+    values = {"dec": 0.5, "ep": np.array([0.5, 0.5]), "dh": np.array([0.5, 0.5])}
+    if field == "dec":
+        values["dec"] = float("nan")
+    elif field in values:
+        values[field][1] = float("nan")
+    report = DecoherenceReport(
+        functional=functional, dec=values["dec"], ep_probs=values["ep"], dh_probs=values["dh"],
+        max_offdiagonal=0.25, medium_decoherent=False, linearly_positive=True, tolerance=1e-8)
+    offenders = offdiagonal_offenders(functional, report.tolerance)
+    assert len(offenders) == 1
+    with pytest.raises(ValueError):
+        _oracle_decohere(report)
+    out = _OutDir(str(tmp_path))
+    with pytest.raises(ValueError):
+        out.write("decoherence.json", _decoherence_json(report, offenders))
+    assert not (tmp_path / "decoherence.json").exists()

@@ -16,7 +16,7 @@ from ephist import (
     offdiagonal_offenders,
     total_negative,
 )
-from conftest import diagonal_fixture, random_model, random_slot, random_state
+from conftest import FLOAT_PARTS, diagonal_fixture, random_model, random_slot, random_state
 from oracles import (
     branch_vector,
     chain_amplitude,
@@ -26,6 +26,7 @@ from oracles import (
     extended_probability,
     flatten_index,
     history_label,
+    offdiagonal_offenders_loop,
     unflatten_index,
 )
 
@@ -155,6 +156,13 @@ def test_functional_structure(rng):
     assert np.abs(np.diag(d).real - rep.dh_probs).max() < 1e-14
     # row sums recover extended probabilities: sum_beta D(beta, alpha) = <psi|Psi_alpha>
     assert np.abs(d.sum(axis=0).real - rep.ep_probs).max() < 1e-12
+    # functional.csv formats the upper triangle only and mirrors its text, so
+    # the real parts are bit-symmetric and a nonzero imaginary part is
+    # exactly the negation of its mirror
+    bits = d.real.view(np.uint64)
+    assert np.array_equal(bits, bits.T)
+    nonzero = d.imag != 0.0
+    assert np.array_equal(d.imag[nonzero], -d.imag.T[nonzero])
 
 
 def test_dh_ep_difference_dual_route(rng):
@@ -195,6 +203,18 @@ def test_offenders_sorted_and_thresholded(rng):
     assert mags == sorted(mags, reverse=True)
     assert all(m > 1e-6 for m in mags)
     assert all(a < b for (a, b), _ in offenders)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_offenders_match_loop_oracle(data):
+    m = data.draw(st.integers(1, 7), label="m")
+    parts = data.draw(st.lists(FLOAT_PARTS, min_size=2 * m * m, max_size=2 * m * m), label="parts")
+    functional = np.array(parts).view(complex).reshape(m, m)
+    tol = data.draw(st.one_of(st.sampled_from([0.0, 0.25, 0.5]), st.floats(0.0, 1e300)),
+                    label="tol")
+    assert repr(offdiagonal_offenders(functional, tol)) == \
+        repr(offdiagonal_offenders_loop(functional, tol))
 
 
 def test_branch_matrix_cap():
