@@ -122,7 +122,6 @@ from .modelfile import (
     load_model,
     parse_complex,
     parse_model,
-    serialize_model,
 )
 
 __all__ = [
@@ -164,5 +163,5 @@ __all__ = [
     # modelfile
     "DIM_CAP", "BuiltModel", "ModelDocument", "build_evolution", "build_finegrained",
     "build_history_set", "build_state", "format_complex", "load_model", "parse_complex",
-    "parse_model", "serialize_model",
+    "parse_model",
 ]

@@ -432,39 +432,51 @@ def _cmd_dutchbook(args, out: _OutDir):
     }))
 
 
-_COMMANDS: dict[str, tuple[Callable, str]] = {
-    "eval": (_cmd_eval, "extended and standard probabilities per history"),
-    "decohere": (_cmd_decohere, "decoherence functional and its diagnostics"),
-    "records": (_cmd_records, "construct and verify record projectors"),
-    "coarsen": (_cmd_coarsen, "coarse grain by partition, or search greedily"),
-    "composite": (_cmd_composite, "product-rule report for composite systems"),
-    "finegrained": (_cmd_finegrained, "fundamental distribution over a fine basis"),
-    "twoslit": (_cmd_twoslit, "two-slit extended densities and binned values"),
-    "threebox": (_cmd_threebox, "built-in three-box example report"),
-    "dutchbook": (_cmd_dutchbook, "bet gains at quoted prices"),
+_OPTIONS = {
+    "--model": dict(help="model file path"),
+    "--tol": dict(type=float, help="tolerance override"),
+    "--partition": dict(help="partition name from the model, or a literal like [[0],[1,2]]"),
+    "--kDelta": dict(dest="k_delta", type=float, help="two-slit bin width in phase units"),
+    "--bins": dict(type=int, help="two-slit bin count override"),
+    "--seed": dict(type=int, help="RNG seed"),
+}
+
+# handler, help text, and the options the handler reads besides --out; a
+# tuple of names is a mutually exclusive group
+_COMMANDS: dict[str, tuple[Callable, str, tuple]] = {
+    "eval": (_cmd_eval, "extended and standard probabilities per history", ("--model",)),
+    "decohere": (_cmd_decohere, "decoherence functional and its diagnostics",
+                 ("--model", "--tol")),
+    "records": (_cmd_records, "construct and verify record projectors", ("--model", "--tol")),
+    "coarsen": (_cmd_coarsen, "coarse grain by partition, or search greedily",
+                ("--model", "--tol", "--partition")),
+    "composite": (_cmd_composite, "product-rule report for composite systems", ("--model",)),
+    "finegrained": (_cmd_finegrained, "fundamental distribution over a fine basis",
+                    ("--model", "--partition")),
+    "twoslit": (_cmd_twoslit, "two-slit extended densities and binned values",
+                (("--kDelta", "--bins"),)),
+    "threebox": (_cmd_threebox, "built-in three-box example report", ("--tol",)),
+    "dutchbook": (_cmd_dutchbook, "bet gains at quoted prices", ("--seed",)),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--model", help="model file path")
-    common.add_argument("--tol", type=float, default=None, help="tolerance override")
-    common.add_argument("--out", default="out", help="output directory (default: out)")
-    common.add_argument("--seed", type=int, default=None, help="RNG seed (dutchbook)")
-    common.add_argument("--kDelta", dest="k_delta", type=float, default=None,
-                        help="two-slit bin width in phase units")
-    common.add_argument("--bins", type=int, default=None, help="two-slit bin count override")
-    common.add_argument("--partition", default=None,
-                        help="partition name from the model, or a literal like [[0],[1,2]]")
-
     parser = argparse.ArgumentParser(
         prog="ephist",
         description="Extended-probability engine for finite closed quantum systems.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (handler, blurb) in _COMMANDS.items():
-        sp = sub.add_parser(name, parents=[common], help=blurb, description=blurb)
-        sp.set_defaults(handler=handler)
+    for name, (handler, blurb, options) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=blurb, description=blurb)
+        sp.add_argument("--out", default="out", help="output directory (default: out)")
+        for option in options:
+            flags = (option,) if isinstance(option, str) else option
+            group = sp if len(flags) == 1 else sp.add_mutually_exclusive_group()
+            for flag in flags:
+                group.add_argument(flag, **_OPTIONS[flag])
+        # the manifest lists every option; one a command does not take is None
+        sp.set_defaults(handler=handler, model=None, tol=None, partition=None,
+                        k_delta=None, bins=None, seed=None)
     return parser
 
 

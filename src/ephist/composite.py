@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import CapExceeded, DimensionMismatch
 from .hilbert import Projector, StateVector, frozen_copy
-from .histories import M_CAP, HistorySet, branch_matrix
+from .histories import M_CAP, HistorySet, branch_matrix, decoherence_functional
 from .records import RecordSet
 
 JOINT_DIM_CAP = 4096
@@ -71,16 +71,12 @@ def _check_joint_count(cs: CompositeSystem) -> None:
 
 
 def joint_functional(cs: CompositeSystem) -> np.ndarray:
-    """Joint decoherence functional over joint flat indices.
-
-    Computed from per-factor branch inner products; equals the Kronecker
-    product of the factor functionals.
-    """
+    """Joint decoherence functional over joint flat indices: the Kronecker
+    product of the factor functionals, leftmost factor slowest."""
     _check_joint_count(cs)
     d = np.ones((1, 1), dtype=np.complex128)
     for psi, hs in cs.factors:
-        b = branch_matrix(hs, psi)
-        d = np.kron(d, b.conj().T @ b)
+        d = np.kron(d, decoherence_functional(hs, psi).functional)
     return d
 
 

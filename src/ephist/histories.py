@@ -136,10 +136,14 @@ def dec_measure(functional: np.ndarray) -> float:
 def offdiagonal_offenders(functional: np.ndarray, tol: float) -> list[tuple[tuple[int, int], float]]:
     """Off-diagonal pairs with |D| > tol, worst first; upper triangle only.
 
-    Ties keep row-major order. |D| is np.hypot of the parts, which is the
-    value the scalar abs() of each entry gives, bit for bit.
+    This is the engine's one medium-decoherence test: a set decoheres
+    exactly when the list is empty. |D| is np.abs, the modulus
+    _max_offdiagonal and dec_measure take, and np.abs(z) == np.abs(z.conj()),
+    so the upper triangle of an exactly Hermitian functional decides it.
+    Ties keep row-major order.
     """
-    mag = np.hypot(functional.real, functional.imag)
+    mag = np.abs(functional)
+    del functional   # a caller's temporary Gram matrix is freed before the scans
     a, b = np.nonzero(np.triu(mag > tol, 1))
     mag = mag[a, b]
     order = np.argsort(-mag, kind="stable")

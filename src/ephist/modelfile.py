@@ -25,8 +25,6 @@ one [...] with only blanks before the next "," or "]". parse_model gives
 ParseError with 1-based line and column and, within a directive's
 arguments, the text from that column on as found; CapExceeded for a dim
 above DIM_CAP.
-serialize_model writes a canonical form with shortest round-trip float
-literals, and parse_model(serialize_model(doc)) reproduces doc exactly.
 """
 from __future__ import annotations
 
@@ -436,47 +434,6 @@ def parse_model(text: str) -> ModelDocument:
         finegrained=tuple(parser.finegrained),
         composites=tuple(parser.composites),
     )
-
-
-def _vector_literal(values) -> str:
-    return "[" + ",".join(format_complex(complex(z)) for z in values) + "]"
-
-
-def _matrix_literal(rows) -> str:
-    return "[" + ",".join(_vector_literal(r) for r in rows) + "]"
-
-
-def serialize_model(doc: ModelDocument) -> str:
-    """Canonical text form; parse_model inverts it exactly."""
-    out = []
-    if doc.dim is not None:
-        out.append(f"dim {doc.dim}")
-    if doc.state is not None:
-        out.append(f"state {_vector_literal(doc.state)}")
-    if doc.evolution is not None:
-        ev = doc.evolution
-        if ev.kind == "zero":
-            out.append("evolution zero")
-        elif ev.kind == "hamiltonian":
-            out.append(f"evolution hamiltonian {_matrix_literal(ev.hamiltonian)}")
-        else:
-            for t, mat in ev.unitaries:
-                out.append(f"evolution unitary {t!r} {_matrix_literal(mat)}")
-    for slot in doc.slots:
-        out.append(f"slot {slot.time!r} {slot.name}")
-        for m in slot.members:
-            if m.kind == "basis":
-                out.append(f"member {m.label} basis {{{','.join(str(i) for i in m.indices)}}}")
-            else:
-                out.append(f"member {m.label} matrix {_matrix_literal(m.matrix)}")
-    for part in doc.partitions:
-        classes = "[" + ",".join("[" + ",".join(str(i) for i in c) + "]" for c in part.classes) + "]"
-        out.append(f"partition {part.name} {classes}")
-    for fc in doc.finegrained:
-        out.append(f"finegrained {fc.time!r} basis {_matrix_literal(fc.rows)}")
-    for comp in doc.composites:
-        out.append(f"composite {comp.name} factors {' '.join(comp.paths)}")
-    return "\n".join(out) + "\n"
 
 
 def _require(doc: ModelDocument, section: str):

@@ -27,7 +27,6 @@ from .histories import (
     _check_tolerance,
     all_extended_probabilities,
     branch_matrix,
-    decoherence_functional,
     offdiagonal_offenders,
 )
 
@@ -51,15 +50,16 @@ def _check_record_set(hs: HistorySet, rs: RecordSet) -> None:
 def construct_records(hs: HistorySet, psi: StateVector, tol: float = DEFAULT_DEC_TOL) -> RecordSet:
     """Build the branch-projection record set of a medium-decoherent history set.
 
-    The decoherence test reads the strict upper triangle of |b^dag b|, which
-    holds the functional's off-diagonal magnitudes once each; the full
-    functional is built only to list the offenders when the test fails.
+    The strict upper triangle of b^dag b is the functional's up to the
+    sign of a zero, so offdiagonal_offenders takes the same decision as
+    on decoherence_functional's report and NotDecoherent names the same
+    offenders.
     """
     _check_tolerance(tol)
     b = branch_matrix(hs, psi)
-    if not np.triu(np.abs(b.conj().T @ b), 1).max(initial=0.0) <= tol:
-        report = decoherence_functional(hs, psi, tol)
-        raise NotDecoherent(offdiagonal_offenders(report.functional, tol), tol)
+    offenders = offdiagonal_offenders(b.conj().T @ b, tol)
+    if offenders:
+        raise NotDecoherent(offenders, tol)
 
     norms = np.linalg.norm(b, axis=0)
     nonzero = [i for i in range(hs.size) if norms[i] > ZERO_BRANCH_TOL]

@@ -7,8 +7,9 @@ per history, per-point amplitudes, brute-force enumeration, a rescan of
 every pair at each greedy merge, a model-file parser and a
 complex-literal reader that walk each literal one character at a time,
 projector-set and record checks that multiply every member, zero or
-not, an offender scan that takes abs() of one cell at a time), so it
-shares no shortcut with the code under test.
+not, an offender scan that takes np.abs of one cell at a time), so it
+shares no shortcut with the code under test. serialize_model, the
+canonical model-file writer, is here too: only the tests write models.
 """
 from typing import Iterator, Sequence, Union
 
@@ -34,6 +35,7 @@ from ephist import (
     amplitude,
     branch_matrix,
     dec_measure,
+    format_complex,
 )
 from ephist.coarsegrain import _load_class_list
 from ephist.histories import DEFAULT_DEC_TOL
@@ -195,12 +197,12 @@ def dh_ep_difference(hs: HistorySet, components: Sequence[int], psi: StateVector
 
 
 def offdiagonal_offenders_loop(functional: np.ndarray, tol: float) -> list[tuple[tuple[int, int], float]]:
-    """offdiagonal_offenders by visiting every upper cell and taking its scalar abs()."""
+    """offdiagonal_offenders by visiting every upper cell and taking its np.abs."""
     out = []
     m = functional.shape[0]
     for a in range(m):
         for b in range(a + 1, m):
-            mag = abs(functional[a, b])
+            mag = np.abs(functional[a, b])
             if mag > tol:
                 out.append(((a, b), float(mag)))
     out.sort(key=lambda pair: (-pair[1], pair[0]))
@@ -649,3 +651,46 @@ def parse_model_loop(text: str) -> ModelDocument:
         finegrained=tuple(parser.finegrained),
         composites=tuple(parser.composites),
     )
+
+
+
+def _vector_literal(values) -> str:
+    return "[" + ",".join(format_complex(complex(z)) for z in values) + "]"
+
+
+def _matrix_literal(rows) -> str:
+    return "[" + ",".join(_vector_literal(r) for r in rows) + "]"
+
+
+def serialize_model(doc: ModelDocument) -> str:
+    """Canonical text form with shortest round-trip float literals;
+    parse_model inverts it exactly."""
+    out = []
+    if doc.dim is not None:
+        out.append(f"dim {doc.dim}")
+    if doc.state is not None:
+        out.append(f"state {_vector_literal(doc.state)}")
+    if doc.evolution is not None:
+        ev = doc.evolution
+        if ev.kind == "zero":
+            out.append("evolution zero")
+        elif ev.kind == "hamiltonian":
+            out.append(f"evolution hamiltonian {_matrix_literal(ev.hamiltonian)}")
+        else:
+            for t, mat in ev.unitaries:
+                out.append(f"evolution unitary {t!r} {_matrix_literal(mat)}")
+    for slot in doc.slots:
+        out.append(f"slot {slot.time!r} {slot.name}")
+        for m in slot.members:
+            if m.kind == "basis":
+                out.append(f"member {m.label} basis {{{','.join(str(i) for i in m.indices)}}}")
+            else:
+                out.append(f"member {m.label} matrix {_matrix_literal(m.matrix)}")
+    for part in doc.partitions:
+        classes = "[" + ",".join("[" + ",".join(str(i) for i in c) + "]" for c in part.classes) + "]"
+        out.append(f"partition {part.name} {classes}")
+    for fc in doc.finegrained:
+        out.append(f"finegrained {fc.time!r} basis {_matrix_literal(fc.rows)}")
+    for comp in doc.composites:
+        out.append(f"composite {comp.name} factors {' '.join(comp.paths)}")
+    return "\n".join(out) + "\n"

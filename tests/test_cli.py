@@ -18,12 +18,19 @@ from ephist import (
     decoherence_functional,
     load_model,
     offdiagonal_offenders,
-    serialize_model,
 )
-from ephist.cli import _csv, _decoherence_json, _dump_json, _functional_csv, _OutDir, run_command
+from ephist.cli import (
+    _csv,
+    _decoherence_json,
+    _dump_json,
+    _functional_csv,
+    _OutDir,
+    build_parser,
+    run_command,
+)
 from ephist.modelfile import EvolutionClause, MemberClause, SlotClause
 from conftest import FLOAT_PARTS, random_model
-from oracles import offdiagonal_offenders_loop
+from oracles import offdiagonal_offenders_loop, serialize_model
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 NINTH = 1.0 / 9.0
@@ -237,6 +244,51 @@ def test_eval_requires_model_option(tmp_path, capsys):
     status, out = run(tmp_path, "o", "eval")
     assert status == 3
     assert load(out, "error.json")["invariant"] == "missing-option"
+    assert "error:" in capsys.readouterr().err
+
+
+# every option some command reads, with a value it parses; --out is on all
+OPTION_VALUES = {"--model": "m.model", "--tol": "1e-3", "--partition": "sector",
+                 "--kDelta": "5", "--bins": "3", "--seed": "5"}
+COMMAND_OPTIONS = {
+    "eval": {"--model"},
+    "composite": {"--model"},
+    "decohere": {"--model", "--tol"},
+    "records": {"--model", "--tol"},
+    "coarsen": {"--model", "--tol", "--partition"},
+    "finegrained": {"--model", "--partition"},
+    "twoslit": {"--kDelta", "--bins"},
+    "threebox": {"--tol"},
+    "dutchbook": {"--seed"},
+}
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    taken = {}
+    for command in COMMAND_OPTIONS:
+        taken[command] = {"--out"}
+        for option, value in OPTION_VALUES.items():
+            try:
+                build_parser().parse_args([command, option, value])
+            except SystemExit:
+                continue
+            taken[command].add(option)
+    assert taken == {command: options | {"--out"} for command, options in COMMAND_OPTIONS.items()}
+    assert sum(map(len, taken.values())) == 24
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--tol", "1e-3"], ["eval", "--seed", "5"], ["eval", "--bins", "3"],
+    ["twoslit", "--bins", "8", "--kDelta", "5"], ["twoslit", "--kDelta", "5", "--bins", "8"],
+    ["threebox", "--model", str(MODELS / "threebox.model")],
+])
+def test_options_a_command_would_ignore_are_refused(tmp_path, argv, capsys):
+    """Before, these ran and wrote the ignored values into manifest.json;
+    twoslit took --bins and dropped --kDelta."""
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "o", *argv)
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
     assert "error:" in capsys.readouterr().err
 
 

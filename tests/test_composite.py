@@ -122,9 +122,14 @@ def test_joint_functional_matches_branches(rng):
 
 
 def test_joint_functional_is_kron_of_factor_functionals(rng):
-    cs = _two_factor(rng)
-    parts = [decoherence_functional(hs, psi).functional for psi, hs in cs.factors]
-    assert np.allclose(joint_functional(cs), np.kron(parts[0], parts[1]), atol=1e-12)
+    """Bit for bit: the factors' functionals are decoherence_functional's,
+    so the joint one is exactly Hermitian too."""
+    for _ in range(10):
+        cs = _two_factor(rng)
+        parts = [decoherence_functional(hs, psi).functional for psi, hs in cs.factors]
+        joint = joint_functional(cs)
+        assert np.array_equal(joint.view(np.uint64), np.kron(parts[0], parts[1]).view(np.uint64))
+        assert np.array_equal(joint, joint.conj().T)
 
 
 def _qubit_chain(n):

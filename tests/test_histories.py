@@ -163,6 +163,10 @@ def test_functional_structure(rng):
     assert np.array_equal(bits, bits.T)
     nonzero = d.imag != 0.0
     assert np.array_equal(d.imag[nonzero], -d.imag.T[nonzero])
+    # so |D| is bit-symmetric too, and the offender scan's upper triangle
+    # holds every off-diagonal magnitude max_offdiagonal reads
+    mag = np.abs(d).view(np.uint64)
+    assert np.array_equal(mag, mag.T)
 
 
 def test_dh_ep_difference_dual_route(rng):
@@ -215,6 +219,26 @@ def test_offenders_match_loop_oracle(data):
                     label="tol")
     assert repr(offdiagonal_offenders(functional, tol)) == \
         repr(offdiagonal_offenders_loop(functional, tol))
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_abs_is_one_modulus_for_every_layout(data):
+    """np.abs gives each cell one value: the scalar call, the whole array,
+    its transpose, Fortran order, forward strides and the conjugate agree
+    bit for bit. The decoherence decision and the reported magnitudes rely
+    on it. (A reversed 1-D view takes numpy's hypot loop instead; the
+    engine never hands np.abs one.)"""
+    m = data.draw(st.integers(1, 6), label="m")
+    parts = data.draw(st.lists(FLOAT_PARTS, min_size=2 * m * m, max_size=2 * m * m), label="parts")
+    z = np.array(parts).view(complex).reshape(m, m)
+    mag = np.abs(z)
+    scalar = np.array([[np.abs(c) for c in row] for row in z.tolist()])
+    for same in (scalar, np.abs(z.conj()), np.abs(z.T).T, np.abs(np.asfortranarray(z))):
+        assert np.array_equal(same.view(np.uint64), mag.view(np.uint64))
+    assert np.array_equal(np.abs(z[::2, ::3]).view(np.uint64), mag[::2, ::3].view(np.uint64))
+    flat = z.ravel()
+    assert np.array_equal(np.abs(flat[::2]).view(np.uint64), mag.ravel()[::2].view(np.uint64))
 
 
 def test_branch_matrix_cap():

@@ -19,9 +19,8 @@ from ephist import (
     load_model,
     parse_complex,
     parse_model,
-    serialize_model,
 )
-from oracles import parse_complex_loop, parse_model_loop
+from oracles import parse_complex_loop, parse_model_loop, serialize_model
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 

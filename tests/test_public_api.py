@@ -24,7 +24,7 @@ REMOVED = (
     "dh_probability", "class_operator", "flatten_index", "unflatten_index", "factor_amplitudes",
     "joint_extended_probability", "merge_slot_alternatives", "slot_partition",
     "cylinder_history_set", "cylinder_partition", "identity_partition", "total_partition",
-    "FINE_CAP",
+    "FINE_CAP", "serialize_model",
 )
 
 

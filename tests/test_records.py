@@ -15,6 +15,7 @@ from ephist import (
     branch_matrix,
     construct_records,
     decoherence_functional,
+    offdiagonal_offenders,
     record_correlation_report,
     validate_projector_set,
     verify_strong_records,
@@ -25,6 +26,7 @@ from conftest import (
     diagonal_fixture,
     haar_basis,
     non_decoherent_fixture,
+    random_model,
     random_state,
 )
 from oracles import (
@@ -89,6 +91,67 @@ def test_non_decoherent_raises(seed):
     mags = [m for _, m in err.offenders]
     assert mags == sorted(mags, reverse=True)
     assert mags[0] >= 1e-3
+
+
+def _assert_one_decision(hs, psi, tol):
+    """The report's flag and maximum, its offender list and construct_records
+    all take the one decision offdiagonal_offenders makes at tol."""
+    report = decoherence_functional(hs, psi, tol)
+    offenders = offdiagonal_offenders(report.functional, tol)
+    assert report.medium_decoherent == (offenders == [])
+    if offenders:
+        assert report.max_offdiagonal == offenders[0][1]
+    try:
+        construct_records(hs, psi, tol)
+    except NotDecoherent as err:
+        assert offenders and err.offenders == offenders
+    except InvariantViolation:   # dependent branches, found only past the decision
+        assert offenders == []
+    else:
+        assert offenders == []
+
+
+@given(seed=st.integers(0, 2**32 - 1), pick=st.integers(0, 2**16))
+@settings(max_examples=30, deadline=None)
+def test_one_decision_at_boundary_tolerances(seed, pick):
+    """tol at the np.abs and np.hypot values of the three largest upper cells
+    and one more, and at the floats either side of each. The two moduli
+    differ in the last bit on about a third of all cells."""
+    psi, hs = random_model(np.random.default_rng(seed), d_max=6, n_max=2)
+    functional = decoherence_functional(hs, psi).functional
+    upper = functional[np.triu_indices(hs.size, 1)]
+    if not upper.size:
+        return
+    cells = upper[np.argsort(-np.abs(upper), kind="stable")[:3]].tolist() + [upper[pick % upper.size]]
+    tols = set()
+    for z in cells:
+        for mag in (float(np.abs(z)), float(np.hypot(z.real, z.imag))):
+            tols.update((mag, float(np.nextafter(mag, 0.0)), float(np.nextafter(mag, np.inf))))
+    for tol in sorted(tols):
+        _assert_one_decision(hs, psi, tol)
+
+
+def test_flag_and_offenders_agree_at_the_boundary():
+    """|D(33, 34)| is this tol by np.abs and one ulp more by np.hypot: the
+    flag said decoherent while the offender list named the pair."""
+    psi, hs = random_model(np.random.default_rng(0), d_max=6, n_max=2)
+    tol = 0.09060752731756261
+    report = decoherence_functional(hs, psi, tol)
+    assert report.medium_decoherent
+    assert report.max_offdiagonal == tol
+    assert offdiagonal_offenders(report.functional, tol) == []
+    _assert_one_decision(hs, psi, tol)
+
+
+def test_records_name_offenders_at_the_boundary():
+    """|D(0, 5)| is this tol by np.hypot and one ulp more by np.abs:
+    construct_records failed the set and then found no offender to name."""
+    psi, hs = random_model(np.random.default_rng(3), d_max=6, n_max=2)
+    tol = 3.9145052677475075e-17
+    with pytest.raises(NotDecoherent) as exc:
+        construct_records(hs, psi, tol)
+    assert exc.value.offenders == [((0, 5), float(np.nextafter(tol, 1.0)))]
+    _assert_one_decision(hs, psi, tol)
 
 
 def _balanced_non_decoherent(rng):
