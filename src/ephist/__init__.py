@@ -112,8 +112,8 @@ from .threebox import (
 from .dutchbook import BetSpec, GainReport, dutch_book_gains, exploit_negative_price, gain_report
 from .modelfile import (
     DIM_CAP,
-    BuiltModel,
     ModelDocument,
+    build_composites,
     build_evolution,
     build_finegrained,
     build_history_set,
@@ -161,7 +161,7 @@ __all__ = [
     # dutchbook
     "BetSpec", "GainReport", "dutch_book_gains", "exploit_negative_price", "gain_report",
     # modelfile
-    "DIM_CAP", "BuiltModel", "ModelDocument", "build_evolution", "build_finegrained",
+    "DIM_CAP", "ModelDocument", "build_composites", "build_evolution", "build_finegrained",
     "build_history_set", "build_state", "format_complex", "load_model", "parse_complex",
     "parse_model",
 ]

@@ -56,7 +56,14 @@ from .twoslit import (
 )
 from .threebox import greedy_sector_search, three_box_model, three_box_report
 from .dutchbook import BetSpec, exploit_negative_price, gain_report
-from .modelfile import BuiltModel, format_complex, load_model
+from .modelfile import (
+    build_composites,
+    build_finegrained,
+    build_history_set,
+    build_state,
+    format_complex,
+    load_model,
+)
 
 
 def _json_default(value):
@@ -176,33 +183,26 @@ class _OutDir:
         self.written.append(name)
 
 
-def _require_model(args) -> BuiltModel:
+def _require_model(args):
     if not args.model:
         raise InvariantViolation("missing-option", 1.0, "this command needs --model PATH")
     return load_model(args.model)
 
 
-def _require(model: BuiltModel, attr: str, what: str):
-    value = getattr(model, attr)
-    if value is None or value == {}:
-        raise InvariantViolation("missing-section", 1.0,
-                                 f"model file {model.path} declares no {what}")
-    return value
-
-
 def _history_model(args):
-    """(model, history set, state) of --model; both of the latter must be declared."""
-    model = _require_model(args)
-    return model, _require(model, "history_set", "slots"), _require(model, "psi", "state")
+    """(document, history set, state) of --model; slots are built before the state."""
+    doc = _require_model(args)
+    return doc, build_history_set(doc), build_state(doc)
 
 
-def _resolve_partition(model: BuiltModel | None, text: str, fine_count: int) -> Partition:
+def _resolve_partition(doc, text: str, fine_count: int) -> Partition:
     if text.lstrip().startswith("["):
         return partition_from_literal(text, fine_count)
-    if model is None or text not in model.partitions:
+    named = {p.name: p.classes for p in doc.partitions}
+    if text not in named:
         raise InvariantViolation("unknown-partition", 0.0,
                                  f"no partition named {text!r} in the model file")
-    return Partition(fine_count, model.partitions[text])
+    return Partition(fine_count, named[text])
 
 
 def _tol(args, default: float = DEFAULT_DEC_TOL) -> float:
@@ -260,10 +260,10 @@ def _cmd_records(args, out: _OutDir):
 
 
 def _cmd_coarsen(args, out: _OutDir):
-    model, hs, psi = _history_model(args)
+    doc, hs, psi = _history_model(args)
     fine = decoherence_functional(hs, psi, tol=_tol(args))
     if args.partition:
-        part = _resolve_partition(model, args.partition, hs.size)
+        part = _resolve_partition(doc, args.partition, hs.size)
         coarse_dec = dec_measure(coarse_decoherence_functional(fine.functional, part))
         coarse_ep = class_sums(fine.ep_probs, part)
         out.write("coarsen.json", _dump_json({
@@ -289,8 +289,8 @@ def _cmd_coarsen(args, out: _OutDir):
 
 
 def _cmd_composite(args, out: _OutDir):
-    model = _require_model(args)
-    composites = _require(model, "composites", "composite")
+    composites = build_composites(_require_model(args),
+                                  os.path.dirname(os.path.abspath(args.model)))
     report = {}
     for name in sorted(composites):
         cs = composites[name]
@@ -308,9 +308,8 @@ def _cmd_composite(args, out: _OutDir):
 
 
 def _cmd_finegrained(args, out: _OutDir):
-    model = _require_model(args)
-    spec = _require(model, "finegrained", "finegrained basis")
-    dist = fundamental_distribution(spec)
+    doc = _require_model(args)
+    dist = fundamental_distribution(build_finegrained(doc))
     rows = [(flat, ";".join(str(b) for b in outcome), dist.values[flat])
             for flat, outcome in enumerate(dist.outcomes())]
     out.write("finegrained.csv", _csv(("flat", "outcome", "w"), rows))
@@ -323,7 +322,7 @@ def _cmd_finegrained(args, out: _OutDir):
         "total_negative": float(dist.values[dist.values < 0.0].sum()),
     }
     if args.partition:
-        part = _resolve_partition(model, args.partition, dist.size)
+        part = _resolve_partition(doc, args.partition, dist.size)
         summary["class_sums"] = class_sums(dist.values, part)
         summary["classes"] = part.classes
     out.write("summary.json", _dump_json(summary))
@@ -403,6 +402,8 @@ def _cmd_threebox(args, out: _OutDir):
 
 def _cmd_dutchbook(args, out: _OutDir):
     seed = 0 if args.seed is None else args.seed
+    if seed < 0:
+        raise InvariantViolation("seed", seed, "--seed must be non-negative")
     rng = np.random.default_rng(seed)
     canonical = exploit_negative_price(p_a=-1.0, stake=-1.0)
     rows = [("canonical", canonical)]

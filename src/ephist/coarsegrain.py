@@ -76,13 +76,14 @@ def _load_class_list(text: str, line: int, col: int, expected: str, found: str):
 
     Any ValueError becomes a ParseError: a JSON syntax error at its own
     column, with the literal's text from there on as found, and an index past
-    Python's int digit limit at the literal's start, with the given found.
+    Python's int digit limit or nesting past the recursion limit at the
+    literal's start, with the given found.
     """
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(line, col + e.colno - 1, expected, text[e.pos:][:40]) from None
-    except ValueError:
+    except (ValueError, RecursionError):
         raise ParseError(line, col, expected, found) from None
 
 

@@ -1,9 +1,9 @@
 """Line-oriented text format for model files, with parse and build steps.
 
-A model file declares a system in the Schrodinger picture; building it
-converts every projector to the Heisenberg picture using the declared
-evolution. Directives, one per line ("#" starts a comment, names are
-whitespace-free tokens):
+A model file declares a system in the Schrodinger picture. load_model
+reads and parses it; each build_* function builds one section, slots in
+the Heisenberg picture of the declared evolution. Directives, one per
+line ("#" starts a comment, names are whitespace-free tokens):
 
     dim 3
     state [0.5+0i, 0.5, 0.5, 0.5]
@@ -18,8 +18,10 @@ whitespace-free tokens):
     finegrained 2.0 basis [[1,1,-1],[1,-1,0],[1,1,2]]   # rows, normalized on build
     composite pair factors a.model b.model   # paths relative to this file
 
-Complex literals are "a+bi" (or "a-bi", suffix i or j); bare reals are
-fine. nan, inf and overflowing literals (1e400) are rejected. A bracket
+Numbers are ASCII: a decimal is a sign, digits, an optional point and
+exponent (1.5, -.5, 2e-3); an entry is a decimal, "a+bi", "a-bi", "bi",
+"i" or "-i" (suffix i or j); dim and basis indices are digits only.
+nan, inf, 1e400, "_", other digits and inner blanks are rejected. A bracket
 literal ends with a closer of its own kind, and each matrix row is exactly
 one [...] with only blanks before the next "," or "]". parse_model gives
 ParseError with 1-based line and column and, within a directive's
@@ -28,10 +30,11 @@ above DIM_CAP.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,11 +109,21 @@ class ModelDocument:
     composites: tuple[CompositeClause, ...] = ()
 
 
-def _finite(text: str) -> float:
-    value = float(text)
+def _finite(word: str) -> float:
+    """A finite ASCII decimal such as 1.5, -.5 or 2e-3; word holds no blank.
+
+    float() also takes "_" between digits and non-ASCII digits."""
+    value = float(word) if word.isascii() and "_" not in word else math.nan
     if not math.isfinite(value):
-        raise ValueError(f"non-finite number {text!r}")
+        raise ValueError(f"not a finite decimal: {word!r}")
     return value
+
+
+def _count(text: str) -> int:
+    """A dim or basis index: ASCII digits only."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a count: {text!r}")
+    return int(text)
 
 
 # the last sign that is neither first nor an exponent's splits real from imaginary
@@ -120,8 +133,9 @@ _SIGN_SPLIT = re.compile(r"(.*[^eE])([+-].*)", re.DOTALL)
 def parse_complex(text: str) -> complex:
     """One finite literal: "1.5", "2i", "1+2i", "-1.5e-3-2e-4j"."""
     s = text.strip()
-    if not s:
-        raise ValueError("empty number")
+    # ASCII, no "_", no blank inside (the ASCII blanks but " " are not printable)
+    if not s or not s.isascii() or not s.isprintable() or " " in s or "_" in s:
+        raise ValueError(f"not a number: {text!r}")
     if s[-1] in "ij":
         body = s[:-1]
         if body in ("", "+"):
@@ -130,11 +144,15 @@ def parse_complex(text: str) -> complex:
             return -1j
         split = _SIGN_SPLIT.fullmatch(body)
         if split is None:
-            return complex(0.0, _finite(body))
-        real, imag = split.groups()
-        imag = imag if imag not in ("+", "-") else imag + "1"
-        return complex(_finite(real), _finite(imag))
-    return complex(_finite(s), 0.0)
+            z = complex(0.0, float(body))
+        else:
+            real, imag = split.groups()
+            z = complex(float(real), float(imag if imag not in ("+", "-") else imag + "1"))
+    else:
+        z = complex(float(s), 0.0)
+    if not cmath.isfinite(z):
+        raise ValueError(f"non-finite number {text!r}")
+    return z
 
 
 def format_complex(z: complex) -> str:
@@ -260,7 +278,7 @@ def _parse_index_set(line: _Line, dim: int) -> tuple[int, ...]:
     indices = []
     for piece, off in line.literal("{", "an index set like {0,2}"):
         try:
-            i = int(piece.strip())
+            i = _count(piece.strip())
         except ValueError:
             line.fail("a basis index", at=off)
         if not 0 <= i < dim:
@@ -317,7 +335,7 @@ class _Parser:
     def on_dim(self, line: _Line):
         if self.dim is not None:
             line.fail("a single dim declaration")
-        n = line.number("a positive integer dimension", int)
+        n = line.number("a positive integer dimension", _count)
         if n < 1:
             line.fail("a positive integer dimension")
         if n > DIM_CAP:
@@ -492,56 +510,33 @@ def build_finegrained(doc: ModelDocument) -> FineGrainedSpec:
     return FineGrainedSpec(build_state(doc), HistorySet(slots))
 
 
-@dataclass(frozen=True)
-class BuiltModel:
-    """Parsed document plus every engine object it declares."""
-
-    path: str
-    document: ModelDocument
-    psi: StateVector | None = None
-    evolution: EvolutionSpec | None = None
-    history_set: HistorySet | None = None
-    finegrained: FineGrainedSpec | None = None
-    partitions: dict = field(default_factory=dict)
-    composites: dict = field(default_factory=dict)
-
-
-def load_model(path: str, _stack: tuple[str, ...] = ()) -> BuiltModel:
-    """Read, parse, and build a model file; composites load their factors."""
-    resolved = os.path.abspath(path)
-    if resolved in _stack:
-        raise InvariantViolation("composite-cycle", float(len(_stack)),
-                                 f"{path} is already being loaded")
+def load_model(path: str) -> ModelDocument:
+    """Read and parse a model file; build_* builds the sections a caller reads."""
     try:
-        with open(resolved, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except OSError as e:
         raise InvariantViolation("model-file", 0.0,
                                  f"cannot read {path}: {e.strerror or e}") from None
-    doc = parse_model(text)
-    psi = build_state(doc) if doc.state is not None else None
-    evolution = build_evolution(doc) if doc.dim is not None else None
-    history_set = build_history_set(doc) if doc.slots else None
-    fine = build_finegrained(doc) if doc.finegrained else None
+    except UnicodeDecodeError as e:
+        raise InvariantViolation("model-file", 0.0,
+                                 f"cannot read {path}: not UTF-8 at byte offset {e.start} "
+                                 f"({e.reason})") from None
+    return parse_model(text)
+
+
+def build_composites(doc: ModelDocument, base: str) -> dict[str, CompositeSystem]:
+    """Composites by name; a factor path, relative to base, is read for state and slots."""
+    _require(doc, "composites")
     composites = {}
-    base = os.path.dirname(resolved)
     for comp in doc.composites:
         factors = []
         for rel in comp.paths:
-            sub = load_model(os.path.join(base, rel), _stack + (resolved,))
-            if sub.psi is None or sub.history_set is None:
+            sub = load_model(os.path.join(base, rel))
+            if sub.state is None or not sub.slots:
                 raise InvariantViolation(
                     "missing-section", 1.0,
                     f"composite factor {rel} needs both a state and slots")
-            factors.append((sub.psi, sub.history_set))
+            factors.append((build_state(sub), build_history_set(sub)))
         composites[comp.name] = CompositeSystem(tuple(factors))
-    return BuiltModel(
-        path=resolved,
-        document=doc,
-        psi=psi,
-        evolution=evolution,
-        history_set=history_set,
-        finegrained=fine,
-        partitions={p.name: p.classes for p in doc.partitions},
-        composites=composites,
-    )
+    return composites

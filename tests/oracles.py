@@ -13,6 +13,8 @@ canonical model-file writer, is here too: only the tests write models.
 """
 from typing import Iterator, Sequence, Union
 
+import math
+
 import numpy as np
 
 from ephist import (
@@ -50,7 +52,6 @@ from ephist.modelfile import (
     ModelDocument,
     PartitionClause,
     SlotClause,
-    _finite,
 )
 
 ENUMERATION_CAP = 8   # Bell(9) = 21147 partitions is past what a test should walk
@@ -391,6 +392,48 @@ class _Line:
         self.fail(f"closing {close_ch!r}", at=len(self.text))
 
 
+_DIGITS = "0123456789"
+
+
+def _digits_end(text: str, k: int) -> int:
+    while k < len(text) and text[k] in _DIGITS:
+        k += 1
+    return k
+
+
+def _decimal_loop(text: str) -> float:
+    """A finite decimal, walked one character at a time: an optional sign,
+    digits with at most one point (a digit on at least one side), then an
+    optional e or E with its own optional sign and digits."""
+    k = 1 if text[:1] in ("+", "-") else 0
+    end = _digits_end(text, k)
+    digits = end - k
+    if text[end:end + 1] == ".":
+        fraction_end = _digits_end(text, end + 1)
+        digits += fraction_end - end - 1
+        end = fraction_end
+    if digits == 0:
+        raise ValueError(f"no digits in {text!r}")
+    if text[end:end + 1] in ("e", "E"):
+        exp = end + 1 + (text[end + 1:end + 2] in ("+", "-"))
+        end = _digits_end(text, exp)
+        if end == exp:
+            raise ValueError(f"no exponent digits in {text!r}")
+    if end != len(text):
+        raise ValueError(f"not a decimal: {text!r}")
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text!r}")
+    return value
+
+
+def _count_loop(text: str) -> int:
+    """A dim or basis index: one or more of the ten ASCII digits."""
+    if not text or _digits_end(text, 0) != len(text):
+        raise ValueError(f"not a count: {text!r}")
+    return int(text)
+
+
 def parse_complex_loop(text: str) -> complex:
     """parse_complex with the real/imaginary sign found by a backwards scan."""
     s = text.strip()
@@ -406,9 +449,9 @@ def parse_complex_loop(text: str) -> complex:
             if body[k] in "+-" and body[k - 1] not in "eE":
                 real, imag = body[:k], body[k:]
                 imag = imag if imag not in ("+", "-") else imag + "1"
-                return complex(_finite(real), _finite(imag))
-        return complex(0.0, _finite(body))
-    return complex(_finite(s), 0.0)
+                return complex(_decimal_loop(real), _decimal_loop(imag))
+        return complex(0.0, _decimal_loop(body))
+    return complex(_decimal_loop(s), 0.0)
 
 
 def _split_top(inner: str, base: int) -> list[tuple[str, int]]:
@@ -464,7 +507,7 @@ def _parse_index_set(line: _Line, dim: int) -> tuple[int, ...]:
     indices = []
     for piece, off in _split_top(inner, base):
         try:
-            i = int(piece.strip())
+            i = _count_loop(piece.strip())
         except ValueError:
             line.fail("a basis index", at=off)
         if not 0 <= i < dim:
@@ -523,7 +566,7 @@ class _Parser:
     def on_dim(self, line: _Line):
         if self.dim is not None:
             line.fail("a single dim declaration")
-        n = line.number("a positive integer dimension", int)
+        n = line.number("a positive integer dimension", _count_loop)
         if n < 1:
             line.fail("a positive integer dimension")
         if n > DIM_CAP:
@@ -557,7 +600,7 @@ class _Parser:
             if self.evolution is not None and self.evolution.kind != "unitary":
                 line.fail("a single evolution kind")
             d = self.need_dim(line, "evolution unitary")
-            t = line.number("a time label", _finite)
+            t = line.number("a time label", _decimal_loop)
             mat = _parse_matrix(line, "a unitary matrix")
             if len(mat) != d or len(mat[0]) != d:
                 line.fail(f"a {d}x{d} matrix", at=0)
@@ -569,7 +612,7 @@ class _Parser:
             line.fail("zero, hamiltonian, or unitary")
 
     def on_slot(self, line: _Line):
-        t = line.number("a time label", _finite)
+        t = line.number("a time label", _decimal_loop)
         self.check_time_order(line, self.slots, t, "slot")
         name = line.word("a slot name")
         self.open_slot = (line, t, name, [])
@@ -606,7 +649,7 @@ class _Parser:
 
     def on_finegrained(self, line: _Line):
         d = self.need_dim(line, "finegrained")
-        t = line.number("a time label", _finite)
+        t = line.number("a time label", _decimal_loop)
         self.check_time_order(line, self.finegrained, t, "finegrained")
         kw = line.word("the word basis")
         if kw != "basis":

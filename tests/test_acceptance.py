@@ -27,6 +27,8 @@ from ephist import (
     all_extended_probabilities,
     binned_extended_probabilities,
     class_sums,
+    build_history_set,
+    build_state,
     coarse_decoherence_functional,
     coarse_extended_probabilities,
     construct_records,
@@ -174,10 +176,9 @@ def test_criterion_6_product_rule():
             f2 = decoherent_fixture(rng, d=3, k=2)
             rep = product_rule_report(CompositeSystem((f1, f2)))
             ok &= rep.max_violation <= 1e-12
-        a = load_model(MODELS / "qubit_a.model")
-        b = load_model(MODELS / "qubit_b.model")
-        pinned = product_rule_report(
-            CompositeSystem(((a.psi, a.history_set), (b.psi, b.history_set))))
+        docs = [load_model(MODELS / name) for name in ("qubit_a.model", "qubit_b.model")]
+        pinned = product_rule_report(CompositeSystem(
+            tuple((build_state(doc), build_history_set(doc)) for doc in docs)))
         return ok and pinned.max_violation >= 0.01
 
     _run(6, "product rule holds iff recorded", fn)

@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from ephist import (
     DecoherenceReport,
     ModelDocument,
+    build_history_set,
+    build_state,
     dec_measure,
     decoherence_functional,
     load_model,
@@ -308,6 +310,71 @@ def test_eval_model_without_slots(tmp_path):
     assert load(out, "error.json")["invariant"] == "missing-section"
 
 
+BROKEN_FINEGRAINED = "finegrained 2.0 basis [[1,0,0],[1,1,0],[0,0,1]]\n"   # not orthogonal
+
+
+def _artifacts(out):
+    return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval"], ["decohere"], ["records"], ["coarsen"], ["coarsen", "--partition", "[[0,1],[2,3]]"],
+])
+def test_commands_build_only_the_sections_they_read(tmp_path, argv):
+    """A broken finegrained basis fails finegrained alone; the slot commands
+    write the same artifacts as without that line."""
+    text = (MODELS / "recorded.model").read_text()
+    (tmp_path / "clean.model").write_text(text)
+    (tmp_path / "broken.model").write_text(text + BROKEN_FINEGRAINED)
+    outs = []
+    for name in ("clean", "broken"):
+        status, out = run(tmp_path, name, argv[0], "--model", str(tmp_path / f"{name}.model"),
+                          *argv[1:])
+        assert status == 0
+        outs.append(_artifacts(out))
+    assert outs[0] == outs[1] and outs[0]
+    status, out = run(tmp_path, "fine", "finegrained", "--model", str(tmp_path / "broken.model"))
+    assert status == 3
+    assert load(out, "error.json")["invariant"] == "projector-set"
+
+
+def test_model_not_utf8(tmp_path):
+    bad = tmp_path / "bad.model"
+    bad.write_bytes((MODELS / "recorded.model").read_bytes().replace(b"Decoherent", b"D\xffcoherent"))
+    status, out = run(tmp_path, "o", "eval", "--model", str(bad))
+    assert status == 3
+    err = load(out, "error.json")
+    assert err["invariant"] == "model-file"
+    assert "not UTF-8 at byte offset 3" in err["message"]
+
+
+def test_dutchbook_negative_seed(tmp_path):
+    status, out = run(tmp_path, "o", "dutchbook", "--seed", "-1")
+    assert status == 3
+    assert load(out, "error.json")["invariant"] == "seed"
+    assert not (out / "dutchbook.csv").exists()
+
+
+DEEP = "[" * 50_000 + "0" + "]" * 50_000
+
+
+def test_deep_partition_option_is_a_parse_error(tmp_path):
+    status, out = run(tmp_path, "o", "coarsen", "--model", str(MODELS / "threebox.model"),
+                      "--partition", DEEP)
+    assert status == 2
+    err = load(out, "error.json")
+    assert (err["line"], err["col"]) == (1, 1)
+
+
+def test_deep_partition_line_is_a_parse_error(tmp_path):
+    deep = tmp_path / "deep.model"
+    deep.write_text(f"dim 2\npartition p {DEEP}\n")
+    status, out = run(tmp_path, "o", "eval", "--model", str(deep))
+    assert status == 2
+    err = load(out, "error.json")
+    assert (err["line"], err["col"], err["found"]) == (2, 13, DEEP[:40])
+
+
 def test_parse_error_reported_with_position(tmp_path):
     bad = tmp_path / "bad.model"
     bad.write_text("dim 3\nstate [1,0]\n")
@@ -519,8 +586,8 @@ def test_decohere_large_model_matches_generic_route(tmp_path):
     model = _model_file(tmp_path / "m512.model", psi, hs)
     status, out = run(tmp_path, "o", "decohere", "--model", str(model))
     assert status == 0
-    built = load_model(str(model))
-    report = decoherence_functional(built.history_set, built.psi)
+    doc = load_model(str(model))
+    report = decoherence_functional(build_history_set(doc), build_state(doc))
     assert not report.medium_decoherent
     csv, decoherence = _oracle_decohere(report)
     assert (out / "functional.csv").read_bytes() == csv.encode()

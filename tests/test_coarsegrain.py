@@ -25,6 +25,9 @@ from ephist import (
     ProjectorSet,
     StateVector,
     all_extended_probabilities,
+    build_composites,
+    build_history_set,
+    build_state,
     class_sums,
     coarse_decoherence_functional,
     coarse_extended_probabilities,
@@ -321,11 +324,13 @@ def _same_search(functional, target_tol):
 def _shipped_functionals():
     out = [("threebox-sector", phi_sector_functional(three_box_model())), ("eye4", np.eye(4))]
     for path in sorted(MODELS.glob("*.model")):
-        built = load_model(path)
-        if built.history_set is not None:
-            out.append((path.stem, decoherence_functional(built.history_set, built.psi).functional))
-        for name, cs in sorted(built.composites.items()):
-            out.append((f"{path.stem}:{name}", joint_functional(cs)))
+        doc = load_model(path)
+        if doc.slots:
+            hs, psi = build_history_set(doc), build_state(doc)
+            out.append((path.stem, decoherence_functional(hs, psi).functional))
+        if doc.composites:
+            for name, cs in sorted(build_composites(doc, str(MODELS)).items()):
+                out.append((f"{path.stem}:{name}", joint_functional(cs)))
     return out
 
 

@@ -14,6 +14,8 @@ from ephist import (
     Projector,
     ProjectorSet,
     StateVector,
+    build_history_set,
+    build_state,
     construct_records,
     decoherence_functional,
     joint_functional,
@@ -175,9 +177,8 @@ def test_product_rule_holds_for_recorded_factors(rng):
 def test_qubit_pair_breaks_product_rule():
     """Pinned instance: both factor amplitudes are (1 - i)/4, so every joint
     history misses the product rule by exactly 1/16."""
-    a = load_model(MODELS / "qubit_a.model")
-    b = load_model(MODELS / "qubit_b.model")
-    cs = CompositeSystem(((a.psi, a.history_set), (b.psi, b.history_set)))
+    docs = [load_model(MODELS / name) for name in ("qubit_a.model", "qubit_b.model")]
+    cs = CompositeSystem(tuple((build_state(doc), build_history_set(doc)) for doc in docs))
     rep = product_rule_report(cs)
     assert abs(rep.max_violation - 1.0 / 16.0) < 1e-15
     assert rep.max_violation >= 0.01

@@ -19,6 +19,7 @@ from ephist import (
     ProjectorSet,
     StateVector,
     all_extended_probabilities,
+    build_finegrained,
     class_sums,
     fundamental_distribution,
     group_slots,
@@ -113,7 +114,7 @@ def test_h_space_is_little_endian_in_time(rng):
 def test_value_rejects_outcomes_outside_h_space():
     """An outcome off the grid is an error, not another cell: (3, 0) on a
     3 x 3 grid once read w(0, 1), and (0,) and (-1, 0) were accepted."""
-    dist = fundamental_distribution(load_model(MODELS / "threebox.model").finegrained)
+    dist = fundamental_distribution(build_finegrained(load_model(MODELS / "threebox.model")))
     assert dist.shape == (3, 3)
     for h in [(3, 0), (0,), (-1, 0), (0, 3), (0, 0, 0)]:
         with pytest.raises(DimensionMismatch) as exc:

@@ -1,4 +1,7 @@
 """Model-file parsing, diagnostics, serialization, and building."""
+import importlib.util
+import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,17 +15,21 @@ from ephist import (
     InvariantViolation,
     ParseError,
     all_extended_probabilities,
+    build_composites,
     build_evolution,
+    build_finegrained,
     build_history_set,
     build_state,
     format_complex,
+    joint_functional,
     load_model,
     parse_complex,
     parse_model,
 )
 from oracles import parse_complex_loop, parse_model_loop, serialize_model
 
-MODELS = Path(__file__).resolve().parent.parent / "models"
+ROOT = Path(__file__).resolve().parent.parent
+MODELS = ROOT / "models"
 
 
 # -------------------------------------------------------------------- numbers
@@ -47,8 +54,14 @@ def test_parse_complex(text, value):
     assert parse_complex(text) == value
 
 
+def test_minus_i_keeps_its_negative_zero_real_part():
+    assert math.copysign(1.0, parse_complex("-i").real) == -1.0
+    assert math.copysign(1.0, parse_complex_loop("-i").real) == -1.0
+
+
 @pytest.mark.parametrize("text", ["", "abc", "1+2", "++i", "1i2",
-                                  "nan", "-inf", "1e400", "nani", "1-infi", "0.5+1e400j"])
+                                  "nan", "-inf", "1e400", "nani", "1-infi", "0.5+1e400j",
+                                  "1_0e-1", "1e5_0", "\u0661", "0.6 +0.8i", "0 i", "1\t+2i"])
 def test_parse_complex_rejects(text):
     with pytest.raises(ValueError):
         parse_complex(text)
@@ -65,10 +78,10 @@ def _complex_outcome(parse, text):
 # a suffix make well-formed and nearly well-formed literals common draws
 _SIGN, _NUMBER, _EXPONENT, _GAP = (st.sampled_from(p) for p in (
     ("", "+", "-"), ("", "1", "2.5", ".5", "7.", "nan", "inf", "I"),
-    ("", "e5", "E-3", "e+2", "e"), ("", " ", "\n", "\n ")))
+    ("", "e5", "E-3", "e+2", "e"), ("", " ", "\n", "\n ", "\t", "_")))
 _PART = st.tuples(_SIGN, _NUMBER, _EXPONENT, _GAP).map("".join)
 COMPLEX_TEXT = st.one_of(
-    st.text(alphabet="0123456789+-.eEij nafI\n", max_size=16),
+    st.text(alphabet="0123456789+-.eEij nafI\n_\u0661\t", max_size=16),
     st.tuples(_PART, _PART, st.sampled_from(("", "i", "j"))).map("".join))
 
 
@@ -154,6 +167,48 @@ def test_bad_number_points_into_literal():
 def test_non_finite_literals_rejected_at_their_column(text, col):
     e = _err(text)
     assert (e.line, e.col) == (2, col)
+
+
+LENIENT = "dim 2\nstate [1,0]\nevolution zero\nslot 1.0 s\nmember A basis {0}\nmember B basis {1}\n"
+
+
+@pytest.mark.parametrize("text,line,col,expected", [
+    # amplitudes: float() took "_", non-ASCII digits and blanks inside a number
+    ("dim 2\nstate [1_0e-1, 0]", 2, 8, "a number like 1.5 or 1+2i"),
+    ("dim 2\nstate [1e5_0, 0]", 2, 8, "a number like 1.5 or 1+2i"),
+    ("dim 2\nstate [\u0661, 0]", 2, 8, "a number like 1.5 or 1+2i"),
+    ("dim 2\nstate [0.6 +0.8i, 0]", 2, 8, "a number like 1.5 or 1+2i"),
+    ("dim 2\nstate [1, 0 i]", 2, 11, "a number like 1.5 or 1+2i"),
+    ("dim 2\nstate [1,\t0\ti]", 2, 11, "a number like 1.5 or 1+2i"),
+    # dim: int() took "_", non-ASCII digits and a sign
+    ("dim 1_0", 1, 4, "a positive integer dimension"),
+    ("dim \u0663", 1, 4, "a positive integer dimension"),
+    ("dim +3", 1, 4, "a positive integer dimension"),
+    # basis indices
+    ("dim 2\nslot 1.0 s\nmember A basis {\u0661}", 3, 17, "a basis index"),
+    ("dim 2\nslot 1.0 s\nmember A basis {0,1_0}", 3, 19, "a basis index"),
+    ("dim 2\nslot 1.0 s\nmember A basis {+1}", 3, 17, "a basis index"),
+    # slot, unitary and finegrained times
+    ("dim 2\nslot 1_0 s", 2, 5, "a time label"),
+    ("dim 2\nslot \u0661 s", 2, 5, "a time label"),
+    ("dim 2\nevolution unitary 1_0 [[1,0],[0,1]]", 2, 18, "a time label"),
+    ("dim 2\nfinegrained 2_0 basis [[1,0],[0,1]]", 2, 12, "a time label"),
+])
+def test_lenient_number_forms_rejected_at_their_column(text, line, col, expected):
+    """Forms Python's float() and int() accept but the grammar does not are
+    ParseErrors at the number's column, from the parser and from the oracle."""
+    for parse in (parse_model, parse_model_loop):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (exc.value.line, exc.value.col, exc.value.expected) == (line, col, expected)
+
+
+def test_grammar_keeps_the_forms_it_accepts():
+    doc = parse_model("dim 2\nstate [ .6 , -.8i ]\nevolution unitary 1. [[1,0],[0,1]]\n"
+                      "slot 1e0 s\nmember A basis { 0 , 1 }\n")
+    assert doc == parse_model_loop(serialize_model(doc))
+    assert doc.state == (0.6, -0.8j) and doc.slots[0].time == 1.0
+    assert doc.slots[0].members[0].indices == (0, 1)
 
 
 def test_unterminated_bracket():
@@ -278,7 +333,7 @@ def test_parse_error_payload():
         assert payload["expected"] and payload["found"] == found
 
 
-EDIT_CHARS = "[]{},+-.eij0123456789 x\n#"
+EDIT_CHARS = "[]{},+-.eij0123456789 x\n#_\u0661\t"
 
 
 @st.composite
@@ -308,6 +363,24 @@ def test_parser_matches_loop_oracle_on_mutated_models(text):
     """Same document, or the same error at the same place, as the
     character-walking parser in tests/oracles.py."""
     assert _outcome(parse_model, text) == _outcome(parse_model_loop, text)
+
+
+def _perfbench_gen():
+    """perfbench/gen.py, the benchmark's model generator, imported as it is."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen   # its dataclass resolves annotations through sys.modules
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def test_benchmark_models_parse_like_the_loop_oracle():
+    """The benchmark's inputs stay inside the grammar: seed 0 of every
+    workload (the first 20 sweep models) parses to the oracle's document."""
+    gen = _perfbench_gen()
+    for workload in gen.WORKLOADS:
+        for spec in gen.generate(workload, 0)[:20]:
+            assert parse_model(spec.text) == parse_model_loop(spec.text)
 
 
 # ------------------------------------------------------------------- building
@@ -347,28 +420,29 @@ def test_unitary_evolution_needs_matching_times():
 def test_precession_model_probabilities():
     """Spin precessing under H = X/2: at t = pi/2 the up/down split is even,
     and the up-at-pi/2 histories carry zero weight for this phase."""
-    bm = load_model(MODELS / "precession.model")
-    eps = all_extended_probabilities(bm.history_set, bm.psi)
+    doc = load_model(MODELS / "precession.model")
+    eps = all_extended_probabilities(build_history_set(doc), build_state(doc))
     assert np.allclose(eps, [0.0, 0.0, 0.5, 0.5], atol=1e-12)
 
 
 def test_load_threebox_model():
-    bm = load_model(MODELS / "threebox.model")
-    assert bm.psi is not None and bm.history_set.size == 6
-    assert bm.history_set.history_labels()[0] == "A,Phi"
-    assert set(bm.partitions) == {"sector", "merge_ac", "cylinders"}
-    assert bm.finegrained is not None and bm.finegrained.history_set.n_times == 2
-    assert bm.evolution is not None
+    doc = load_model(MODELS / "threebox.model")
+    hs, psi = build_history_set(doc), build_state(doc)
+    assert hs.size == 6
+    assert hs.history_labels()[0] == "A,Phi"
+    assert {p.name for p in doc.partitions} == {"sector", "merge_ac", "cylinders"}
+    assert build_finegrained(doc).history_set.n_times == 2
+    assert doc.evolution is not None
 
-    eps = all_extended_probabilities(bm.history_set, bm.psi)
+    eps = all_extended_probabilities(hs, psi)
     assert np.allclose(eps, np.array([1, 1, -1, 2, 2, 4]) / 9.0, atol=1e-12)
 
 
 def test_load_composite_model():
-    bm = load_model(MODELS / "pair.model")
-    cs = bm.composites["pair"]
+    doc = load_model(MODELS / "pair.model")
+    cs = build_composites(doc, str(MODELS))["pair"]
     assert cs.joint_dim == 4 and cs.joint_count == 16
-    assert bm.psi is None          # the composite file itself declares no state
+    assert doc.state is None       # the composite file itself declares no state
 
 
 def test_load_missing_file(tmp_path):
@@ -378,12 +452,16 @@ def test_load_missing_file(tmp_path):
     assert exc.value.exit_status == 3
 
 
-def test_composite_cycle_detected(tmp_path):
+def test_composite_factor_listing_itself_ends_with_missing_section(tmp_path):
+    """A factor is read for its state and slots only, so its own composite
+    lines are never built: a file that lists itself is one missing-section
+    error naming the factor, not a recursion."""
     loop = tmp_path / "self.model"
     loop.write_text("composite loop factors self.model self.model\n")
     with pytest.raises(InvariantViolation) as exc:
-        load_model(loop)
-    assert exc.value.name == "composite-cycle"
+        build_composites(load_model(loop), str(tmp_path))
+    assert exc.value.name == "missing-section"
+    assert "composite factor self.model needs both a state and slots" in str(exc.value)
 
 
 def test_composite_factor_needs_state_and_slots(tmp_path):
@@ -392,8 +470,31 @@ def test_composite_factor_needs_state_and_slots(tmp_path):
     top = tmp_path / "top.model"
     top.write_text("composite c factors bare.model bare.model\n")
     with pytest.raises(InvariantViolation) as exc:
-        load_model(top)
+        build_composites(load_model(top), str(tmp_path))
     assert exc.value.name == "missing-section"
+    assert "composite factor bare.model" in str(exc.value)
+
+
+def test_composite_factor_sections_past_state_and_slots_are_not_built(tmp_path):
+    """A factor's non-orthogonal finegrained basis and its own composite line
+    do not stop the product: only its state and slots are built."""
+    text = (MODELS / "qubit_a.model").read_text()
+    (tmp_path / "a.model").write_text(
+        text + "finegrained 3.0 basis [[1,0],[1,1]]\ncomposite c factors x.model y.model\n")
+    (tmp_path / "b.model").write_text(text)
+    top = parse_model("composite pair factors a.model b.model\n")
+    cs = build_composites(top, str(tmp_path))["pair"]
+    shipped = build_composites(load_model(MODELS / "pair.model"), str(MODELS))["pair"]
+    assert np.array_equal(joint_functional(cs), joint_functional(shipped))
+
+
+def test_composite_factor_not_utf8(tmp_path):
+    (tmp_path / "a.model").write_bytes((MODELS / "qubit_a.model").read_bytes() + b"#\xfe\n")
+    top = parse_model("composite c factors a.model a.model\n")
+    with pytest.raises(InvariantViolation) as exc:
+        build_composites(top, str(tmp_path))
+    assert exc.value.name == "model-file"
+    assert "a.model: not UTF-8 at byte offset" in str(exc.value)
 
 
 def test_serialize_canonical_order():

@@ -221,10 +221,11 @@ def test_negative_ep_only_recorded_within_epsilon():
     """The recorded coarse three-box set has a (tiny) negative EP value;
     it is epsilon-recorded only because both the record probability and
     the EP are below epsilon."""
-    from ephist import load_model
-    m = load_model("models/recorded.model")
-    rs = construct_records(m.history_set, m.psi)
-    report = record_correlation_report(m.history_set, m.psi, rs, epsilon=1e-10)
+    from ephist import build_history_set, build_state, load_model
+    doc = load_model("models/recorded.model")
+    hs, psi = build_history_set(doc), build_state(doc)
+    rs = construct_records(hs, psi)
+    report = record_correlation_report(hs, psi, rs, epsilon=1e-10)
     assert report.passes
     for flat, ok in report.negative_bound_ok:
         assert ok
