@@ -31,9 +31,9 @@ def main():
 
     cfg = default_config(k_delta=args.k_delta)
     upper, lower = binned_extended_probabilities(cfg, panels=args.panels)
-    print(f"\nkDelta={args.k_delta}: negative upper bins {list(np.flatnonzero(upper < 0))}, "
-          f"lower {list(np.flatnonzero(lower < 0))}")
-    print(f"deepest fringes near |y| = {deepest_fringe_location(cfg):.2f}")
+    print(f"\nkDelta={args.k_delta}: negative upper bins {np.flatnonzero(upper < 0).tolist()}, "
+          f"lower {np.flatnonzero(lower < 0).tolist()}")
+    print(f"deepest fringes near |y| = {deepest_fringe_location():.2f}")
     print(f"self-convergence ({args.panels} vs {4 * args.panels} panels): "
           f"{self_convergence(cfg, args.panels, 4 * args.panels):.3e}")
 

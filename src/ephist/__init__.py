@@ -92,8 +92,7 @@ from .twoslit import (
     default_config,
     delta_sweep,
     extended_density,
-    integrate_density,
-    interference_integral,
+    interference_integrals,
     path_length,
     self_convergence,
 )
@@ -152,8 +151,7 @@ __all__ = [
     # twoslit
     "BINS_CAP", "SWEEP_K_DELTAS", "SweepRow", "TwoSlitConfig", "amplitude", "arrival_density",
     "binned_extended_probabilities", "deepest_fringe_location", "default_config", "delta_sweep",
-    "extended_density", "integrate_density", "interference_integral", "path_length",
-    "self_convergence",
+    "extended_density", "interference_integrals", "path_length", "self_convergence",
     # threebox
     "SECTOR_FLATS", "BoxSetReport", "ThreeBoxModel", "ThreeBoxReport", "box_coarse_set",
     "greedy_sector_search", "phi_sector_extended_probabilities", "phi_sector_functional",

@@ -5,7 +5,8 @@ is deterministic byte-for-byte for a fixed command line: floats are
 written with shortest round-trip literals, JSON keys are sorted, and
 the only randomness (dutchbook sampling) is seeded. Failures write
 error.json and exit with the error's status: 2 parse, 3 invariant,
-4 not decoherent, 5 cap exceeded. JSON is strict: never NaN or Infinity.
+4 not decoherent, 5 cap exceeded; an --out that cannot be created exits
+3 with no error.json. JSON is strict: never NaN or Infinity.
 """
 from __future__ import annotations
 
@@ -44,6 +45,10 @@ from .coarsegrain import (
 from .composite import product_rule_report
 from .finegrained import fundamental_distribution
 from .twoslit import (
+    K,
+    SCREEN_DISTANCE,
+    SLIT_SEPARATION,
+    Y_RANGE,
     TwoSlitConfig,
     binned_extended_probabilities,
     default_config,
@@ -51,7 +56,7 @@ from .twoslit import (
     delta_sweep,
     extended_density,
     arrival_density,
-    interference_integral,
+    interference_integrals,
     self_convergence,
 )
 from .threebox import greedy_sector_search, three_box_model, three_box_report
@@ -334,16 +339,15 @@ def _cmd_twoslit(args, out: _OutDir):
     else:
         cfg = default_config(k_delta=5.0 if args.k_delta is None else args.k_delta)
     upper, lower = binned_extended_probabilities(cfg)
-    cross = np.array([interference_integral(cfg, i) for i in range(cfg.bins)])
     edges = cfg.bin_edges()
     out.write("bins.csv", _csv(
         ("bin", "y_lo", "y_hi", "p_upper", "p_lower", "cross"),
-        ((i, edges[i], edges[i + 1], upper[i], lower[i], cross[i]) for i in range(cfg.bins)),
+        zip(range(cfg.bins), edges, edges[1:], upper, lower, interference_integrals(cfg)),
     ))
-    ys = np.linspace(cfg.y_range[0], cfg.y_range[1], 801)
-    du = extended_density(cfg, ys, "U")
-    dl = extended_density(cfg, ys, "L")
-    arr = arrival_density(cfg, ys)
+    ys = np.linspace(Y_RANGE[0], Y_RANGE[1], 801)
+    du = extended_density(ys, "U")
+    dl = extended_density(ys, "L")
+    arr = arrival_density(ys)
     out.write("curve.csv", _csv(
         ("y", "density_upper", "density_lower", "arrival"),
         zip(ys, du, dl, arr),
@@ -353,20 +357,20 @@ def _cmd_twoslit(args, out: _OutDir):
          "n_negative_upper", "n_negative_lower", "max_cross_ratio"),
         ((r.k_delta, r.bins, r.min_upper, r.min_lower,
           len(r.negative_upper), len(r.negative_lower), r.max_cross_ratio)
-         for r in delta_sweep(k=cfg.k, y_range=cfg.y_range)),
+         for r in delta_sweep()),
     ))
     out.write("summary.json", _dump_json({
-        "k": cfg.k,
-        "d": cfg.d,
-        "D": cfg.D,
-        "y_range": cfg.y_range,
+        "k": K,
+        "d": SLIT_SEPARATION,
+        "D": SCREEN_DISTANCE,
+        "y_range": Y_RANGE,
         "bins": cfg.bins,
         "k_delta": cfg.k_delta,
         "min_upper": float(upper.min()),
         "min_lower": float(lower.min()),
         "negative_bins_upper": np.flatnonzero(upper < 0.0),
         "negative_bins_lower": np.flatnonzero(lower < 0.0),
-        "deepest_fringe_abs_y": deepest_fringe_location(cfg),
+        "deepest_fringe_abs_y": deepest_fringe_location(),
         "self_convergence_128_512": self_convergence(cfg, 128, 512),
     }))
 
@@ -433,13 +437,24 @@ def _cmd_dutchbook(args, out: _OutDir):
     }))
 
 
+def _ascii(convert: Callable):
+    """An argparse type: convert only ASCII text without "_", as model numbers.
+    Range and finiteness are left to the handler, which writes error.json."""
+    def parse(text: str):
+        if not text.isascii() or "_" in text:
+            raise argparse.ArgumentTypeError(f"not an ASCII number: {text!r}")
+        return convert(text)
+    parse.__name__ = convert.__name__   # argparse names it in "invalid float value"
+    return parse
+
+
 _OPTIONS = {
     "--model": dict(help="model file path"),
-    "--tol": dict(type=float, help="tolerance override"),
+    "--tol": dict(type=_ascii(float), help="tolerance override"),
     "--partition": dict(help="partition name from the model, or a literal like [[0],[1,2]]"),
-    "--kDelta": dict(dest="k_delta", type=float, help="two-slit bin width in phase units"),
-    "--bins": dict(type=int, help="two-slit bin count override"),
-    "--seed": dict(type=int, help="RNG seed"),
+    "--kDelta": dict(dest="k_delta", type=_ascii(float), help="two-slit bin width in phase units"),
+    "--bins": dict(type=_ascii(int), help="two-slit bin count override"),
+    "--seed": dict(type=_ascii(int), help="RNG seed"),
 }
 
 # handler, help text, and the options the handler reads besides --out; a
@@ -483,7 +498,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_command(argv: Sequence[str]) -> int:
     args = build_parser().parse_args(argv)
-    out = _OutDir(args.out)
+    try:
+        out = _OutDir(args.out)
+    except OSError as err:   # no directory, so no error.json
+        print(f"error: cannot create output directory {args.out}: {err.strerror or err}",
+              file=sys.stderr)
+        return InvariantViolation.exit_status
     options = {
         "model": args.model,
         "tol": args.tol,

@@ -71,29 +71,34 @@ class Partition:
         return out
 
 
-def _load_class_list(text: str, line: int, col: int, expected: str, found: str):
+def _load_class_list(text: str, line: int, col: int, expected: str):
     """json.loads of a class-list literal that starts at (line, col).
 
     Any ValueError becomes a ParseError: a JSON syntax error at its own
-    column, with the literal's text from there on as found, and an index past
-    Python's int digit limit or nesting past the recursion limit at the
-    literal's start, with the given found.
+    column, and an index past Python's int digit limit or nesting past the
+    recursion limit at the literal's start. Either way found is at most 40
+    characters of the literal, from the reported column on.
     """
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(line, col + e.colno - 1, expected, text[e.pos:][:40]) from None
     except (ValueError, RecursionError):
-        raise ParseError(line, col, expected, found) from None
+        raise ParseError(line, col, expected, text[:40]) from None
+
+
+def _is_class_list(raw) -> bool:
+    """A nonempty list of nonempty lists of ints (bools are not ints here)."""
+    return (isinstance(raw, list) and bool(raw)
+            and all(isinstance(c, list) and c for c in raw)
+            and all(isinstance(i, int) and not isinstance(i, bool) for c in raw for i in c))
 
 
 def partition_from_literal(text: str, fine_count: int) -> Partition:
-    """Parse a bracketed class list like [[0],[1,2]]."""
-    raw = _load_class_list(text, 1, 1, "partition literal like [[0],[1,2]]", text)
-    if (not isinstance(raw, list) or not raw
-            or any(not isinstance(c, list) for c in raw)
-            or any(not isinstance(i, int) or isinstance(i, bool) for c in raw for i in c)):
-        raise ParseError(1, 1, "list of integer lists like [[0],[1,2]]", text)
+    """Parse a bracketed class list like [[0],[1,2]], as a partition line would."""
+    raw = _load_class_list(text, 1, 1, "a class list like [[0],[1,2]]")
+    if not _is_class_list(raw):
+        raise ParseError(1, 1, "nonempty lists of integers", text.strip()[:40])
     return Partition(fine_count, tuple(tuple(c) for c in raw))
 
 

@@ -49,7 +49,7 @@ from .hilbert import (
     rank_one_projector,
 )
 from .histories import HistorySet
-from .coarsegrain import _load_class_list
+from .coarsegrain import _is_class_list, _load_class_list
 from .finegrained import FineGrainedSpec
 from .composite import CompositeSystem
 
@@ -403,11 +403,8 @@ class _Parser:
         # the first piece starts just after the opening "["
         start = line.literal("[", "a class list like [[0],[1,2]]")[0][1] - 1
         literal = line.text[start:line.pos]
-        raw = _load_class_list(literal, line.no, start + 1, "a class list like [[0],[1,2]]",
-                               literal[:40])
-        if (not isinstance(raw, list) or not raw
-                or any(not isinstance(c, list) or not c for c in raw)
-                or any(not isinstance(i, int) or isinstance(i, bool) for c in raw for i in c)):
+        raw = _load_class_list(literal, line.no, start + 1, "a class list like [[0],[1,2]]")
+        if not _is_class_list(raw):
             line.fail("nonempty lists of integers", at=start)
         self.partitions.append(PartitionClause(name, tuple(tuple(c) for c in raw)))
 

@@ -33,7 +33,6 @@ from ephist import (
     RecordCheckReport,
     RecordSet,
     StateVector,
-    TwoSlitConfig,
     amplitude,
     branch_matrix,
     dec_measure,
@@ -185,10 +184,10 @@ def coarse_class_operator(hs: HistorySet, part: Partition, class_index: int) -> 
     return c
 
 
-def extended_density_from_amplitudes(cfg: TwoSlitConfig, y, slit: str = "U"):
+def extended_density_from_amplitudes(y, slit: str = "U"):
     """|psi_slit|^2 + Re[conj(psi_other) psi_slit], from the two amplitudes."""
-    own = amplitude(cfg, y, slit)   # rejects an unknown slit name
-    other = amplitude(cfg, y, "L" if slit == "U" else "U")
+    own = amplitude(y, slit)   # rejects an unknown slit name
+    other = amplitude(y, "L" if slit == "U" else "U")
     return np.abs(own) ** 2 + np.real(np.conj(other) * own)
 
 
@@ -639,8 +638,7 @@ class _Parser:
         name = line.word("a partition name")
         inner, base = line.bracket("[", "]", "a class list like [[0],[1,2]]")
         literal = "[" + inner + "]"
-        raw = _load_class_list(literal, line.no, base, "a class list like [[0],[1,2]]",
-                               literal[:40])
+        raw = _load_class_list(literal, line.no, base, "a class list like [[0],[1,2]]")
         if (not isinstance(raw, list) or not raw
                 or any(not isinstance(c, list) or not c for c in raw)
                 or any(not isinstance(i, int) or isinstance(i, bool) for c in raw for i in c)):

@@ -48,6 +48,7 @@ from ephist import (
     verify_strong_records,
 )
 from ephist.cli import run_command
+from ephist.twoslit import Y_RANGE
 from test_cli import MODELS
 
 NINTH = 1.0 / 9.0
@@ -93,8 +94,8 @@ def test_criterion_2_two_slit_negativity_and_binning():
     def fn():
         t0 = perf_counter()
         cfg = default_config()                         # k=1, D=d=60, kDelta=5
-        grid = np.linspace(cfg.y_range[0], cfg.y_range[1], 4001)
-        density_min = float(np.min(extended_density(cfg, grid)))
+        grid = np.linspace(Y_RANGE[0], Y_RANGE[1], 4001)
+        density_min = float(np.min(extended_density(grid)))
         u5, l5 = binned_extended_probabilities(cfg)
         u20, l20 = binned_extended_probabilities(default_config(k_delta=20.0))
         checks = [

@@ -363,7 +363,7 @@ def test_deep_partition_option_is_a_parse_error(tmp_path):
                       "--partition", DEEP)
     assert status == 2
     err = load(out, "error.json")
-    assert (err["line"], err["col"]) == (1, 1)
+    assert (err["line"], err["col"], err["found"]) == (1, 1, DEEP[:40])
 
 
 def test_deep_partition_line_is_a_parse_error(tmp_path):
@@ -434,6 +434,39 @@ def test_twoslit_bin_count_capped(tmp_path, argv):
     err = load(out, "error.json")
     assert err["code"] == "cap-exceeded"
     assert err["cap"] == 4096
+
+
+@pytest.mark.parametrize("argv", [
+    ["twoslit", "--bins", "\u0661\u0666"],       # Arabic-Indic 16
+    ["threebox", "--tol", "1_0e-11"],
+    ["dutchbook", "--seed", "\u0667"],            # Arabic-Indic 7
+])
+def test_numeric_options_are_ascii(tmp_path, argv, capsys):
+    """int() and float() take these; the options, like model numbers, do not."""
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "o", *argv)
+    assert exc.value.code == 2
+    assert "not an ASCII number" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_out_naming_a_file(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    status = run_command(["eval", "--model", str(MODELS / "threebox.model"), "--out", str(taken)])
+    assert status == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot create output directory ") and err.count("\n") == 1
+    assert taken.read_text() == ""
+
+
+def test_empty_class_in_partition_option(tmp_path):
+    """As on a partition line: every class must be nonempty, a parse error."""
+    status, out = run(tmp_path, "o", "coarsen", "--model", str(MODELS / "threebox.model"),
+                      "--partition", "[[0],[]]")
+    assert status == 2
+    err = load(out, "error.json")
+    assert (err["expected"], err["found"]) == ("nonempty lists of integers", "[[0],[]]")
 
 
 @pytest.mark.parametrize("dim", ["1000000000", "9" * 401])

@@ -76,10 +76,13 @@ def test_partition_literal():
     p = partition_from_literal("[[0, 2], [1]]", 3)
     assert p.classes == ((0, 2), (1,))
 
-    for bad in ["[[0,2],[1]", "{\"a\": 1}", "[[0, true], [1]]", "[]", "[0, 1]"]:
+    for bad in ["[[0,2],[1]", "{\"a\": 1}", "[[0, true], [1]]", "[]", "[0, 1]", "[[0],[]]"]:
         with pytest.raises(ParseError) as exc:
             partition_from_literal(bad, 3)
         assert exc.value.exit_status == 2
+    with pytest.raises(ParseError) as exc:
+        partition_from_literal("[[0],[]]", 2)
+    assert (exc.value.line, exc.value.col, exc.value.expected) == (1, 1, "nonempty lists of integers")
     with pytest.raises(ParseError) as exc:
         partition_from_literal("[[0,],[1]]", 3)
     assert (exc.value.line, exc.value.col, exc.value.found) == (1, 5, "],[1]]")

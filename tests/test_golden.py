@@ -33,6 +33,7 @@ CASES = {
                                   "--partition", "cylinders"]),
     "twoslit-5": (0, ["twoslit", "--kDelta", "5"]),
     "twoslit-20": (0, ["twoslit", "--kDelta", "20"]),
+    "twoslit-bins-4096": (0, ["twoslit", "--bins", "4096"]),
     "threebox": (0, ["threebox"]),
     "dutchbook-11": (0, ["dutchbook", "--seed", "11"]),
 }
@@ -135,6 +136,13 @@ GOLDEN = {
         "curve.csv": "92f140f41687b09603f91b79c241601b0cd8bca9fb344ddefc162f19769d667b",
         "manifest.json": "faf9d58705c0a20dcf43f361b9a8c61603d37733cdae3b04aad230cfa33bcb20",
         "summary.json": "2626db60069e4caeef94ec19a3fe23dd536aff85c3668133faf97544e14bb652",
+        "sweep.csv": "4436fbbb0fa10d1fe68ffd10cc043686a23eebd3fa235770ba65809b89211731",
+    },
+    "twoslit-bins-4096": {
+        "bins.csv": "b79b77a8307bf12cc80757d7ddfef10715b3a26ca1dd8085437fe313cf83384c",
+        "curve.csv": "92f140f41687b09603f91b79c241601b0cd8bca9fb344ddefc162f19769d667b",
+        "manifest.json": "689fe319fca58b015d440907af42cc7b8933f05be67d7e458d33daa0b24ca504",
+        "summary.json": "16183731d2db932908687cf5c5ae42d318d45ac0c75f369e561beddd5edf9a25",
         "sweep.csv": "4436fbbb0fa10d1fe68ffd10cc043686a23eebd3fa235770ba65809b89211731",
     },
     "twoslit-5": {

@@ -24,7 +24,7 @@ REMOVED = (
     "dh_probability", "class_operator", "flatten_index", "unflatten_index", "factor_amplitudes",
     "joint_extended_probability", "merge_slot_alternatives", "slot_partition",
     "cylinder_history_set", "cylinder_partition", "identity_partition", "total_partition",
-    "FINE_CAP", "serialize_model",
+    "FINE_CAP", "serialize_model", "integrate_density", "interference_integral",
 )
 
 
@@ -99,6 +99,17 @@ def test_tolerances_and_caps_have_no_overrides():
                  "ProjectorSetReport"):
         assert "tol" not in {f.name for f in dataclasses.fields(getattr(ephist, name))}, name
     assert "tol" not in inspect.signature(ephist.validate_projector_set).parameters
+
+
+def test_two_slit_geometry_is_fixed():
+    """k, d, D, the amplitude scale and the screen window are module constants:
+    no call takes them, and a TwoSlitConfig holds only its bin count."""
+    for name in ephist.__all__:
+        obj = getattr(ephist, name)
+        if callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception)):
+            params = set(inspect.signature(obj).parameters)
+            assert not params & {"k", "d", "D", "a", "y_range", "k_deltas"}, name
+    assert [f.name for f in dataclasses.fields(ephist.TwoSlitConfig)] == ["bins"]
 
 
 def test_no_public_callable_picks_a_slot_by_index():
