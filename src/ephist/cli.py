@@ -6,11 +6,13 @@ written with shortest round-trip literals, JSON keys are sorted, and
 the only randomness (dutchbook sampling) is seeded. Failures write
 error.json and exit with the error's status: 2 parse, 3 invariant,
 4 not decoherent, 5 cap exceeded; an --out that cannot be created exits
-3 with no error.json. JSON is strict: never NaN or Infinity.
+3 with no error.json. A run first removes any manifest.json or error.json
+in --out. JSON is strict: never NaN or Infinity.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -179,6 +181,9 @@ class _OutDir:
     def __init__(self, path: str):
         self.path = path
         os.makedirs(path, exist_ok=True)
+        for status in ("manifest.json", "error.json"):   # left by an earlier run
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(path, status))
         self.written: list[str] = []
 
     def write(self, name: str, text: str | Iterable[str]):

@@ -102,82 +102,77 @@ class Projector:
         return int(round(self.entries.trace().real))
 
 
-def rank_one_projector(vec, label: str = "") -> Projector:
-    """|v><v| / <v|v> for a nonzero vector v."""
+def _rank_one_entries(vec) -> np.ndarray:
+    """|v><v| / <v|v> for a nonzero vector v, as a plain matrix."""
     v = np.asarray(vec, dtype=np.complex128)
     n = np.linalg.norm(v)
     if n < 1e-14:
         raise InvariantViolation("nonzero-vector", n, "cannot project onto a zero vector")
     v = v / n
-    return Projector(np.outer(v, v.conj()), label=label)
+    return np.outer(v, v.conj())
+
+
+def rank_one_projector(vec, label: str = "") -> Projector:
+    """|v><v| / <v|v> for a nonzero vector v."""
+    return Projector(_rank_one_entries(vec), label=label)
 
 
 @dataclass(frozen=True)
 class ProjectorSetReport:
     completeness_defect: float
     exclusivity_defect: float
-    idempotency_defect: float
 
     @property
     def worst(self) -> float:
-        """The largest defect; NaN if any defect is NaN."""
-        return float(np.max((self.completeness_defect, self.exclusivity_defect,
-                             self.idempotency_defect)))
+        """The larger defect; NaN if either defect is NaN."""
+        return float(np.max((self.completeness_defect, self.exclusivity_defect)))
 
     @property
     def passes(self) -> bool:
         return self.worst <= TOL_OP
 
 
-def validate_projector_set(
-    members: Union["ProjectorSet", Sequence[Projector], Sequence[np.ndarray]],
-) -> ProjectorSetReport:
-    """Check that the members form an exhaustive set of exclusive alternatives.
+def validate_projector_set(members: Union["ProjectorSet", Sequence[Projector]]) -> ProjectorSetReport:
+    """Check completeness and exclusivity, all a set adds to its Projector members.
 
-    Accepts a ProjectorSet, a sequence of Projector, or raw matrices, so
-    deliberately broken sets (which ProjectorSet construction rejects)
-    can still be reported on.
-
-    Completeness and idempotency cover every member. The exclusivity pairs
-    skip members whose entries are all exactly zero: such a member's
-    product with a finite matrix is exactly zero and with a non-finite one
-    NaN, and neither can raise the running maximum, which starts at 0 and
-    keeps its value against NaN. So every reported value is the one the
-    full pair scan gives, and a set with at most d nonzero members (any
-    valid set, such as the record set of a decoherent history set, which
-    gives most histories a zero record) costs O(d^2) products, not O(m^2).
+    Any other member type is rejected. The exclusivity pairs skip members
+    whose entries are all exactly zero: their products are exactly zero and
+    cannot raise the running maximum, so the result is the full scan's, and
+    a set with at most d nonzero members (any valid set, such as the record
+    set of a decoherent history set) costs O(d^2) products, not O(m^2).
     """
     if isinstance(members, ProjectorSet):
         members = members.members
-    mats = [m.entries if isinstance(m, Projector) else np.asarray(m, dtype=np.complex128) for m in members]
+    for i, m in enumerate(members):
+        if not isinstance(m, Projector):
+            raise InvariantViolation("projector-member", 1.0,
+                                     f"member {i} is a {type(m).__name__}, not a Projector")
+    mats = [m.entries for m in members]
     if not mats:
         raise InvariantViolation("nonempty-projector-set", 1.0, "no members given")
     d = mats[0].shape[0]
     if any(m.shape != (d, d) for m in mats):
         raise DimensionMismatch("projector set members have mixed dimensions")
     completeness = np.abs(sum(mats) - np.eye(d)).max()
-    idempotency = max(np.abs(m @ m - m).max(initial=0.0) for m in mats)
     nonzero = [m for m in mats if m.any()]
     exclusivity = 0.0
     for i, a in enumerate(nonzero):
         for b in nonzero[i + 1:]:
             exclusivity = max(exclusivity, np.abs(a @ b).max(initial=0.0))
-    return ProjectorSetReport(float(completeness), float(exclusivity), float(idempotency))
+    return ProjectorSetReport(float(completeness), float(exclusivity))
 
 
 @dataclass(frozen=True)
 class ProjectorSet:
-    """Exhaustive, mutually exclusive projectors at one time label."""
+    """Exhaustive, mutually exclusive projectors at one finite time label."""
 
     members: tuple[Projector, ...]
     time: float
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(self.members))
-        for i, m in enumerate(self.members):
-            if not isinstance(m, Projector):
-                raise InvariantViolation("projector-member", 1.0,
-                                         f"member {i} is a {type(m).__name__}, not a Projector")
+        if not np.isfinite(self.time):
+            raise InvariantViolation("finite-time", abs(self.time), "projector set time")
         report = validate_projector_set(self.members)
         if not report.passes:
             raise InvariantViolation("projector-set", report.worst,
@@ -266,14 +261,13 @@ def evolution_operator(evo: EvolutionSpec, t: float, dim: int) -> np.ndarray:
     return u
 
 
-def heisenberg_projectors(members: Sequence[Projector], t: float,
+def heisenberg_projectors(members: Sequence[tuple[np.ndarray, str]], t: float,
                           evo: EvolutionSpec) -> tuple[Projector, ...]:
-    """U(t)^dag P U(t) for every member of one time slot, with U(t) computed once."""
-    u = evolution_operator(evo, t, members[0].dim)
-    return tuple(Projector(u.conj().T @ p.entries @ u, label=p.label)
-                 for p in members)
+    """Projector(U(t)^dag P U(t), label) for each (P, label) of one slot; U(t) computed once."""
+    u = evolution_operator(evo, t, members[0][0].shape[0])
+    return tuple(Projector(u.conj().T @ p @ u, label=label) for p, label in members)
 
 
 def heisenberg_projector(p: Projector, t: float, evo: EvolutionSpec) -> Projector:
     """exp(+iHt) P exp(-iHt), or U(t)^dag P U(t) for explicit unitaries."""
-    return heisenberg_projectors((p,), t, evo)[0]
+    return heisenberg_projectors(((p.entries, p.label),), t, evo)[0]

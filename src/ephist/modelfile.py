@@ -42,11 +42,10 @@ from .errors import CapExceeded, InvariantViolation, ParseError
 from .hilbert import (
     EvolutionSpec,
     HermitianOperator,
-    Projector,
     ProjectorSet,
     StateVector,
+    _rank_one_entries,
     heisenberg_projectors,
-    rank_one_projector,
 )
 from .histories import HistorySet
 from .coarsegrain import _is_class_list, _load_class_list
@@ -475,17 +474,17 @@ def build_evolution(doc: ModelDocument) -> EvolutionSpec:
         {t: np.array(m, dtype=np.complex128) for t, m in doc.evolution.unitaries})
 
 
-def _member_projector(doc: ModelDocument, m: MemberClause) -> Projector:
+def _member_matrix(doc: ModelDocument, m: MemberClause) -> np.ndarray:
     if m.kind == "basis":
         entries = np.zeros((doc.dim, doc.dim), dtype=np.complex128)
         for i in m.indices:
             entries[i, i] = 1.0
-        return Projector(entries, label=m.label)
-    return Projector(np.array(m.matrix, dtype=np.complex128), label=m.label)
+        return entries
+    return np.array(m.matrix, dtype=np.complex128)
 
 
 def _heisenberg_slots(evo: EvolutionSpec, slots) -> tuple[ProjectorSet, ...]:
-    """Heisenberg-picture projector sets from (time, Schrodinger projectors) pairs."""
+    """Heisenberg-picture projector sets from (time, [(matrix, label), ...]) pairs."""
     return tuple(ProjectorSet(heisenberg_projectors(members, t, evo), time=t)
                  for t, members in slots)
 
@@ -494,15 +493,14 @@ def build_history_set(doc: ModelDocument) -> HistorySet:
     _require(doc, "slots")
     evo = build_evolution(doc)
     return HistorySet(_heisenberg_slots(evo, (
-        (sc.time, [_member_projector(doc, m) for m in sc.members]) for sc in doc.slots)))
+        (sc.time, [(_member_matrix(doc, m), m.label) for m in sc.members]) for sc in doc.slots)))
 
 
 def build_finegrained(doc: ModelDocument) -> FineGrainedSpec:
     _require(doc, "finegrained")
     evo = build_evolution(doc)
     slots = _heisenberg_slots(evo, (
-        (fc.time, [rank_one_projector(np.array(row, dtype=np.complex128), str(i))
-                   for i, row in enumerate(fc.rows)])
+        (fc.time, [(_rank_one_entries(row), str(i)) for i, row in enumerate(fc.rows)])
         for fc in doc.finegrained))
     return FineGrainedSpec(build_state(doc), HistorySet(slots))
 

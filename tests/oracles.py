@@ -230,24 +230,23 @@ def enumerate_partitions(m: int) -> Iterator[Partition]:
 
 
 def validate_projector_set_loop(
-    members: Union[ProjectorSet, Sequence[Projector], Sequence[np.ndarray]],
+    members: Union[ProjectorSet, Sequence[Projector]],
 ) -> ProjectorSetReport:
     """validate_projector_set with every member in the exclusivity pair scan."""
     if isinstance(members, ProjectorSet):
         members = members.members
-    mats = [m.entries if isinstance(m, Projector) else np.asarray(m, dtype=np.complex128) for m in members]
+    mats = [m.entries for m in members]
     if not mats:
         raise InvariantViolation("nonempty-projector-set", 1.0, "no members given")
     d = mats[0].shape[0]
     if any(m.shape != (d, d) for m in mats):
         raise DimensionMismatch("projector set members have mixed dimensions")
     completeness = np.abs(sum(mats) - np.eye(d)).max()
-    idempotency = max(np.abs(m @ m - m).max(initial=0.0) for m in mats)
     exclusivity = 0.0
     for i, a in enumerate(mats):
         for b in mats[i + 1:]:
             exclusivity = max(exclusivity, np.abs(a @ b).max(initial=0.0))
-    return ProjectorSetReport(float(completeness), float(exclusivity), float(idempotency))
+    return ProjectorSetReport(float(completeness), float(exclusivity))
 
 
 def verify_strong_records_loop(

@@ -460,6 +460,61 @@ def test_out_naming_a_file(tmp_path, capsys):
     assert taken.read_text() == ""
 
 
+def test_out_drops_an_earlier_error(tmp_path):
+    """A failed run's error.json does not outlive a later successful run."""
+    threebox = str(MODELS / "threebox.model")
+    status, out = run(tmp_path, "o", "coarsen", "--model", threebox, "--partition", "[[0],[]]")
+    assert status == 2 and (out / "error.json").exists()
+    status, out = run(tmp_path, "o", "eval", "--model", threebox)
+    assert status == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(load(out, "manifest.json")["outputs"]
+                                                           + ["manifest.json"])
+
+
+def test_out_drops_an_earlier_manifest(tmp_path):
+    """A successful run's manifest.json does not outlive a later failed run."""
+    threebox = str(MODELS / "threebox.model")
+    status, out = run(tmp_path, "o", "eval", "--model", threebox)
+    assert status == 0
+    status, out = run(tmp_path, "o", "records", "--model", threebox)
+    assert status == 4
+    assert not (out / "manifest.json").exists()
+    assert load(out, "error.json")["code"] == "not-decoherent"
+    assert (out / "summary.json").exists()   # other files are left alone
+
+
+NON_IDEMPOTENT_SLOT = ("slot 1.0 s\nmember a matrix [[0.5,0.5],[0.5,0.6]]\n"
+                       "member b matrix [[0.5,-0.5],[-0.5,0.4]]\n")
+
+
+def test_non_idempotent_member_error_bytes(tmp_path):
+    model = tmp_path / "bad.model"
+    model.write_text("dim 2\nstate [1,0]\nevolution zero\n" + NON_IDEMPOTENT_SLOT)
+    status, out = run(tmp_path, "o", "eval", "--model", str(model))
+    assert status == 3
+    assert (out / "error.json").read_text() == """{
+  "code": "invariant-violation",
+  "command": "eval",
+  "invariant": "projector-idempotency",
+  "magnitude": 0.050000000000000044,
+  "message": "invariant 'projector-idempotency' violated by 5.000e-02: a"
+}
+"""
+
+
+def test_non_idempotent_member_under_a_hamiltonian(tmp_path):
+    """The evolved member is the one checked: same invariant and label, and
+    the evolved matrix's own defect."""
+    model = tmp_path / "bad.model"
+    model.write_text("dim 2\nstate [1,0]\nevolution hamiltonian [[0,1],[1,0]]\n"
+                     + NON_IDEMPOTENT_SLOT)
+    status, out = run(tmp_path, "o", "eval", "--model", str(model))
+    assert status == 3
+    err = load(out, "error.json")
+    assert err["invariant"] == "projector-idempotency"
+    assert err["message"].endswith(": a")
+
+
 def test_empty_class_in_partition_option(tmp_path):
     """As on a partition line: every class must be nonempty, a parse error."""
     status, out = run(tmp_path, "o", "coarsen", "--model", str(MODELS / "threebox.model"),

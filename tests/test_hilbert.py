@@ -62,7 +62,10 @@ def test_constructors_reject_non_finite(bad):
         HermitianOperator(np.array([[bad, 0.0], [0.0, 0.0]]))
     with pytest.raises(InvariantViolation):
         EvolutionSpec.from_unitaries({1.0: np.array([[bad, 0.0], [0.0, 1.0]])})
-    assert not validate_projector_set([np.diag([bad, 0.0]), np.diag([0.0, 1.0])]).passes
+    for make_set in (lambda: ProjectorSet((Projector(np.eye(2)),), time=bad),
+                     lambda: projector_set_from_basis(np.eye(2), time=bad)):
+        with pytest.raises(InvariantViolation, match="'finite-time'"):
+            make_set()
 
 
 # Non-finite in either part, or finite but huge. The huge entry is complex
@@ -117,9 +120,9 @@ def test_duplicate_member_cannot_double_the_sum_rule():
         StateVector(np.array([2.0, 0.0]), tol=10.0)
 
 
-@pytest.mark.parametrize("position", range(3))
+@pytest.mark.parametrize("position", range(2))
 def test_projector_set_report_worst_keeps_nan(position):
-    defects = [0.0, 0.0, 0.0]
+    defects = [0.0, 0.0]
     defects[position] = np.nan
     report = ProjectorSetReport(*defects)
     assert np.isnan(report.worst)
@@ -141,54 +144,44 @@ def test_rank_one_projector_normalizes():
         rank_one_projector([0.0, 0.0])
 
 
-def test_validate_accepts_raw_matrices_and_reports_defects():
-    good = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+def test_validate_reports_set_defects_of_projectors():
+    good = [Projector(np.diag([1.0, 0.0])), Projector(np.diag([0.0, 1.0]))]
     assert validate_projector_set(good).passes
-    # drop a member: completeness defect 1, so a deliberate 1e-3-scale
-    # broken set is reportable without being constructible
-    bad = validate_projector_set([np.diag([1.0, 0.0])])
-    assert bad.completeness_defect == pytest.approx(1.0)
+    # drop a member: completeness defect 1, so a broken set is reportable
+    # without being constructible
+    bad = validate_projector_set(good[:1])
+    assert bad.completeness_defect == 1.0
+    assert bad.exclusivity_defect == 0.0
     assert not bad.passes
     with pytest.raises(InvariantViolation):
         validate_projector_set([])
 
 
 def test_projector_set_rejects_raw_matrix_members():
-    """validate_projector_set reports on raw matrices, but a ProjectorSet of
-    them would fail later, at .dim or .labels, not at construction."""
+    """Only a Projector has proved itself Hermitian and idempotent, so a raw
+    matrix is rejected by validate_projector_set and every set built on it."""
     p = Projector(np.diag([1.0, 0.0]))
     for members in ((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])),
                     (p, np.diag([0.0, 1.0]))):
-        with pytest.raises(InvariantViolation) as exc:
-            ProjectorSet(members, 1.0)
-        assert exc.value.name == "projector-member"
-        assert exc.value.exit_status == 3
-    assert validate_projector_set((np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))).passes
+        for check in (lambda: ProjectorSet(members, 1.0),
+                      lambda: validate_projector_set(members)):
+            with pytest.raises(InvariantViolation) as exc:
+                check()
+            assert exc.value.name == "projector-member"
+            assert exc.value.exit_status == 3
 
 
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 5),
-       zeros=st.lists(st.tuples(st.integers(0, 63), st.sampled_from(["raw", "neg", "projector"])),
-                      max_size=5),
-       spoil=st.sampled_from([None, "nan", "inf", "broken"]), spoil_at=st.integers(0, 63))
+       zeros=st.lists(st.tuples(st.integers(0, 63), st.sampled_from([1.0, -1.0])), max_size=5))
 @settings(max_examples=80, deadline=None)
-def test_validate_skipping_zero_members_matches_loop(seed, d, zeros, spoil, spoil_at):
+def test_validate_skipping_zero_members_matches_loop(seed, d, zeros):
     """Every defect equals, to the last bit, the one from the scan over all pairs."""
     rng = np.random.default_rng(seed)
-    mats = [p.entries for p in random_slot(rng, d, 1.0).members]
-    for position, kind in zeros:
-        zero = {"raw": np.zeros((d, d)), "neg": -np.zeros((d, d)),
-                "projector": Projector(np.zeros((d, d)))}[kind]
-        mats.insert(position % (len(mats) + 1), zero)
-    if spoil is not None:
-        k = spoil_at % len(mats)
-        if spoil == "broken":
-            mats[k] = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        else:
-            mats[k] = np.array(mats[k].entries if isinstance(mats[k], Projector) else mats[k],
-                               dtype=complex)
-            mats[k][rng.integers(d), rng.integers(d)] = np.nan if spoil == "nan" else np.inf
-    fast, slow = validate_projector_set(mats), validate_projector_set_loop(mats)
-    for name in ("completeness_defect", "exclusivity_defect", "idempotency_defect"):
+    members = list(random_slot(rng, d, 1.0).members)
+    for position, sign in zeros:   # +0.0 and -0.0 entries
+        members.insert(position % (len(members) + 1), Projector(sign * np.zeros((d, d))))
+    fast, slow = validate_projector_set(members), validate_projector_set_loop(members)
+    for name in ("completeness_defect", "exclusivity_defect"):
         assert repr(getattr(fast, name)) == repr(getattr(slow, name))
 
 

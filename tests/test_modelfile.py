@@ -14,6 +14,7 @@ from ephist import (
     EvolutionSpec,
     InvariantViolation,
     ParseError,
+    Projector,
     all_extended_probabilities,
     build_composites,
     build_evolution,
@@ -409,12 +410,34 @@ def test_incomplete_slot_fails_on_build():
 
 
 def test_unitary_evolution_needs_matching_times():
-    doc = parse_model("dim 2\nstate [1,0]\n"
-                      "evolution unitary 1.0 [[0,1],[1,0]]\n"
-                      "slot 2.0 x\nmember A basis {0}\nmember B basis {1}")
-    with pytest.raises(InvariantViolation) as exc:
-        build_history_set(doc)
-    assert exc.value.name == "known-time"
+    """U(t) is formed before a slot's members are checked as evolved, so an
+    unknown time is reported even before a member that is not a projector."""
+    for member in ("member A basis {0}", "member A matrix [[0.5,0],[0,1]]"):
+        doc = parse_model("dim 2\nstate [1,0]\n"
+                          "evolution unitary 1.0 [[0,1],[1,0]]\n"
+                          f"slot 2.0 x\n{member}\nmember B basis {{1}}")
+        with pytest.raises(InvariantViolation) as exc:
+            build_history_set(doc)
+        assert exc.value.name == "known-time"
+
+
+def test_each_member_becomes_one_projector(monkeypatch):
+    """Each declared member and each fine-grained basis row is checked once,
+    as its evolved Projector."""
+    built = []
+    check = Projector.__post_init__
+
+    def counted(self):
+        check(self)
+        built.append(self.label)
+
+    monkeypatch.setattr(Projector, "__post_init__", counted)
+    doc = load_model(MODELS / "threebox.model")
+    build_history_set(doc)
+    assert built == ["A", "B", "C", "Phi", "~Phi"]
+    built.clear()
+    build_finegrained(doc)
+    assert built == ["0", "1", "2"] * 2
 
 
 def test_precession_model_probabilities():

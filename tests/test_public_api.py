@@ -112,6 +112,13 @@ def test_two_slit_geometry_is_fixed():
     assert [f.name for f in dataclasses.fields(ephist.TwoSlitConfig)] == ["bins"]
 
 
+def test_projector_set_report_holds_only_set_defects():
+    """Hermiticity and idempotency are a Projector's own checks; a set adds
+    only completeness and exclusivity."""
+    assert tuple(f.name for f in dataclasses.fields(ephist.ProjectorSetReport)) == (
+        "completeness_defect", "exclusivity_defect")
+
+
 def test_no_public_callable_picks_a_slot_by_index():
     """Slot-wise merges take one grouping per slot (group_slots), so no call
     selects a slot by a position it would have to range-check."""
