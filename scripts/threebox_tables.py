@@ -2,12 +2,11 @@
 and which coarse grainings decohere."""
 import numpy as np
 
-from ephist import greedy_sector_search, three_box_model, three_box_report
+from ephist import three_box_report
 
 
 def main():
     rep = three_box_report()
-    model = three_box_model()
 
     print("fine histories (box, readout), extended probabilities:")
     labels = [f"({b},{r})" for r in ("Phi", "~Phi") for b in "ABC"]
@@ -24,7 +23,7 @@ def main():
             f"NOT decoherent (max |D| = {box.decoherence.max_offdiagonal:.4f})"
         print(f"  {box.name}-set: conditional pair {np.round(box.conditional_pair, 12)}  [{mark}]")
 
-    g = greedy_sector_search(model)
+    g = rep.greedy
     print(f"\ngreedy merge of the sector functional: classes {g.partition.classes}, "
           f"dec {g.dec:.2e}, succeeded={g.succeeded}")
 

@@ -45,7 +45,6 @@ from .histories import (
     dec_measure,
     decoherence_functional,
     offdiagonal_offenders,
-    total_negative,
 )
 from .records import (
     CorrelationReport,
@@ -71,8 +70,6 @@ from .composite import (
     JOINT_DIM_CAP,
     CompositeSystem,
     ProductRuleReport,
-    joint_functional,
-    product_records,
     product_rule_report,
 )
 from .finegrained import (
@@ -102,9 +99,6 @@ from .threebox import (
     ThreeBoxModel,
     ThreeBoxReport,
     box_coarse_set,
-    greedy_sector_search,
-    phi_sector_extended_probabilities,
-    phi_sector_functional,
     three_box_model,
     three_box_report,
 )
@@ -135,7 +129,6 @@ __all__ = [
     # histories
     "DEFAULT_DEC_TOL", "M_CAP", "DecoherenceReport", "HistorySet", "all_extended_probabilities",
     "branch_matrix", "dec_measure", "decoherence_functional", "offdiagonal_offenders",
-    "total_negative",
     # records
     "CorrelationReport", "RecordCheckReport", "RecordSet", "construct_records",
     "record_correlation_report", "verify_strong_records", "verify_weak_records",
@@ -144,8 +137,7 @@ __all__ = [
     "coarse_extended_probabilities", "greedy_decohering_search", "greedy_merge_functional",
     "group_slots", "partition_from_literal",
     # composite
-    "JOINT_DIM_CAP", "CompositeSystem", "ProductRuleReport", "joint_functional",
-    "product_records", "product_rule_report",
+    "JOINT_DIM_CAP", "CompositeSystem", "ProductRuleReport", "product_rule_report",
     # finegrained
     "FineGrainedDistribution", "FineGrainedSpec", "fundamental_distribution",
     # twoslit
@@ -154,7 +146,6 @@ __all__ = [
     "extended_density", "interference_integrals", "path_length", "self_convergence",
     # threebox
     "SECTOR_FLATS", "BoxSetReport", "ThreeBoxModel", "ThreeBoxReport", "box_coarse_set",
-    "greedy_sector_search", "phi_sector_extended_probabilities", "phi_sector_functional",
     "three_box_model", "three_box_report",
     # dutchbook
     "BetSpec", "GainReport", "dutch_book_gains", "exploit_negative_price", "gain_report",

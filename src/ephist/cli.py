@@ -26,6 +26,7 @@ from .histories import (
     DEFAULT_DEC_TOL,
     DecoherenceReport,
     _check_tolerance,
+    _dh_probs,
     branch_matrix,
     decoherence_functional,
     dec_measure,
@@ -61,7 +62,7 @@ from .twoslit import (
     interference_integrals,
     self_convergence,
 )
-from .threebox import greedy_sector_search, three_box_model, three_box_report
+from .threebox import three_box_report
 from .dutchbook import BetSpec, exploit_negative_price, gain_report
 from .modelfile import (
     build_composites,
@@ -219,11 +220,16 @@ def _tol(args, default: float = DEFAULT_DEC_TOL) -> float:
     return default if args.tol is None else _check_tolerance(args.tol)
 
 
+def _negative_sum(values: np.ndarray) -> float:
+    """Sum of the strictly negative entries (<= 0)."""
+    return float(values[values < 0.0].sum())
+
+
 def _cmd_eval(args, out: _OutDir):
     _, hs, psi = _history_model(args)
     b = branch_matrix(hs, psi)
     ep = np.real(psi.amplitudes.conj() @ b)
-    dh = np.linalg.norm(b, axis=0) ** 2
+    dh = _dh_probs(b)
     rows = [(flat, label, ep[flat], dh[flat], dh[flat] - ep[flat])
             for flat, label in enumerate(hs.history_labels())]
     out.write("histories.csv", _csv(("flat", "label", "ep", "dh", "dh_minus_ep"), rows))
@@ -234,7 +240,7 @@ def _cmd_eval(args, out: _OutDir):
         "sum_ep": float(ep.sum()),
         "sum_dh": float(dh.sum()),
         "min_ep": float(ep.min()),
-        "total_negative": float(ep[ep < 0.0].sum()),
+        "total_negative": _negative_sum(ep),
     }))
 
 
@@ -250,8 +256,8 @@ def _cmd_records(args, out: _OutDir):
     _, hs, psi = _history_model(args)
     tol = _tol(args)
     rs = construct_records(hs, psi, tol=tol)
-    strong = verify_strong_records(hs, psi, rs, tol=tol)
-    weak = verify_weak_records(hs, psi, rs, tol=tol)
+    strong = verify_strong_records(hs, psi, rs)
+    weak = verify_weak_records(hs, psi, rs)
     corr = record_correlation_report(hs, psi, rs, epsilon=tol)
     out.write("records.json", _dump_json({
         "t_rec": rs.time,
@@ -283,8 +289,8 @@ def _cmd_coarsen(args, out: _OutDir):
             "coarse_dec": coarse_dec,
             "fine_ep": fine.ep_probs,
             "coarse_ep": coarse_ep,
-            "fine_total_negative": float(fine.ep_probs[fine.ep_probs < 0.0].sum()),
-            "coarse_total_negative": float(coarse_ep[coarse_ep < 0.0].sum()),
+            "fine_total_negative": _negative_sum(fine.ep_probs),
+            "coarse_total_negative": _negative_sum(coarse_ep),
             "dec_monotone": bool(coarse_dec <= fine.dec + 1e-12),
         }))
     else:
@@ -329,7 +335,7 @@ def _cmd_finegrained(args, out: _OutDir):
         "sum": float(dist.values.sum()),
         "min": float(dist.values.min()),
         "max": float(dist.values.max()),
-        "total_negative": float(dist.values[dist.values < 0.0].sum()),
+        "total_negative": _negative_sum(dist.values),
     }
     if args.partition:
         part = _resolve_partition(doc, args.partition, dist.size)
@@ -382,7 +388,6 @@ def _cmd_twoslit(args, out: _OutDir):
 
 def _cmd_threebox(args, out: _OutDir):
     report = three_box_report(tol=_tol(args, default=1e-10))
-    greedy = greedy_sector_search(three_box_model(), target_tol=_tol(args, default=1e-10))
     out.write("threebox.json", _dump_json({
         "fine_ep": report.fine_eps,
         "fine_dec": report.fine_dec,
@@ -402,9 +407,9 @@ def _cmd_threebox(args, out: _OutDir):
             for box in report.coarse
         ],
         "greedy_sector": {
-            "classes": greedy.partition.classes,
-            "dec": greedy.dec,
-            "succeeded": greedy.succeeded,
+            "classes": report.greedy.partition.classes,
+            "dec": report.greedy.dec,
+            "succeeded": report.greedy.succeeded,
         },
     }))
 
@@ -453,6 +458,8 @@ def _ascii(convert: Callable):
     return parse
 
 
+# add_argument keywords per flag; the manifest keys an option by its flag
+# without "--"
 _OPTIONS = {
     "--model": dict(help="model file path"),
     "--tol": dict(type=_ascii(float), help="tolerance override"),
@@ -461,6 +468,12 @@ _OPTIONS = {
     "--bins": dict(type=_ascii(int), help="two-slit bin count override"),
     "--seed": dict(type=_ascii(int), help="RNG seed"),
 }
+
+
+def _dest(flag: str) -> str:
+    """The attribute argparse stores a flag's value under."""
+    return _OPTIONS[flag].get("dest", flag[2:])
+
 
 # handler, help text, and the options the handler reads besides --out; a
 # tuple of names is a mutually exclusive group
@@ -496,8 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
             for flag in flags:
                 group.add_argument(flag, **_OPTIONS[flag])
         # the manifest lists every option; one a command does not take is None
-        sp.set_defaults(handler=handler, model=None, tol=None, partition=None,
-                        k_delta=None, bins=None, seed=None)
+        sp.set_defaults(handler=handler, **{_dest(flag): None for flag in _OPTIONS})
     return parser
 
 
@@ -509,14 +521,7 @@ def run_command(argv: Sequence[str]) -> int:
         print(f"error: cannot create output directory {args.out}: {err.strerror or err}",
               file=sys.stderr)
         return InvariantViolation.exit_status
-    options = {
-        "model": args.model,
-        "tol": args.tol,
-        "seed": args.seed,
-        "kDelta": args.k_delta,
-        "bins": args.bins,
-        "partition": args.partition,
-    }
+    options = {flag[2:]: getattr(args, _dest(flag)) for flag in _OPTIONS}
     try:
         args.handler(args, out)
     except EngineError as err:

@@ -129,42 +129,31 @@ def coarse_extended_probabilities(hs: HistorySet, part: Partition, psi: StateVec
 
 
 def group_slots(
-    hs: HistorySet,
-    groupings: Sequence[Sequence[Sequence[int]] | None],
-    labels: Sequence[Sequence[str] | None] | None = None,
+    hs: HistorySet, groupings: Sequence[Sequence[Sequence[int]] | None],
 ) -> tuple[HistorySet, Partition]:
     """Sum projectors within each slot's groups (None keeps a slot as it is).
 
-    Takes one grouping per slot, and optionally one label list per slot
-    (None for a kept slot); a merged member is otherwise labelled by
-    joining its members' labels with "+". Returns the merged set and the
-    induced flat-index partition, whose class k lists the fine histories
-    of merged history k in ascending order. class_sums of the fine
-    extended probabilities over that partition equal the merged set's
-    chain extended probabilities (multilinearity).
+    Takes one grouping per slot; a merged member is labelled by joining
+    its members' labels with "+". Returns the merged set and the induced
+    flat-index partition, whose class k lists the fine histories of
+    merged history k in ascending order. class_sums of the fine extended
+    probabilities over that partition equal the merged set's chain
+    extended probabilities (multilinearity).
     """
     if len(groupings) != hs.n_times:
         raise DimensionMismatch(f"{len(groupings)} groupings for {hs.n_times} times")
-    if labels is not None and len(labels) != hs.n_times:
-        raise DimensionMismatch(f"{len(labels)} label lists for {hs.n_times} times")
     slots, group_of = [], []
-    for t, (slot, groups) in enumerate(zip(hs.slots, groupings)):
-        names = None if labels is None else labels[t]
+    for slot, groups in zip(hs.slots, groupings):
         if groups is None:
-            if names is not None:
-                raise DimensionMismatch(f"labels given for slot {t}, which is not grouped")
             slots.append(slot)
             group_of.append(np.arange(slot.size))
             continue
         grouping = Partition(slot.size, tuple(tuple(g) for g in groups))  # validates shape
-        if names is not None and len(names) != grouping.size:
-            raise DimensionMismatch(f"{len(names)} labels for {grouping.size} groups")
-        members = []
-        for k, g in enumerate(grouping.classes):
-            entries = sum(slot.members[i].entries for i in g)
-            label = names[k] if names is not None else "+".join(slot.members[i].label for i in g)
-            members.append(Projector(entries, label=label))
-        slots.append(ProjectorSet(tuple(members), time=slot.time))
+        members = tuple(
+            Projector(sum(slot.members[i].entries for i in g),
+                      label="+".join(slot.members[i].label for i in g))
+            for g in grouping.classes)
+        slots.append(ProjectorSet(members, time=slot.time))
         group_of.append(grouping.class_of())
     merged = HistorySet(tuple(slots))
     fine = np.unravel_index(np.arange(hs.size), hs.shape, order="F")   # earliest fastest

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
 
 import numpy as np
 
@@ -65,12 +64,6 @@ class FineGrainedDistribution:
     @property
     def size(self) -> int:
         return self.values.shape[0]
-
-    def value(self, h: Sequence[int]) -> float:
-        h = tuple(h)
-        if len(h) != len(self.shape) or not all(0 <= b < s for b, s in zip(h, self.shape)):
-            raise DimensionMismatch(f"outcome {h} outside h-space of shape {self.shape}")
-        return float(self.values[np.ravel_multi_index(h, self.shape, order="F")])
 
     def outcomes(self):
         for h in product(*(range(s) for s in reversed(self.shape))):

@@ -38,6 +38,8 @@ def _frozen_array(values, shape_kind: str) -> np.ndarray:
         raise DimensionMismatch(f"expected a vector, got shape {a.shape}")
     if shape_kind == "matrix" and (a.ndim != 2 or a.shape[0] != a.shape[1]):
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    if a.size == 0:
+        raise DimensionMismatch(f"expected a nonempty {shape_kind}, got shape {a.shape}")
     return a
 
 
@@ -71,10 +73,6 @@ class HermitianOperator:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
-
-    @classmethod
-    def zero(cls, dim: int) -> "HermitianOperator":
-        return cls(np.zeros((dim, dim)))
 
 
 @dataclass(frozen=True)
@@ -192,11 +190,11 @@ class ProjectorSet:
         return tuple(p.label for p in self.members)
 
 
-def projector_set_from_basis(vectors, time: float, labels: Sequence[str] | None = None) -> ProjectorSet:
-    """Rank-1 projector set from the rows of an orthonormal basis array."""
+def projector_set_from_basis(vectors, time: float) -> ProjectorSet:
+    """Rank-1 projector set from the rows of an orthonormal basis array,
+    labelled "0", "1", ... in row order."""
     vecs = np.asarray(vectors, dtype=np.complex128)
-    labels = labels or [str(i) for i in range(len(vecs))]
-    return ProjectorSet(tuple(rank_one_projector(v, l) for v, l in zip(vecs, labels)), time)
+    return ProjectorSet(tuple(rank_one_projector(v, str(i)) for i, v in enumerate(vecs)), time)
 
 
 @dataclass(frozen=True)
@@ -221,16 +219,8 @@ class EvolutionSpec:
             object.__setattr__(self, "unitaries", frozen)
 
     @classmethod
-    def from_hamiltonian(cls, h: HermitianOperator) -> "EvolutionSpec":
-        return cls(hamiltonian=h)
-
-    @classmethod
-    def from_unitaries(cls, unitaries: Mapping[float, np.ndarray]) -> "EvolutionSpec":
-        return cls(unitaries=unitaries)
-
-    @classmethod
     def zero(cls, dim: int) -> "EvolutionSpec":
-        return cls(hamiltonian=HermitianOperator.zero(dim))
+        return cls(hamiltonian=HermitianOperator(np.zeros((dim, dim))))
 
 
 def hermitian_exponential(h: HermitianOperator, t: float) -> np.ndarray:

@@ -94,6 +94,11 @@ def branch_matrix(hs: HistorySet, psi: StateVector) -> np.ndarray:
     return b
 
 
+def _dh_probs(b: np.ndarray) -> np.ndarray:
+    """||C psi||^2 per column of a branch matrix: the functional's exactly real diagonal."""
+    return np.einsum("ij,ij->j", b.conj(), b).real
+
+
 def all_extended_probabilities(hs: HistorySet, psi: StateVector) -> np.ndarray:
     b = branch_matrix(hs, psi)
     return np.real(psi.amplitudes.conj() @ b)
@@ -163,15 +168,15 @@ def decoherence_functional(
     """Full m x m functional over flattened history indices, plus flags.
 
     The matrix is assembled exactly Hermitian with an exactly real
-    diagonal (the diagonal is computed as squared column norms).
+    diagonal (the diagonal is _dh_probs, the squared column norms).
     """
     _check_tolerance(tol)
     b = branch_matrix(hs, psi)
     g = b.conj().T @ b
     upper = np.triu(g, 1)
-    functional = upper + upper.conj().T + np.diag(np.einsum("ij,ij->j", b.conj(), b).real)
+    dh = _dh_probs(b)
+    functional = upper + upper.conj().T + np.diag(dh)
     ep = np.real(psi.amplitudes.conj() @ b)
-    dh = np.diag(functional).real.copy()
     max_off = _max_offdiagonal(functional)
     return DecoherenceReport(
         functional=functional,
@@ -183,9 +188,3 @@ def decoherence_functional(
         linearly_positive=bool(ep.min() >= -tol),
         tolerance=tol,
     )
-
-
-def total_negative(hs: HistorySet, psi: StateVector) -> float:
-    """Sum of the strictly negative extended probabilities (<= 0)."""
-    ep = all_extended_probabilities(hs, psi)
-    return float(ep[ep < 0].sum())

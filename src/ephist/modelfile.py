@@ -468,10 +468,10 @@ def build_evolution(doc: ModelDocument) -> EvolutionSpec:
         _require(doc, "dim")
         return EvolutionSpec.zero(doc.dim)
     if doc.evolution.kind == "hamiltonian":
-        return EvolutionSpec.from_hamiltonian(
-            HermitianOperator(np.array(doc.evolution.hamiltonian, dtype=np.complex128)))
-    return EvolutionSpec.from_unitaries(
-        {t: np.array(m, dtype=np.complex128) for t, m in doc.evolution.unitaries})
+        return EvolutionSpec(hamiltonian=HermitianOperator(
+            np.array(doc.evolution.hamiltonian, dtype=np.complex128)))
+    return EvolutionSpec(
+        unitaries={t: np.array(m, dtype=np.complex128) for t, m in doc.evolution.unitaries})
 
 
 def _member_matrix(doc: ModelDocument, m: MemberClause) -> np.ndarray:

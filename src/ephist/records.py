@@ -94,16 +94,9 @@ def construct_records(hs: HistorySet, psi: StateVector, tol: float = DEFAULT_DEC
 @dataclass(frozen=True)
 class RecordCheckReport:
     max_defect: float
-    tolerance: float
-
-    @property
-    def passes(self) -> bool:
-        return self.max_defect <= self.tolerance
 
 
-def verify_strong_records(
-    hs: HistorySet, psi: StateVector, rs: RecordSet, tol: float = DEFAULT_DEC_TOL
-) -> RecordCheckReport:
+def verify_strong_records(hs: HistorySet, psi: StateVector, rs: RecordSet) -> RecordCheckReport:
     """max over (a, b) of || R_a C_b psi - delta_ab C_b psi ||.
 
     A zero record's residual is -C_a psi in column a and 0 elsewhere, so its
@@ -120,12 +113,10 @@ def verify_strong_records(
         resid = r.entries @ b
         resid[:, a] -= b[:, a]
         worst = max(worst, float(np.linalg.norm(resid, axis=0).max()))
-    return RecordCheckReport(worst, tol)
+    return RecordCheckReport(worst)
 
 
-def verify_weak_records(
-    hs: HistorySet, psi: StateVector, rs: RecordSet, tol: float = DEFAULT_DEC_TOL
-) -> RecordCheckReport:
+def verify_weak_records(hs: HistorySet, psi: StateVector, rs: RecordSet) -> RecordCheckReport:
     """max over (b, a) of | Re<psi|R_b C_a|psi> - delta_ba p(a) |.
 
     A zero record's row is -p(b) at b and 0 elsewhere: its defect is |p(b)|.
@@ -141,7 +132,7 @@ def verify_weak_records(
         row = np.real((r.entries @ psi.amplitudes).conj() @ b)
         row[beta] -= ep[beta]
         worst = max(worst, float(np.abs(row).max()))
-    return RecordCheckReport(worst, tol)
+    return RecordCheckReport(worst)
 
 
 @dataclass(frozen=True)
@@ -150,14 +141,14 @@ class CorrelationReport:
 
     ``defects[a]`` is |<psi|R_a|psi> - Re<psi|C_a|psi>|. For histories
     with negative extended probability, ``negative_bound_ok[a]`` states
-    whether both |<psi|R_a|psi>| and |EP| are below epsilon -- the only
-    regime in which a negative value can be epsilon-recorded at all.
+    whether both |<psi|R_a|psi>| and |EP| are below the epsilon given to
+    record_correlation_report -- the only regime in which a negative
+    value can be epsilon-recorded at all.
     """
 
     defects: np.ndarray
     record_probs: np.ndarray
     ep_probs: np.ndarray
-    epsilon: float
     negative_bound_ok: tuple[tuple[int, bool], ...]
 
     def __post_init__(self):
@@ -167,10 +158,6 @@ class CorrelationReport:
     @property
     def max_defect(self) -> float:
         return float(self.defects.max(initial=0.0))
-
-    @property
-    def passes(self) -> bool:
-        return self.max_defect < self.epsilon
 
 
 def record_correlation_report(
@@ -186,4 +173,4 @@ def record_correlation_report(
         (i, bool(abs(rec[i]) < epsilon and abs(ep[i]) < epsilon))
         for i in range(hs.size) if ep[i] < 0
     )
-    return CorrelationReport(defects, rec, ep, epsilon, flags)
+    return CorrelationReport(defects, rec, ep, flags)

@@ -19,12 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import Projector, ProjectorSet, StateVector, rank_one_projector
-from .histories import (
-    DecoherenceReport,
-    HistorySet,
-    all_extended_probabilities,
-    decoherence_functional,
-)
+from .histories import DecoherenceReport, HistorySet, decoherence_functional
 from .coarsegrain import GreedySearchResult, greedy_merge_functional, group_slots
 
 SECTOR_FLATS = (0, 1, 2)   # (A,Phi), (B,Phi), (C,Phi) under earliest-fastest flattening
@@ -57,24 +52,8 @@ def three_box_model() -> ThreeBoxModel:
 def box_coarse_set(model: ThreeBoxModel, which: str) -> HistorySet:
     """Two-slot set keeping one box distinct and merging the other two."""
     keep = "ABC".index(which)
-    rest = [i for i in range(3) if i != keep]
-    return group_slots(model.fine, (((keep,), tuple(rest)), None),
-                       labels=((which, "~" + which), None))[0]
-
-
-def phi_sector_functional(model: ThreeBoxModel) -> np.ndarray:
-    """3x3 functional over the (box, Phi) histories only."""
-    full = decoherence_functional(model.fine, model.psi).functional
-    return full[np.ix_(SECTOR_FLATS, SECTOR_FLATS)]
-
-
-def phi_sector_extended_probabilities(model: ThreeBoxModel) -> np.ndarray:
-    return all_extended_probabilities(model.fine, model.psi)[list(SECTOR_FLATS)]
-
-
-def greedy_sector_search(model: ThreeBoxModel, target_tol: float = 1e-10) -> GreedySearchResult:
-    """Greedy pair merging on the sector functional; lands on {A,C} vs {B}."""
-    return greedy_merge_functional(phi_sector_functional(model), target_tol)
+    rest = tuple(i for i in range(3) if i != keep)
+    return group_slots(model.fine, (((keep,), rest), None))[0]
 
 
 @dataclass(frozen=True)
@@ -94,6 +73,7 @@ class ThreeBoxReport:
     conditionals: tuple[float, float, float]
     sector_functional: np.ndarray
     coarse: tuple[BoxSetReport, ...]
+    greedy: GreedySearchResult   # pair merging on sector_functional; lands on {A,C} vs {B}
 
     @property
     def c_set_cross_magnitude(self) -> float:
@@ -103,8 +83,8 @@ class ThreeBoxReport:
 def three_box_report(tol: float = 1e-10) -> ThreeBoxReport:
     model = three_box_model()
     fine_report = decoherence_functional(model.fine, model.psi)
-    sector = phi_sector_functional(model)
-    sector_eps = phi_sector_extended_probabilities(model)
+    sector = fine_report.functional[np.ix_(SECTOR_FLATS, SECTOR_FLATS)]
+    sector_eps = fine_report.ep_probs[list(SECTOR_FLATS)]
     p_phi = float(sector_eps.sum())
     coarse = []
     for which in "ABC":
@@ -121,4 +101,5 @@ def three_box_report(tol: float = 1e-10) -> ThreeBoxReport:
         conditionals=tuple(float(x / p_phi) for x in sector_eps),
         sector_functional=sector,
         coarse=tuple(coarse),
+        greedy=greedy_merge_functional(sector, tol),
     )

@@ -7,8 +7,9 @@ per history, per-point amplitudes, brute-force enumeration, a rescan of
 every pair at each greedy merge, a model-file parser and a
 complex-literal reader that walk each literal one character at a time,
 projector-set and record checks that multiply every member, zero or
-not, an offender scan that takes np.abs of one cell at a time), so it
-shares no shortcut with the code under test. serialize_model, the
+not, an offender scan that takes np.abs of one cell at a time, joint
+functionals and records as Kronecker products of the factors' own), so
+it shares no shortcut with the code under test. serialize_model, the
 canonical model-file writer, is here too: only the tests write models.
 """
 from typing import Iterator, Sequence, Union
@@ -19,6 +20,7 @@ import numpy as np
 
 from ephist import (
     DIM_CAP,
+    M_CAP,
     CapExceeded,
     CompositeSystem,
     DimensionMismatch,
@@ -36,10 +38,10 @@ from ephist import (
     amplitude,
     branch_matrix,
     dec_measure,
+    decoherence_functional,
     format_complex,
 )
 from ephist.coarsegrain import _load_class_list
-from ephist.histories import DEFAULT_DEC_TOL
 from ephist.records import _check_record_set
 from ephist.modelfile import (
     _DIRECTIVES,
@@ -174,6 +176,59 @@ def joint_class_operator(cs: CompositeSystem, indices: Sequence[Sequence[int]]) 
     return c
 
 
+def joint_state(cs: CompositeSystem) -> StateVector:
+    """psi_1 x ... x psi_N, leftmost factor slowest."""
+    amps = cs.factors[0][0].amplitudes
+    for psi, _ in cs.factors[1:]:
+        amps = np.kron(amps, psi.amplitudes)
+    return StateVector(amps)
+
+
+def _check_joint_count(cs: CompositeSystem) -> None:
+    if cs.joint_count > M_CAP:
+        raise CapExceeded("joint history count", cs.joint_count, M_CAP)
+
+
+def joint_functional(cs: CompositeSystem) -> np.ndarray:
+    """Joint decoherence functional over joint flat indices: the Kronecker
+    product of the factor functionals, leftmost factor slowest."""
+    _check_joint_count(cs)
+    d = np.ones((1, 1), dtype=np.complex128)
+    for psi, hs in cs.factors:
+        d = np.kron(d, decoherence_functional(hs, psi).functional)
+    return d
+
+
+def product_records(cs: CompositeSystem, record_sets: Sequence[RecordSet]) -> RecordSet:
+    """Joint records as Kronecker products of the per-factor records.
+
+    The per-factor sets come from construct_records, which raises
+    NotDecoherent for any unrecorded factor before this runs.
+    """
+    if len(record_sets) != len(cs.factors):
+        raise DimensionMismatch(f"{len(record_sets)} record sets for {len(cs.factors)} factors")
+    for (psi, hs), rs in zip(cs.factors, record_sets):
+        if rs.dim != hs.dim:
+            raise DimensionMismatch(f"record dim {rs.dim} vs factor dim {hs.dim}")
+        if rs.size != hs.size:
+            raise DimensionMismatch(f"{rs.size} records for {hs.size} factor histories")
+    _check_joint_count(cs)
+
+    members = []
+    for joint in np.ndindex(*cs.counts):   # leftmost factor slowest, matching kron
+        entries = record_sets[0].members[joint[0]].entries
+        label = record_sets[0].members[joint[0]].label
+        for rs, k in zip(record_sets[1:], joint[1:]):
+            entries = np.kron(entries, rs.members[k].entries)
+            label = f"{label}|{rs.members[k].label}"
+        members.append(Projector(entries, label=label))
+    completion = 0
+    for rs, count in zip(record_sets, cs.counts):
+        completion = completion * count + rs.completion_index
+    return RecordSet(tuple(members), time=max(rs.time for rs in record_sets),
+                     completion_index=completion)
+
+
 def coarse_class_operator(hs: HistorySet, part: Partition, class_index: int) -> np.ndarray:
     """Sum of the fine class operators in one class of the partition."""
     if part.fine_count != hs.size:
@@ -249,9 +304,7 @@ def validate_projector_set_loop(
     return ProjectorSetReport(float(completeness), float(exclusivity))
 
 
-def verify_strong_records_loop(
-    hs: HistorySet, psi: StateVector, rs: RecordSet, tol: float = DEFAULT_DEC_TOL
-) -> RecordCheckReport:
+def verify_strong_records_loop(hs: HistorySet, psi: StateVector, rs: RecordSet) -> RecordCheckReport:
     """verify_strong_records with a d x m product for every record, zero or not."""
     _check_record_set(hs, rs)
     b = branch_matrix(hs, psi)
@@ -260,12 +313,10 @@ def verify_strong_records_loop(
         resid = r.entries @ b
         resid[:, a] -= b[:, a]
         worst = max(worst, float(np.linalg.norm(resid, axis=0).max()))
-    return RecordCheckReport(worst, tol)
+    return RecordCheckReport(worst)
 
 
-def verify_weak_records_loop(
-    hs: HistorySet, psi: StateVector, rs: RecordSet, tol: float = DEFAULT_DEC_TOL
-) -> RecordCheckReport:
+def verify_weak_records_loop(hs: HistorySet, psi: StateVector, rs: RecordSet) -> RecordCheckReport:
     """verify_weak_records with a full row for every record, zero or not."""
     _check_record_set(hs, rs)
     b = branch_matrix(hs, psi)
@@ -275,7 +326,7 @@ def verify_weak_records_loop(
         row = np.real((r.entries @ psi.amplitudes).conj() @ b)
         row[beta] -= ep[beta]
         worst = max(worst, float(np.abs(row).max()))
-    return RecordCheckReport(worst, tol)
+    return RecordCheckReport(worst)
 
 
 def greedy_merge_loop(functional: np.ndarray, target_tol: float) -> GreedySearchResult:

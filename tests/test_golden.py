@@ -101,7 +101,7 @@ GOLDEN = {
         "summary.json": "1d8264f63b43e375d78fb237b25053fb1c0cbbb42e75a86d540a3012dd09fb6d",
     },
     "eval-recorded": {
-        "histories.csv": "cbcfe6950750674d7f75cf27e811e1025e760b7d2c7a24cd42c4809316541771",
+        "histories.csv": "d40c19951526288e6989a355f7406a3de1271ae8a0d17a93ce83efffe4e12f1e",
         "manifest.json": "9711270ba308333b00962f6077d0ce168d3df666e77b07c6b445a2d4b41fcbed",
         "summary.json": "ce66ed386af51ffd8da62726503355865455d389b6a2a8d9f72df4dcf36e9ca5",
     },

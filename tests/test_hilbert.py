@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ephist import (
+    DimensionMismatch,
     EvolutionSpec,
     HermitianOperator,
     InvariantViolation,
@@ -61,11 +62,29 @@ def test_constructors_reject_non_finite(bad):
     with pytest.raises(InvariantViolation):
         HermitianOperator(np.array([[bad, 0.0], [0.0, 0.0]]))
     with pytest.raises(InvariantViolation):
-        EvolutionSpec.from_unitaries({1.0: np.array([[bad, 0.0], [0.0, 1.0]])})
+        EvolutionSpec(unitaries={1.0: np.array([[bad, 0.0], [0.0, 1.0]])})
     for make_set in (lambda: ProjectorSet((Projector(np.eye(2)),), time=bad),
                      lambda: projector_set_from_basis(np.eye(2), time=bad)):
         with pytest.raises(InvariantViolation, match="'finite-time'"):
             make_set()
+
+
+EMPTY_ARRAY_CALLS = {
+    "StateVector": lambda: StateVector(np.zeros(0)),
+    "Projector": lambda: Projector(np.zeros((0, 0))),
+    "ProjectorSet": lambda: ProjectorSet((Projector(np.zeros((0, 0))),), time=1.0),
+    "EvolutionSpec": lambda: EvolutionSpec(unitaries={1.0: np.zeros((0, 0))}),
+    "hermitian_exponential": lambda: hermitian_exponential(
+        HermitianOperator(np.zeros((0, 0))), 1.0),
+}
+
+
+@pytest.mark.parametrize("kind", EMPTY_ARRAY_CALLS)
+def test_empty_arrays_are_a_dimension_mismatch(kind):
+    """A zero-dimensional vector or matrix is refused where it is frozen,
+    before any check that would reduce over no entries."""
+    with pytest.raises(DimensionMismatch, match="nonempty"):
+        EMPTY_ARRAY_CALLS[kind]()
 
 
 # Non-finite in either part, or finite but huge. The huge entry is complex
@@ -91,8 +110,8 @@ SPOILED_CONSTRUCTORS = {
     "ProjectorSet": lambda rng, d, at, bad: ProjectorSet(
         tuple(Projector(m) for m in _spoil([p.entries for p in random_slot(rng, d, 1.0).members],
                                            at, bad)), time=1.0),
-    "EvolutionSpec.from_unitaries": lambda rng, d, at, bad: EvolutionSpec.from_unitaries(
-        {1.0: _spoil(haar_basis(rng, d), at, bad)}),
+    "EvolutionSpec": lambda rng, d, at, bad: EvolutionSpec(
+        unitaries={1.0: _spoil(haar_basis(rng, d), at, bad)}),
 }
 
 
@@ -198,8 +217,8 @@ def test_projector_set_rejects_overlapping():
 
 
 def test_projector_set_from_basis_labels():
-    ps = projector_set_from_basis(np.eye(3), time=0.5, labels=("a", "b", "c"))
-    assert ps.labels == ("a", "b", "c")
+    ps = projector_set_from_basis(np.eye(3), time=0.5)
+    assert ps.labels == ("0", "1", "2")
     assert ps.size == 3 and ps.dim == 3
 
 
@@ -207,7 +226,7 @@ def test_evolution_spec_exactly_one_form():
     with pytest.raises(InvariantViolation):
         EvolutionSpec()
     with pytest.raises(InvariantViolation):
-        EvolutionSpec(hamiltonian=HermitianOperator.zero(2), unitaries={1.0: np.eye(2)})
+        EvolutionSpec(hamiltonian=HermitianOperator(np.zeros((2, 2))), unitaries={1.0: np.eye(2)})
     with pytest.raises(InvariantViolation):
         EvolutionSpec(unitaries={1.0: np.array([[1.0, 0.0], [0.0, 2.0]])})
 
@@ -227,7 +246,7 @@ def test_exponential_matches_taylor_oracle(seed, d, t):
 def test_heisenberg_two_level_oracle():
     # H = sx/2: U(t) = cos(t/2) I - i sin(t/2) sx, P(t) = U^dag P U
     sx = np.array([[0.0, 1.0], [1.0, 0.0]])
-    evo = EvolutionSpec.from_hamiltonian(HermitianOperator(sx / 2))
+    evo = EvolutionSpec(hamiltonian=HermitianOperator(sx / 2))
     p_up = Projector(np.diag([1.0, 0.0]), label="up")
     for t in (0.3, np.pi / 2, np.pi, 2.0):
         u = np.cos(t / 2) * np.eye(2) - 1j * np.sin(t / 2) * sx
@@ -239,7 +258,7 @@ def test_heisenberg_two_level_oracle():
 
 def test_heisenberg_explicit_unitaries_and_unknown_time():
     u = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    evo = EvolutionSpec.from_unitaries({1.0: u})
+    evo = EvolutionSpec(unitaries={1.0: u})
     p = Projector(np.diag([1.0, 0.0]))
     moved = heisenberg_projector(p, 1.0, evo)
     assert np.allclose(moved.entries, np.diag([0.0, 1.0]))
@@ -252,7 +271,7 @@ def test_heisenberg_explicit_unitaries_and_unknown_time():
 def test_heisenberg_preserves_structure(seed, t):
     rng = np.random.default_rng(seed)
     d = int(rng.integers(2, 6))
-    evo = EvolutionSpec.from_hamiltonian(random_hermitian(rng, d))
+    evo = EvolutionSpec(hamiltonian=random_hermitian(rng, d))
     slot = random_slot(rng, d, 1.0)
     moved = [heisenberg_projector(p, t, evo) for p in slot.members]
     assert [p.rank for p in moved] == [p.rank for p in slot.members]

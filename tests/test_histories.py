@@ -14,7 +14,6 @@ from ephist import (
     dec_measure,
     decoherence_functional,
     offdiagonal_offenders,
-    total_negative,
 )
 from conftest import FLOAT_PARTS, diagonal_fixture, random_model, random_slot, random_state
 from oracles import (
@@ -250,12 +249,6 @@ def test_branch_matrix_cap():
     with pytest.raises(CapExceeded) as exc:
         branch_matrix(hs, psi)
     assert exc.value.exit_status == 5
-
-
-def test_total_negative_three_box():
-    from ephist import three_box_model
-    m = three_box_model()
-    assert abs(total_negative(m.fine, m.psi) - (-1.0 / 9.0)) < 1e-12
 
 
 def test_state_dimension_checked(rng):

@@ -22,12 +22,11 @@ from ephist import (
     build_history_set,
     build_state,
     format_complex,
-    joint_functional,
     load_model,
     parse_complex,
     parse_model,
 )
-from oracles import parse_complex_loop, parse_model_loop, serialize_model
+from oracles import joint_functional, parse_complex_loop, parse_model_loop, serialize_model
 
 ROOT = Path(__file__).resolve().parent.parent
 MODELS = ROOT / "models"

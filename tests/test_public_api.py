@@ -18,6 +18,8 @@ README = ROOT / "README.md"
 
 # slow paths that tests/oracles.py now holds, and wrappers nothing needed
 REMOVED = (
+    "total_negative", "joint_functional", "product_records", "phi_sector_functional",
+    "phi_sector_extended_probabilities", "greedy_sector_search",
     "joint_class_operator", "coarse_class_operator", "extended_density_from_amplitudes",
     "enumerate_partitions", "ENUMERATION_CAP", "dh_ep_difference", "with_bins", "class_sum",
     "HistoryIndex", "BranchVector", "branch_vector", "chain_amplitude", "extended_probability",
@@ -65,13 +67,45 @@ def test_readme_quick_start_output():
     assert out.getvalue() == shown.group(1)
 
 
+def _traced() -> dict[str, tuple[str, ...]]:
+    """perfbench/tracer.py's TRACED, read from its source, not imported."""
+    source = (ROOT / "perfbench" / "tracer.py").read_text()
+    return next(ast.literal_eval(node.value) for node in ast.parse(source).body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["TRACED"])
+
+
+# where a caller of a public name may live: the package itself, the scripts,
+# the benchmark, and the acceptance criteria
+CALLER_FILES = (
+    [path for path in sorted((ROOT / "src" / "ephist").glob("*.py")) if path.name != "__init__.py"]
+    + sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    + [ROOT / "tests" / "test_acceptance.py"])
+
+
+def _references(path: Path) -> set[str]:
+    """Names a file reads: loaded names and attributes. A def, class or
+    assignment target is a definition, not a reference."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+def test_every_public_name_has_a_caller():
+    """A public name that only tests use is not part of the surface. The
+    benchmark tracer calls the functions it names in TRACED through getattr."""
+    referenced = set().union(*map(_references, CALLER_FILES), *_traced().values())
+    assert sorted(set(ephist.__all__) - referenced) == []
+
+
 def test_benchmark_traced_names_resolve():
     """Every function the benchmark's tracer wraps is still defined in its
-    layer's module. TRACED is read from the tracer's source, not imported."""
-    source = (ROOT / "perfbench" / "tracer.py").read_text()
-    traced = next(ast.literal_eval(node.value) for node in ast.parse(source).body
-                  if isinstance(node, ast.Assign)
-                  and [getattr(t, "id", None) for t in node.targets] == ["TRACED"])
+    layer's module."""
+    traced = _traced()
     assert "histories" in traced
     for layer, names in traced.items():
         module = importlib.import_module(f"ephist.{layer}")

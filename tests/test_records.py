@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ephist import (
+    DEFAULT_DEC_TOL,
     HistorySet,
     M_CAP,
     InvariantViolation,
@@ -210,7 +211,7 @@ def test_correlation_report_flags_perturbed_records(rng):
     rs = construct_records(hs, psi)
     good = record_correlation_report(hs, psi, rs)
     assert good.max_defect < 1e-12
-    assert good.passes
+    assert good.max_defect < DEFAULT_DEC_TOL
     # same records read against a different state: correlation is broken
     other = random_state(rng, hs.dim)
     report = record_correlation_report(hs, other, rs)
@@ -226,7 +227,7 @@ def test_negative_ep_only_recorded_within_epsilon():
     hs, psi = build_history_set(doc), build_state(doc)
     rs = construct_records(hs, psi)
     report = record_correlation_report(hs, psi, rs, epsilon=1e-10)
-    assert report.passes
+    assert report.max_defect < 1e-10
     for flat, ok in report.negative_bound_ok:
         assert ok
         assert abs(report.ep_probs[flat]) < 1e-10
@@ -314,9 +315,9 @@ def test_records_at_the_history_cap(rng):
     live = {flatten_index([o[k] for o in owner], hs.shape) for k in range(d)}
 
     rs = construct_records(hs, psi)
-    assert verify_strong_records(hs, psi, rs).passes
-    assert verify_weak_records(hs, psi, rs).passes
-    assert record_correlation_report(hs, psi, rs).passes
+    assert verify_strong_records(hs, psi, rs).max_defect <= DEFAULT_DEC_TOL
+    assert verify_weak_records(hs, psi, rs).max_defect <= DEFAULT_DEC_TOL
+    assert record_correlation_report(hs, psi, rs).max_defect < DEFAULT_DEC_TOL
     assert validate_projector_set(rs).passes
     ranks = [r.rank for r in rs.members]
     assert sum(ranks) == d

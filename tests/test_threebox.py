@@ -1,18 +1,18 @@
 """Three-box example: every number here is exact rational arithmetic."""
 import numpy as np
+import pytest
 
 from ephist import (
     SECTOR_FLATS,
     box_coarse_set,
     class_sums,
     coarse_extended_probabilities,
-    greedy_sector_search,
-    phi_sector_extended_probabilities,
-    phi_sector_functional,
+    greedy_merge_functional,
     three_box_model,
     three_box_report,
 )
 from ephist.coarsegrain import Partition
+from oracles import branch_vector, extended_probability
 
 NINTH = 1.0 / 9.0
 
@@ -46,14 +46,16 @@ def test_sector_values():
     assert np.allclose(rep.sector_eps, [NINTH, NINTH, -NINTH], atol=1e-12)
     assert abs(rep.p_phi - NINTH) < 1e-12
     assert np.allclose(rep.conditionals, [1.0, 1.0, -1.0], atol=1e-12)
-    assert np.allclose(phi_sector_extended_probabilities(model), rep.sector_eps,
-                       atol=1e-15)
+    assert np.allclose([extended_probability(model.fine, (x, 0), model.psi) for x in range(3)],
+                       rep.sector_eps, atol=1e-15)
 
     expect = NINTH * np.array([[1.0, 1.0, -1.0],
                                [1.0, 1.0, -1.0],
                                [-1.0, -1.0, 1.0]])
     assert np.allclose(rep.sector_functional, expect, atol=1e-12)
-    assert np.allclose(phi_sector_functional(model), expect, atol=1e-12)
+    branches = [branch_vector(model.fine, (x, 0), model.psi) for x in range(3)]
+    assert np.allclose([[np.vdot(a, b) for b in branches] for a in branches], expect,
+                       atol=1e-12)
 
 
 def test_coarse_box_sets():
@@ -79,7 +81,7 @@ def test_coarse_box_sets():
 def test_coarse_set_labels():
     model = three_box_model()
     hs = box_coarse_set(model, "B")
-    assert hs.slots[0].labels == ("B", "~B")
+    assert hs.slots[0].labels == ("B", "A+C")
     assert hs.slots[1].labels == ("Phi", "~Phi")
     assert hs.size == 4
 
@@ -93,16 +95,21 @@ def test_fine_report_flags():
 
 
 def test_greedy_sector_search_lands_on_ac_merge():
-    res = greedy_sector_search(three_box_model())
+    res = three_box_report().greedy
     assert res.succeeded
     assert res.partition.classes == ((0, 2), (1,))
     assert res.dec <= 1e-10
     assert len(res.trace) == 1 and res.trace[0][0] == (0, 2)
 
 
+@pytest.mark.parametrize("tol", [0.0, 1e-10, 0.2, 2.0])
+def test_greedy_is_the_merge_of_the_sector_functional(tol):
+    rep = three_box_report(tol)
+    assert rep.greedy == greedy_merge_functional(rep.sector_functional, tol)
+
+
 def test_merging_a_with_c_cancels_the_negativity():
-    model = three_box_model()
-    sector = phi_sector_extended_probabilities(model)
+    sector = three_box_report().sector_eps
     merged = class_sums(sector, Partition(3, ((0, 2), (1,))))
     assert np.allclose(merged, [0.0, NINTH], atol=1e-12)
 
