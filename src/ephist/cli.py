@@ -24,9 +24,9 @@ from . import __version__
 from .errors import EngineError, InvariantViolation
 from .histories import (
     DEFAULT_DEC_TOL,
-    DecoherenceReport,
     _check_tolerance,
     _dh_probs,
+    _ep_probs,
     branch_matrix,
     decoherence_functional,
     dec_measure,
@@ -87,11 +87,6 @@ def _json_default(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False,
-                      default=_json_default) + "\n"
-
-
 def _fmt_cell(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
@@ -141,41 +136,37 @@ def _functional_csv(functional: np.ndarray) -> Iterator[str]:
 _OFFENDER = '    {{\n      "alpha": {},\n      "beta": {},\n      "magnitude": {!r}\n    }}'
 
 
-def _float_array(values: np.ndarray) -> str:
-    """indent=2 text of a float array held by a member of the top-level object."""
-    items = ",\n    ".join(map(repr, values.tolist()))
-    return f"[\n    {items}\n  ]" if items else "[]"
+def _offender_chunks(offenders: np.recarray) -> Iterator[str]:
+    """The "offenders" member's value: one _OFFENDER per record, 4096 records per tolist()."""
+    yield "["
+    for start in range(0, len(offenders), 4096):
+        block = offenders[start:start + 4096].tolist()
+        yield ("," if start else "") + ",".join("\n" + _OFFENDER.format(*r) for r in block)
+    yield "\n  ]" if len(offenders) else "]"
 
 
-def _decoherence_json(report: DecoherenceReport,
-                      offenders: list[tuple[tuple[int, int], float]]) -> Iterator[str]:
-    """decoherence.json in chunks: the bytes _dump_json gives for the same payload.
+def _json_chunks(payload: dict) -> Iterator[str]:
+    """json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) and a newline,
+    in chunks, with an "offenders" record array written as one object per record.
 
-    As allow_nan=False does, a NaN or infinite value raises ValueError;
-    here that happens before any chunk is written.
+    Every other member is formatted here and indented one level (a JSON string
+    holds no raw newline), and the magnitudes are checked, so a NaN or infinity
+    raises ValueError before any chunk is taken.
     """
-    magnitudes = np.fromiter((mag for _, mag in offenders), float, len(offenders))
-    values = np.concatenate(((report.dec, report.max_offdiagonal, report.tolerance),
-                             report.ep_probs, report.dh_probs, magnitudes))
-    if not np.isfinite(values).all():
+    members = [(json.dumps(key), None if key == "offenders" else json.dumps(
+                    value, indent=2, sort_keys=True, allow_nan=False,
+                    default=_json_default).replace("\n", "\n  "))
+               for key, value in sorted(payload.items())]
+    offenders = payload.get("offenders")
+    if offenders is not None and not np.isfinite(offenders.magnitude).all():
         raise ValueError("Out of range float values are not JSON compliant")
-    return _decoherence_chunks(report, offenders)
 
-
-def _decoherence_chunks(report: DecoherenceReport, offenders) -> Iterator[str]:
-    def scalar(value) -> str:
-        return json.dumps(value, default=_json_default)
-
-    yield (f'{{\n  "dec": {scalar(report.dec)},\n'
-           f'  "dh": {_float_array(report.dh_probs)},\n'
-           f'  "ep": {_float_array(report.ep_probs)},\n'
-           f'  "linearly_positive": {scalar(report.linearly_positive)},\n'
-           f'  "max_offdiagonal": {scalar(report.max_offdiagonal)},\n'
-           f'  "medium_decoherent": {scalar(report.medium_decoherent)},\n'
-           '  "offenders": [')
-    for k, ((a, b), mag) in enumerate(offenders):
-        yield (",\n" if k else "\n") + _OFFENDER.format(a, b, mag)
-    yield ("\n  ]" if offenders else "]") + f',\n  "tolerance": {scalar(report.tolerance)}\n}}\n'
+    def chunks() -> Iterator[str]:
+        for k, (name, text) in enumerate(members):
+            yield f"{',' if k else '{'}\n  {name}: "
+            yield from _offender_chunks(offenders) if text is None else (text,)
+        yield "\n}\n" if members else "{}\n"
+    return chunks()
 
 
 class _OutDir:
@@ -228,12 +219,12 @@ def _negative_sum(values: np.ndarray) -> float:
 def _cmd_eval(args, out: _OutDir):
     _, hs, psi = _history_model(args)
     b = branch_matrix(hs, psi)
-    ep = np.real(psi.amplitudes.conj() @ b)
+    ep = _ep_probs(psi, b)
     dh = _dh_probs(b)
     rows = [(flat, label, ep[flat], dh[flat], dh[flat] - ep[flat])
             for flat, label in enumerate(hs.history_labels())]
     out.write("histories.csv", _csv(("flat", "label", "ep", "dh", "dh_minus_ep"), rows))
-    out.write("summary.json", _dump_json({
+    out.write("summary.json", _json_chunks({
         "dim": hs.dim,
         "n_times": hs.n_times,
         "size": hs.size,
@@ -248,8 +239,16 @@ def _cmd_decohere(args, out: _OutDir):
     _, hs, psi = _history_model(args)
     report = decoherence_functional(hs, psi, tol=_tol(args))
     out.write("functional.csv", _functional_csv(report.functional))
-    out.write("decoherence.json", _decoherence_json(
-        report, offdiagonal_offenders(report.functional, report.tolerance)))
+    out.write("decoherence.json", _json_chunks({
+        "dec": report.dec,
+        "dh": report.dh_probs,
+        "ep": report.ep_probs,
+        "linearly_positive": report.linearly_positive,
+        "max_offdiagonal": report.max_offdiagonal,
+        "medium_decoherent": report.medium_decoherent,
+        "offenders": offdiagonal_offenders(report.functional, report.tolerance),
+        "tolerance": report.tolerance,
+    }))
 
 
 def _cmd_records(args, out: _OutDir):
@@ -259,7 +258,7 @@ def _cmd_records(args, out: _OutDir):
     strong = verify_strong_records(hs, psi, rs)
     weak = verify_weak_records(hs, psi, rs)
     corr = record_correlation_report(hs, psi, rs, epsilon=tol)
-    out.write("records.json", _dump_json({
+    out.write("records.json", _json_chunks({
         "t_rec": rs.time,
         "completion_index": rs.completion_index,
         "labels": [r.label for r in rs.members],
@@ -282,7 +281,7 @@ def _cmd_coarsen(args, out: _OutDir):
         part = _resolve_partition(doc, args.partition, hs.size)
         coarse_dec = dec_measure(coarse_decoherence_functional(fine.functional, part))
         coarse_ep = class_sums(fine.ep_probs, part)
-        out.write("coarsen.json", _dump_json({
+        out.write("coarsen.json", _json_chunks({
             "classes": part.classes,
             "labels": [f"c{k}" for k in range(part.size)],
             "fine_dec": fine.dec,
@@ -295,7 +294,7 @@ def _cmd_coarsen(args, out: _OutDir):
         }))
     else:
         result = greedy_merge_functional(fine.functional, target_tol=_tol(args))
-        out.write("greedy.json", _dump_json({
+        out.write("greedy.json", _json_chunks({
             "classes": result.partition.classes,
             "dec": result.dec,
             "succeeded": result.succeeded,
@@ -320,7 +319,7 @@ def _cmd_composite(args, out: _OutDir):
             "factor_ep_product": rule.factor_ep_product,
             "max_violation": rule.max_violation,
         }
-    out.write("composite.json", _dump_json(report))
+    out.write("composite.json", _json_chunks(report))
 
 
 def _cmd_finegrained(args, out: _OutDir):
@@ -341,7 +340,7 @@ def _cmd_finegrained(args, out: _OutDir):
         part = _resolve_partition(doc, args.partition, dist.size)
         summary["class_sums"] = class_sums(dist.values, part)
         summary["classes"] = part.classes
-    out.write("summary.json", _dump_json(summary))
+    out.write("summary.json", _json_chunks(summary))
 
 
 def _cmd_twoslit(args, out: _OutDir):
@@ -370,7 +369,7 @@ def _cmd_twoslit(args, out: _OutDir):
           len(r.negative_upper), len(r.negative_lower), r.max_cross_ratio)
          for r in delta_sweep()),
     ))
-    out.write("summary.json", _dump_json({
+    out.write("summary.json", _json_chunks({
         "k": K,
         "d": SLIT_SEPARATION,
         "D": SCREEN_DISTANCE,
@@ -388,7 +387,7 @@ def _cmd_twoslit(args, out: _OutDir):
 
 def _cmd_threebox(args, out: _OutDir):
     report = three_box_report(tol=_tol(args, default=1e-10))
-    out.write("threebox.json", _dump_json({
+    out.write("threebox.json", _json_chunks({
         "fine_ep": report.fine_eps,
         "fine_dec": report.fine_dec,
         "sector_ep": report.sector_eps,
@@ -433,7 +432,7 @@ def _cmd_dutchbook(args, out: _OutDir):
         ((kind, r.bet.p_a, r.bet.p_not_a, r.bet.s_a, r.bet.s_not_a,
           r.gain_a, r.gain_not_a, r.sure_loss) for kind, r in rows),
     ))
-    out.write("summary.json", _dump_json({
+    out.write("summary.json", _json_chunks({
         "seed": seed,
         "canonical": {
             "p_a": canonical.bet.p_a,
@@ -525,10 +524,10 @@ def run_command(argv: Sequence[str]) -> int:
     try:
         args.handler(args, out)
     except EngineError as err:
-        out.write("error.json", _dump_json({"command": args.command, **err.payload()}))
+        out.write("error.json", _json_chunks({"command": args.command, **err.payload()}))
         print(f"error: {err}", file=sys.stderr)
         return err.exit_status
-    out.write("manifest.json", _dump_json({
+    out.write("manifest.json", _json_chunks({
         "command": args.command,
         "engine_version": __version__,
         "options": options,

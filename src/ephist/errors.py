@@ -51,28 +51,23 @@ class InvariantViolation(EngineError):
 class NotDecoherent(EngineError):
     """Record construction demanded medium decoherence and did not get it.
 
-    ``offenders`` lists the worst off-diagonal overlaps as
-    ((alpha, beta), magnitude) pairs, largest first.
+    ``offenders`` is offdiagonal_offenders' record array (alpha, beta,
+    magnitude), largest first; error.json holds one JSON object per record.
     """
 
     code = "not-decoherent"
     exit_status = 4
 
-    def __init__(self, offenders: list[tuple[tuple[int, int], float]], tol: float):
-        self.offenders = offenders
-        self.tol = tol
-        (a, b), worst = offenders[0]
+    def __init__(self, offenders, tol: float):
+        self.offenders, self.tol = offenders, tol
+        a, b, worst = offenders[0]
         super().__init__(
             f"history set is not medium decoherent at tol {tol:.3e}: "
             f"max |D({a},{b})| = {worst:.3e} among {len(offenders)} offending pair(s)"
         )
 
     def payload(self) -> dict:
-        return {
-            **super().payload(),
-            "tolerance": self.tol,
-            "offenders": [{"alpha": a, "beta": b, "magnitude": m} for (a, b), m in self.offenders],
-        }
+        return {**super().payload(), "tolerance": self.tol, "offenders": self.offenders}
 
 
 class AllBranchesZero(EngineError):

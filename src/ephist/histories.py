@@ -99,9 +99,13 @@ def _dh_probs(b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", b.conj(), b).real
 
 
-def all_extended_probabilities(hs: HistorySet, psi: StateVector) -> np.ndarray:
-    b = branch_matrix(hs, psi)
+def _ep_probs(psi: StateVector, b: np.ndarray) -> np.ndarray:
+    """Re<psi|C psi> per column of a branch matrix: the extended probabilities."""
     return np.real(psi.amplitudes.conj() @ b)
+
+
+def all_extended_probabilities(hs: HistorySet, psi: StateVector) -> np.ndarray:
+    return _ep_probs(psi, branch_matrix(hs, psi))
 
 
 @dataclass(frozen=True)
@@ -138,11 +142,11 @@ def dec_measure(functional: np.ndarray) -> float:
     return float(a.sum() - np.trace(a))
 
 
-def offdiagonal_offenders(functional: np.ndarray, tol: float) -> list[tuple[tuple[int, int], float]]:
-    """Off-diagonal pairs with |D| > tol, worst first; upper triangle only.
+def offdiagonal_offenders(functional: np.ndarray, tol: float) -> np.recarray:
+    """Records (alpha < beta, magnitude) of the pairs with |D| > tol, worst first.
 
     This is the engine's one medium-decoherence test: a set decoheres
-    exactly when the list is empty. |D| is np.abs, the modulus
+    exactly when there is none. |D| is np.abs, the modulus
     _max_offdiagonal and dec_measure take, and np.abs(z) == np.abs(z.conj()),
     so the upper triangle of an exactly Hermitian functional decides it.
     Ties keep row-major order.
@@ -152,7 +156,7 @@ def offdiagonal_offenders(functional: np.ndarray, tol: float) -> list[tuple[tupl
     a, b = np.nonzero(np.triu(mag > tol, 1))
     mag = mag[a, b]
     order = np.argsort(-mag, kind="stable")
-    return list(zip(zip(a[order].tolist(), b[order].tolist()), mag[order].tolist()))
+    return np.rec.fromarrays((a[order], b[order], mag[order]), names="alpha,beta,magnitude")
 
 
 def _check_tolerance(tol: float) -> float:
@@ -176,7 +180,7 @@ def decoherence_functional(
     upper = np.triu(g, 1)
     dh = _dh_probs(b)
     functional = upper + upper.conj().T + np.diag(dh)
-    ep = np.real(psi.amplitudes.conj() @ b)
+    ep = _ep_probs(psi, b)
     max_off = _max_offdiagonal(functional)
     return DecoherenceReport(
         functional=functional,

@@ -25,6 +25,7 @@ from .histories import (
     DEFAULT_DEC_TOL,
     HistorySet,
     _check_tolerance,
+    _ep_probs,
     all_extended_probabilities,
     branch_matrix,
     offdiagonal_offenders,
@@ -58,7 +59,7 @@ def construct_records(hs: HistorySet, psi: StateVector, tol: float = DEFAULT_DEC
     _check_tolerance(tol)
     b = branch_matrix(hs, psi)
     offenders = offdiagonal_offenders(b.conj().T @ b, tol)
-    if offenders:
+    if len(offenders):
         raise NotDecoherent(offenders, tol)
 
     norms = np.linalg.norm(b, axis=0)
@@ -123,7 +124,7 @@ def verify_weak_records(hs: HistorySet, psi: StateVector, rs: RecordSet) -> Reco
     """
     _check_record_set(hs, rs)
     b = branch_matrix(hs, psi)
-    ep = np.real(psi.amplitudes.conj() @ b)
+    ep = _ep_probs(psi, b)
     worst = 0.0
     for beta, r in enumerate(rs.members):
         if not r.entries.any():

@@ -11,9 +11,13 @@ not, an offender scan that takes np.abs of one cell at a time, joint
 functionals and records as Kronecker products of the factors' own), so
 it shares no shortcut with the code under test. serialize_model, the
 canonical model-file writer, is here too: only the tests write models.
+So are the routes the CLI's JSON writer replaced: one json.dumps of the
+whole payload, one dict per offender in it, and offenders as a list of
+((alpha, beta), magnitude) pairs.
 """
 from typing import Iterator, Sequence, Union
 
+import json
 import math
 
 import numpy as np
@@ -27,6 +31,7 @@ from ephist import (
     GreedySearchResult,
     HistorySet,
     InvariantViolation,
+    NotDecoherent,
     ParseError,
     Partition,
     Projector,
@@ -41,6 +46,7 @@ from ephist import (
     decoherence_functional,
     format_complex,
 )
+from ephist.cli import _json_default
 from ephist.coarsegrain import _load_class_list
 from ephist.records import _check_record_set
 from ephist.modelfile import (
@@ -262,6 +268,37 @@ def offdiagonal_offenders_loop(functional: np.ndarray, tol: float) -> list[tuple
                 out.append(((a, b), float(mag)))
     out.sort(key=lambda pair: (-pair[1], pair[0]))
     return out
+
+
+def offdiagonal_offenders_list(functional: np.ndarray, tol: float) -> list[tuple[tuple[int, int], float]]:
+    """offdiagonal_offenders as a list of ((alpha, beta), magnitude) pairs, from one
+    vectorized scan and a stable sort."""
+    mag = np.abs(functional)
+    a, b = np.nonzero(np.triu(mag > tol, 1))
+    mag = mag[a, b]
+    order = np.argsort(-mag, kind="stable")
+    return list(zip(zip(a[order].tolist(), b[order].tolist()), mag[order].tolist()))
+
+
+def offender_pairs(offenders: np.recarray) -> list[tuple[tuple[int, int], float]]:
+    """An offender record array as the ((alpha, beta), magnitude) pairs the oracles list."""
+    return [((a, b), mag) for a, b, mag in offenders.tolist()]
+
+
+def offender_dicts(pairs: Sequence[tuple[tuple[int, int], float]]) -> list[dict]:
+    """((alpha, beta), magnitude) pairs as the one dict per offender json.dumps takes."""
+    return [{"alpha": a, "beta": b, "magnitude": mag} for (a, b), mag in pairs]
+
+
+def not_decoherent_payload(err: NotDecoherent) -> dict:
+    """NotDecoherent's payload with one dict per offender."""
+    return {**err.payload(), "offenders": offender_dicts(offender_pairs(err.offenders))}
+
+
+def dump_json(obj) -> str:
+    """A JSON artifact as one json.dumps of the whole payload."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False,
+                      default=_json_default) + "\n"
 
 
 def enumerate_partitions(m: int) -> Iterator[Partition]:

@@ -12,10 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ephist import (
+    DEFAULT_DEC_TOL,
     DecoherenceReport,
     ModelDocument,
+    NotDecoherent,
     build_history_set,
     build_state,
+    construct_records,
     dec_measure,
     decoherence_functional,
     load_model,
@@ -23,16 +26,22 @@ from ephist import (
 )
 from ephist.cli import (
     _csv,
-    _decoherence_json,
-    _dump_json,
     _functional_csv,
+    _json_chunks,
     _OutDir,
     build_parser,
     run_command,
 )
 from ephist.modelfile import EvolutionClause, MemberClause, SlotClause
 from conftest import FLOAT_PARTS, random_model
-from oracles import offdiagonal_offenders_loop, serialize_model
+from oracles import (
+    dump_json,
+    not_decoherent_payload,
+    offdiagonal_offenders_loop,
+    offender_dicts,
+    offender_pairs,
+    serialize_model,
+)
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 NINTH = 1.0 / 9.0
@@ -625,11 +634,9 @@ def test_non_finite_model_numbers_never_reach_artifacts(data):
             load(out, written.name)
 
 
-def _oracle_decohere(report):
-    """functional.csv and decoherence.json as the generic _csv and _dump_json write
-    them, with the offenders of the loop oracle."""
-    offenders = offdiagonal_offenders_loop(report.functional, report.tolerance)
-    payload = {
+def _decoherence_payload(report, offenders):
+    """decoherence.json's members, as decohere gives them to the writer."""
+    return {
         "tolerance": report.tolerance,
         "dec": report.dec,
         "max_offdiagonal": report.max_offdiagonal,
@@ -637,9 +644,16 @@ def _oracle_decohere(report):
         "linearly_positive": report.linearly_positive,
         "ep": report.ep_probs,
         "dh": report.dh_probs,
-        "offenders": [{"alpha": a, "beta": b, "magnitude": mag} for (a, b), mag in offenders],
+        "offenders": offenders,
     }
-    return _csv(tuple(f"c{j}" for j in range(report.size)), report.functional), _dump_json(payload)
+
+
+def _oracle_decohere(report):
+    """functional.csv and decoherence.json as the generic _csv and one json.dumps
+    write them, with the offenders of the loop oracle as one dict each."""
+    offenders = offdiagonal_offenders_loop(report.functional, report.tolerance)
+    payload = _decoherence_payload(report, offender_dicts(offenders))
+    return _csv(tuple(f"c{j}" for j in range(report.size)), report.functional), dump_json(payload)
 
 
 @st.composite
@@ -664,11 +678,28 @@ def _reports(draw):
 @given(report=_reports())
 @settings(max_examples=200, deadline=None)
 def test_decohere_writers_match_generic_route(report):
-    """The streaming writers give the bytes of _csv and _dump_json, offenders or none."""
+    """The streaming writers give the bytes of _csv and one json.dumps, offenders or none."""
     offenders = offdiagonal_offenders(report.functional, report.tolerance)
     csv, decoherence = _oracle_decohere(report)
     assert "".join(_functional_csv(report.functional)) == csv
-    assert "".join(_decoherence_json(report, offenders)) == decoherence
+    assert "".join(_json_chunks(_decoherence_payload(report, offenders))) == decoherence
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=12)
+
+
+@given(payload=st.dictionaries(st.text().filter(lambda key: key != "offenders"), _JSON_VALUES,
+                               max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_json_chunks_match_one_json_dumps(payload):
+    """Member by member gives the bytes of one json.dumps: nested and empty
+    containers, and strings with newlines or non-ASCII text. ("offenders" is
+    the record array's key.)"""
+    assert "".join(_json_chunks(payload)) == dump_json(payload)
 
 
 @given(data=st.data())
@@ -699,23 +730,44 @@ def _model_file(path, psi, hs):
 
 
 def test_decohere_large_model_matches_generic_route(tmp_path):
-    """512 histories of a random model: run_command writes the generic route's bytes."""
+    """512 histories of a random model: run_command writes the generic route's bytes,
+    for decohere and for the error.json of the records it refuses."""
     psi, hs = random_model(np.random.default_rng(863), d_max=12, n_max=3)
     assert hs.size == 512
     model = _model_file(tmp_path / "m512.model", psi, hs)
     status, out = run(tmp_path, "o", "decohere", "--model", str(model))
     assert status == 0
     doc = load_model(str(model))
-    report = decoherence_functional(build_history_set(doc), build_state(doc))
+    hs, psi = build_history_set(doc), build_state(doc)
+    report = decoherence_functional(hs, psi)
     assert not report.medium_decoherent
     csv, decoherence = _oracle_decohere(report)
     assert (out / "functional.csv").read_bytes() == csv.encode()
     assert (out / "decoherence.json").read_bytes() == decoherence.encode()
 
+    status, out = run(tmp_path, "r", "records", "--model", str(model))
+    assert status == 4
+    with pytest.raises(NotDecoherent) as exc:
+        construct_records(hs, psi)
+    loop = offdiagonal_offenders_loop(report.functional, DEFAULT_DEC_TOL)
+    assert len(loop) > 10_000 and offender_pairs(exc.value.offenders) == loop
+    error = dump_json({"command": "records", **not_decoherent_payload(exc.value)})
+    assert (out / "error.json").read_bytes() == error.encode()
 
-@pytest.mark.parametrize("field", ["dec", "ep", "dh", "magnitude"])
+
+@pytest.mark.parametrize("field", ["dec", "ep", "dh", "magnitude", "error"])
 def test_decoherence_json_refuses_non_finite_values(tmp_path, field):
-    """As strict JSON does, and before decoherence.json is opened."""
+    """As strict JSON does, and before decoherence.json or error.json is opened."""
+    out = _OutDir(str(tmp_path))
+    if field == "error":
+        offenders = np.rec.fromarrays(([0], [1], [float("nan")]), names="alpha,beta,magnitude")
+        err = NotDecoherent(offenders, 1e-8)
+        with pytest.raises(ValueError):
+            dump_json(not_decoherent_payload(err))
+        with pytest.raises(ValueError):
+            out.write("error.json", _json_chunks({"command": "records", **err.payload()}))
+        assert not (tmp_path / "error.json").exists()
+        return
     cross = complex(0.0, float("inf") if field == "magnitude" else 0.25)
     functional = np.array([[0.5, cross], [cross.conjugate(), 0.5]])
     values = {"dec": 0.5, "ep": np.array([0.5, 0.5]), "dh": np.array([0.5, 0.5])}
@@ -730,7 +782,6 @@ def test_decoherence_json_refuses_non_finite_values(tmp_path, field):
     assert len(offenders) == 1
     with pytest.raises(ValueError):
         _oracle_decohere(report)
-    out = _OutDir(str(tmp_path))
     with pytest.raises(ValueError):
-        out.write("decoherence.json", _decoherence_json(report, offenders))
+        out.write("decoherence.json", _json_chunks(_decoherence_payload(report, offenders)))
     assert not (tmp_path / "decoherence.json").exists()

@@ -25,7 +25,9 @@ from oracles import (
     extended_probability,
     flatten_index,
     history_label,
+    offdiagonal_offenders_list,
     offdiagonal_offenders_loop,
+    offender_pairs,
     unflatten_index,
 )
 
@@ -201,7 +203,7 @@ def test_decoherence_functional_rejects_bad_tolerance(rng, tol):
 def test_offenders_sorted_and_thresholded(rng):
     psi, hs = random_model(rng, d_max=4, n_max=2)
     rep = decoherence_functional(hs, psi)
-    offenders = offdiagonal_offenders(rep.functional, tol=1e-6)
+    offenders = offender_pairs(offdiagonal_offenders(rep.functional, tol=1e-6))
     mags = [m for _, m in offenders]
     assert mags == sorted(mags, reverse=True)
     assert all(m > 1e-6 for m in mags)
@@ -216,8 +218,9 @@ def test_offenders_match_loop_oracle(data):
     functional = np.array(parts).view(complex).reshape(m, m)
     tol = data.draw(st.one_of(st.sampled_from([0.0, 0.25, 0.5]), st.floats(0.0, 1e300)),
                     label="tol")
-    assert repr(offdiagonal_offenders(functional, tol)) == \
-        repr(offdiagonal_offenders_loop(functional, tol))
+    offenders = repr(offender_pairs(offdiagonal_offenders(functional, tol)))
+    assert offenders == repr(offdiagonal_offenders_loop(functional, tol))
+    assert offenders == repr(offdiagonal_offenders_list(functional, tol))
 
 
 @given(data=st.data())

@@ -33,6 +33,7 @@ from conftest import (
 from oracles import (
     flatten_index,
     history_label,
+    offender_pairs,
     unflatten_index,
     verify_strong_records_loop,
     verify_weak_records_loop,
@@ -89,7 +90,7 @@ def test_non_decoherent_raises(seed):
         construct_records(hs, psi)
     err = exc.value
     assert err.exit_status == 4
-    mags = [m for _, m in err.offenders]
+    mags = [m for _, m in offender_pairs(err.offenders)]
     assert mags == sorted(mags, reverse=True)
     assert mags[0] >= 1e-3
 
@@ -98,14 +99,14 @@ def _assert_one_decision(hs, psi, tol):
     """The report's flag and maximum, its offender list and construct_records
     all take the one decision offdiagonal_offenders makes at tol."""
     report = decoherence_functional(hs, psi, tol)
-    offenders = offdiagonal_offenders(report.functional, tol)
+    offenders = offender_pairs(offdiagonal_offenders(report.functional, tol))
     assert report.medium_decoherent == (offenders == [])
     if offenders:
         assert report.max_offdiagonal == offenders[0][1]
     try:
         construct_records(hs, psi, tol)
     except NotDecoherent as err:
-        assert offenders and err.offenders == offenders
+        assert offenders and offender_pairs(err.offenders) == offenders
     except InvariantViolation:   # dependent branches, found only past the decision
         assert offenders == []
     else:
@@ -140,7 +141,7 @@ def test_flag_and_offenders_agree_at_the_boundary():
     report = decoherence_functional(hs, psi, tol)
     assert report.medium_decoherent
     assert report.max_offdiagonal == tol
-    assert offdiagonal_offenders(report.functional, tol) == []
+    assert offender_pairs(offdiagonal_offenders(report.functional, tol)) == []
     _assert_one_decision(hs, psi, tol)
 
 
@@ -151,7 +152,7 @@ def test_records_name_offenders_at_the_boundary():
     tol = 3.9145052677475075e-17
     with pytest.raises(NotDecoherent) as exc:
         construct_records(hs, psi, tol)
-    assert exc.value.offenders == [((0, 5), float(np.nextafter(tol, 1.0)))]
+    assert offender_pairs(exc.value.offenders) == [((0, 5), float(np.nextafter(tol, 1.0)))]
     _assert_one_decision(hs, psi, tol)
 
 
