@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import sys
@@ -137,7 +138,7 @@ _OFFENDER = '    {{\n      "alpha": {},\n      "beta": {},\n      "magnitude": {
 
 
 def _offender_chunks(offenders: np.recarray) -> Iterator[str]:
-    """The "offenders" member's value: one _OFFENDER per record, 4096 records per tolist()."""
+    """A record-array member's value: one _OFFENDER per record, 4096 records per tolist()."""
     yield "["
     for start in range(0, len(offenders), 4096):
         block = offenders[start:start + 4096].tolist()
@@ -147,26 +148,24 @@ def _offender_chunks(offenders: np.recarray) -> Iterator[str]:
 
 def _json_chunks(payload: dict) -> Iterator[str]:
     """json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) and a newline,
-    in chunks, with an "offenders" record array written as one object per record.
+    in chunks, with each record-array member written as one object per record.
 
-    Every other member is formatted here and indented one level (a JSON string
-    holds no raw newline), and the magnitudes are checked, so a NaN or infinity
-    raises ValueError before any chunk is taken.
+    Members are told apart by value, since a composite's name is a key too.
+    The others are formatted here, indented one level (a JSON string holds no
+    raw newline); a NaN or infinity raises ValueError before any chunk is taken.
     """
-    members = [(json.dumps(key), None if key == "offenders" else json.dumps(
-                    value, indent=2, sort_keys=True, allow_nan=False,
-                    default=_json_default).replace("\n", "\n  "))
-               for key, value in sorted(payload.items())]
-    offenders = payload.get("offenders")
-    if offenders is not None and not np.isfinite(offenders.magnitude).all():
-        raise ValueError("Out of range float values are not JSON compliant")
-
-    def chunks() -> Iterator[str]:
-        for k, (name, text) in enumerate(members):
-            yield f"{',' if k else '{'}\n  {name}: "
-            yield from _offender_chunks(offenders) if text is None else (text,)
-        yield "\n}\n" if members else "{}\n"
-    return chunks()
+    chunks = []
+    for key, value in sorted(payload.items()):
+        chunks.append((f"{',' if chunks else '{'}\n  {json.dumps(key)}: ",))
+        if isinstance(value, np.recarray):   # checked here, formatted as it is written
+            if not np.isfinite(value.magnitude).all():
+                raise ValueError("Out of range float values are not JSON compliant")
+            chunks.append(_offender_chunks(value))
+        else:
+            chunks.append((json.dumps(value, indent=2, sort_keys=True, allow_nan=False,
+                                      default=_json_default).replace("\n", "\n  "),))
+    chunks.append(("\n}\n" if chunks else "{}\n",))
+    return itertools.chain.from_iterable(chunks)
 
 
 class _OutDir:

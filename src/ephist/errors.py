@@ -59,7 +59,8 @@ class NotDecoherent(EngineError):
     exit_status = 4
 
     def __init__(self, offenders, tol: float):
-        self.offenders, self.tol = offenders, tol
+        self.offenders = offenders
+        self.tol = tol
         a, b, worst = offenders[0]
         super().__init__(
             f"history set is not medium decoherent at tol {tol:.3e}: "

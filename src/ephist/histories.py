@@ -149,7 +149,8 @@ def offdiagonal_offenders(functional: np.ndarray, tol: float) -> np.recarray:
     exactly when there is none. |D| is np.abs, the modulus
     _max_offdiagonal and dec_measure take, and np.abs(z) == np.abs(z.conj()),
     so the upper triangle of an exactly Hermitian functional decides it.
-    Ties keep row-major order.
+    Ties keep row-major order. Test emptiness with len(), not truth:
+    numpy refuses the truth value of an array of any length but one.
     """
     mag = np.abs(functional)
     del functional   # a caller's temporary Gram matrix is freed before the scans

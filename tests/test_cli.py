@@ -173,6 +173,19 @@ def test_composite(tmp_path):
     assert len(rep["joint_ep"]) == 16
 
 
+def test_composite_named_offenders(tmp_path):
+    """A composite's name is a key of composite.json, so any name is written like any other."""
+    factors = f"{MODELS / 'qubit_a.model'} {MODELS / 'qubit_b.model'}"
+    model = tmp_path / "named.model"
+    model.write_text(f"composite offenders factors {factors}\ncomposite pair factors {factors}\n")
+    status, out = run(tmp_path, "o", "composite", "--model", str(model))
+    assert status == 0
+    report = load(out, "composite.json")
+    assert (out / "composite.json").read_text() == dump_json(report)
+    _, pair_out = run(tmp_path, "p", "composite", "--model", str(MODELS / "pair.model"))
+    assert report["offenders"] == report["pair"] == load(pair_out, "composite.json")["pair"]
+
+
 def test_finegrained_with_partition(tmp_path):
     status, out = run(tmp_path, "o", "finegrained",
                       "--model", str(MODELS / "threebox.model"), "--partition", "cylinders")
