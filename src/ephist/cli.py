@@ -79,12 +79,8 @@ def _json_default(value):
     """Encode the values json has no encoder for; everything else is native."""
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, complex):   # np.complex128 too; its parts repr as np.float64
-        return format_complex(complex(value))
+    if isinstance(value, complex):
+        return format_complex(value)
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
@@ -94,7 +90,7 @@ def _fmt_cell(x) -> str:
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     if isinstance(x, (complex, np.complexfloating)):
-        return format_complex(complex(x))
+        return format_complex(x)
     s = str(x)
     # history labels can contain commas
     return '"' + s.replace('"', '""') + '"' if "," in s or '"' in s else s
@@ -134,15 +130,16 @@ def _functional_csv(functional: np.ndarray) -> Iterator[str]:
         list(map(list.append, pending[i + 1:], mirrored[1:]))
 
 
-_OFFENDER = '    {{\n      "alpha": {},\n      "beta": {},\n      "magnitude": {!r}\n    }}'
+_OFFENDER = '\n    {\n      "alpha": %d,\n      "beta": %d,\n      "magnitude": %r\n    }'
 
 
 def _offender_chunks(offenders: np.recarray) -> Iterator[str]:
-    """A record-array member's value: one _OFFENDER per record, 4096 records per tolist()."""
+    """A record-array member's value: one _OFFENDER per record, one % per 4096-record block."""
     yield "["
     for start in range(0, len(offenders), 4096):
         block = offenders[start:start + 4096].tolist()
-        yield ("," if start else "") + ",".join("\n" + _OFFENDER.format(*r) for r in block)
+        yield ("," if start else "") + ",".join([_OFFENDER] * len(block)) % tuple(
+            itertools.chain.from_iterable(block))
     yield "\n  ]" if len(offenders) else "]"
 
 
@@ -392,8 +389,7 @@ def _cmd_threebox(args, out: _OutDir):
         "sector_ep": report.sector_eps,
         "p_phi": report.p_phi,
         "conditionals_given_phi": report.conditionals,
-        "sector_functional": [[format_complex(z) for z in row]
-                              for row in report.sector_functional],
+        "sector_functional": report.sector_functional,
         "coarse": [
             {
                 "name": box.name,

@@ -32,6 +32,10 @@ from .histories import (
     decoherence_functional,
 )
 
+__all__ = ["GreedySearchResult", "Partition", "class_sums", "coarse_decoherence_functional",
+           "coarse_extended_probabilities", "greedy_decohering_search", "greedy_merge_functional",
+           "group_slots", "partition_from_literal"]
+
 
 @dataclass(frozen=True)
 class Partition:

@@ -20,6 +20,8 @@ from .errors import CapExceeded, DimensionMismatch
 from .hilbert import StateVector, frozen_copy
 from .histories import M_CAP, HistorySet, branch_matrix
 
+__all__ = ["JOINT_DIM_CAP", "CompositeSystem", "ProductRuleReport", "product_rule_report"]
+
 JOINT_DIM_CAP = 4096
 
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+__all__ = ["BetSpec", "GainReport", "dutch_book_gains", "exploit_negative_price", "gain_report"]
+
 
 @dataclass(frozen=True)
 class BetSpec:

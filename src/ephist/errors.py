@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import math
 
+__all__ = ["AllBranchesZero", "CapExceeded", "DimensionMismatch", "EngineError",
+           "InvariantViolation", "NotDecoherent", "ParseError"]
+
 
 class EngineError(Exception):
     code = "engine-error"

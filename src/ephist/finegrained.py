@@ -22,6 +22,8 @@ from .errors import DimensionMismatch, InvariantViolation
 from .hilbert import StateVector, frozen_copy
 from .histories import HistorySet, all_extended_probabilities
 
+__all__ = ["FineGrainedDistribution", "FineGrainedSpec", "fundamental_distribution"]
+
 
 @dataclass(frozen=True)
 class FineGrainedSpec:

@@ -20,6 +20,11 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation
 
+__all__ = ["TOL_HERM", "TOL_NORM", "TOL_OP", "EvolutionSpec", "HermitianOperator", "Projector",
+           "ProjectorSet", "ProjectorSetReport", "StateVector", "heisenberg_projector",
+           "hermitian_exponential", "projector_set_from_basis", "rank_one_projector",
+           "validate_projector_set"]
+
 TOL_NORM = 1e-12   # vector norms
 TOL_HERM = 1e-12   # Hermiticity, entrywise
 TOL_OP = 1e-10     # operator identities (idempotency, completeness, unitarity)

@@ -27,6 +27,10 @@ import numpy as np
 from .errors import CapExceeded, DimensionMismatch, InvariantViolation
 from .hilbert import ProjectorSet, StateVector, frozen_copy
 
+__all__ = ["DEFAULT_DEC_TOL", "M_CAP", "DecoherenceReport", "HistorySet",
+           "all_extended_probabilities", "branch_matrix", "dec_measure", "decoherence_functional",
+           "offdiagonal_offenders"]
+
 DEFAULT_DEC_TOL = 1e-8   # off-diagonal |D| threshold for medium decoherence
 M_CAP = 4096             # history-count guard against exponential blowup
 

@@ -52,6 +52,10 @@ from .coarsegrain import _is_class_list, _load_class_list
 from .finegrained import FineGrainedSpec
 from .composite import CompositeSystem
 
+__all__ = ["DIM_CAP", "ModelDocument", "build_composites", "build_evolution", "build_finegrained",
+           "build_history_set", "build_state", "format_complex", "load_model", "parse_complex",
+           "parse_model"]
+
 DIM_CAP = 1024   # Hilbert-space dimension; each operator is a dense d x d complex matrix
 
 Matrix = tuple[tuple[complex, ...], ...]
@@ -125,36 +129,25 @@ def _count(text: str) -> int:
     return int(text)
 
 
-# the last sign that is neither first nor an exponent's splits real from imaginary
-_SIGN_SPLIT = re.compile(r"(.*[^eE])([+-].*)", re.DOTALL)
-
-
 def parse_complex(text: str) -> complex:
-    """One finite literal: "1.5", "2i", "1+2i", "-1.5e-3-2e-4j"."""
+    """One finite literal: "1.5", "2i", "1+2i", "-1.5e-3-2e-4j".
+
+    Once the text is checked to hold only the grammar's characters (so no
+    blank, "_", parenthesis, nan, inf or non-ASCII digit), complex() reads it."""
     s = text.strip()
-    # ASCII, no "_", no blank inside (the ASCII blanks but " " are not printable)
-    if not s or not s.isascii() or not s.isprintable() or " " in s or "_" in s:
+    if not s or s.strip("0123456789+-.eEij"):
         raise ValueError(f"not a number: {text!r}")
-    if s[-1] in "ij":
-        body = s[:-1]
-        if body in ("", "+"):
-            return 1j
-        if body == "-":
-            return -1j
-        split = _SIGN_SPLIT.fullmatch(body)
-        if split is None:
-            z = complex(0.0, float(body))
-        else:
-            real, imag = split.groups()
-            z = complex(float(real), float(imag if imag not in ("+", "-") else imag + "1"))
-    else:
-        z = complex(float(s), 0.0)
+    if s in ("-i", "-j"):
+        return -1j   # keeps the -0.0 real part that complex("-j") drops
+    z = complex(s[:-1] + "j" if s[-1] == "i" else s)
     if not cmath.isfinite(z):
         raise ValueError(f"non-finite number {text!r}")
     return z
 
 
 def format_complex(z: complex) -> str:
+    """Shortest round-trip text that parse_complex reads back; numpy scalars too."""
+    z = complex(z)
     if z.imag == 0.0:
         return repr(z.real)
     sign = "+" if z.imag >= 0 else "-"
@@ -316,10 +309,8 @@ class _Parser:
         self.open_slot = None
 
     def check_time_order(self, line: _Line, clauses, time: float, what: str):
-        pending = [self.open_slot[1]] if (what == "slot" and self.open_slot) else []
-        prior = [c.time for c in clauses] + pending
-        if prior and time <= prior[-1]:
-            line.fail(f"{what} time greater than {prior[-1]}")
+        if clauses and time <= clauses[-1].time:
+            line.fail(f"{what} time greater than {clauses[-1].time}")
 
     def directive(self, line: _Line):
         head = line.word("a directive")

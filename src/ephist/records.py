@@ -31,6 +31,9 @@ from .histories import (
     offdiagonal_offenders,
 )
 
+__all__ = ["CorrelationReport", "RecordCheckReport", "RecordSet", "construct_records",
+           "record_correlation_report", "verify_strong_records", "verify_weak_records"]
+
 ZERO_BRANCH_TOL = 1e-12
 
 

@@ -22,6 +22,9 @@ from .hilbert import Projector, ProjectorSet, StateVector, rank_one_projector
 from .histories import DecoherenceReport, HistorySet, decoherence_functional
 from .coarsegrain import GreedySearchResult, greedy_merge_functional, group_slots
 
+__all__ = ["SECTOR_FLATS", "BoxSetReport", "ThreeBoxModel", "ThreeBoxReport", "box_coarse_set",
+           "three_box_model", "three_box_report"]
+
 SECTOR_FLATS = (0, 1, 2)   # (A,Phi), (B,Phi), (C,Phi) under earliest-fastest flattening
 
 

@@ -26,6 +26,11 @@ import numpy as np
 
 from .errors import CapExceeded, InvariantViolation
 
+__all__ = ["BINS_CAP", "SWEEP_K_DELTAS", "SweepRow", "TwoSlitConfig", "amplitude",
+           "arrival_density", "binned_extended_probabilities", "deepest_fringe_location",
+           "default_config", "delta_sweep", "extended_density", "interference_integrals",
+           "path_length", "self_convergence"]
+
 DEFAULT_PANELS = 128
 BINS_CAP = 4096          # screen bins; each one costs a Simpson integral per slit
 SWEEP_K_DELTAS = (1.0, 2.0, 5.0, 10.0, 20.0, 40.0)

@@ -23,6 +23,8 @@ from ephist import (
     decoherence_functional,
     load_model,
     offdiagonal_offenders,
+    parse_complex,
+    three_box_report,
 )
 from ephist.cli import (
     _csv,
@@ -262,6 +264,8 @@ def test_threebox_command(tmp_path):
     assert rep["greedy_sector"]["classes"] == [[0, 2], [1]]
     assert rep["coarse"][2]["medium_decoherent"] is False
     assert abs(rep["coarse"][2]["max_offdiagonal"] - 2 * NINTH) < 1e-12
+    cells = [[parse_complex(c) for c in row] for row in rep["sector_functional"]]
+    assert cells == three_box_report().sector_functional.tolist()
 
 
 def test_threebox_makes_four_functional_calls(tmp_path, monkeypatch):

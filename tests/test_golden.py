@@ -9,6 +9,7 @@ floats differently, and then the digests must be recorded again with
 run_case on a known-good commit.
 """
 import hashlib
+import re
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from ephist.cli import run_command
 
 ROOT = Path(__file__).resolve().parent.parent
 SINGLE_MODELS = ("precession", "qubit_a", "qubit_b", "recorded", "threebox")
+NUMPY_SCALAR = re.compile(r"np\.\w+\(")   # a numpy scalar's repr, e.g. np.float64(0.5)
 
 CASES = {
     **{f"eval-{m}": (0, ["eval", "--model", f"models/{m}.model"]) for m in SINGLE_MODELS},
@@ -129,7 +131,7 @@ GOLDEN = {
     },
     "threebox": {
         "manifest.json": "ac494143399f5ec319c4cb228babcf9ab7ebfb7cff493f3ab6e0e7936c8e09c3",
-        "threebox.json": "70862f08faea4f25430bc18ff449a86283cfb526f1f9a4e88b9ad4d9c9870281",
+        "threebox.json": "ea97f474d1b07d0d310afdf455d8c4e200ba0072e81e10312effc88919d88b6b",
     },
     "twoslit-20": {
         "bins.csv": "f06364e340bb0fd6d4afd8e3cd734421d607ed1b2d7715729735c65c5bfc02e5",
@@ -170,4 +172,6 @@ def test_artifacts_match_golden(name, tmp_path, monkeypatch):
     monkeypatch.chdir(ROOT)
     status, got = run_case(name, tmp_path / "out")
     assert status == CASES[name][0]
+    assert [p.name for p in (tmp_path / "out").iterdir()
+            if NUMPY_SCALAR.search(p.read_text())] == []
     assert got == GOLDEN[name]

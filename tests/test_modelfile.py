@@ -1,5 +1,6 @@
 """Model-file parsing, diagnostics, serialization, and building."""
 import importlib.util
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -93,6 +94,14 @@ def test_parse_complex_matches_loop_oracle(text):
     assert _complex_outcome(parse_complex, text) == _complex_outcome(parse_complex_loop, text)
 
 
+def test_parse_complex_matches_loop_oracle_on_every_short_string():
+    """Every string of up to five characters over a compact literal alphabet."""
+    texts = ["".join(t) for n in range(6) for t in itertools.product("01+-.eij", repeat=n)]
+    assert len(texts) == 37449
+    assert [t for t in texts
+            if _complex_outcome(parse_complex, t) != _complex_outcome(parse_complex_loop, t)] == []
+
+
 reals = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -101,6 +110,7 @@ reals = st.floats(allow_nan=False, allow_infinity=False)
 def test_format_complex_round_trips(re, im):
     z = complex(re, im)
     assert parse_complex(format_complex(z)) == z
+    assert parse_complex(format_complex(np.complex128(z))) == z
 
 
 # ------------------------------------------------------------ shipped models
@@ -130,6 +140,14 @@ def _err(text):
         parse_model(text)
     assert exc.value.exit_status == 2
     return exc.value
+
+
+def _both_fail(text, line, expected):
+    """parse_model and the loop oracle fail with the same line and expectation."""
+    for parse in (parse_model, parse_model_loop):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (exc.value.line, exc.value.expected) == (line, expected)
 
 
 def test_unknown_directive():
@@ -246,6 +264,8 @@ def test_member_outside_slot():
 def test_duplicate_dim():
     e = _err("dim 2\ndim 3")
     assert "single dim" in e.expected
+    _both_fail("dim 0", 1, "a positive integer dimension")
+    _both_fail("dim 2\nstate [1,0]\nstate [0,1]", 3, "a single state declaration")
 
 
 def test_slot_times_must_increase():
@@ -292,6 +312,9 @@ def test_single_evolution_kind():
              "evolution unitary 1.0 [[1,0],[0,1]]\n"
              "evolution unitary 1.0 [[0,1],[1,0]]")
     assert e.line == 3 and "already declared" in e.expected
+    _both_fail("dim 2\nevolution zero\nevolution zero", 3, "a single evolution declaration")
+    _both_fail("dim 2\nevolution zero\nevolution unitary 1.0 [[1,0],[0,1]]", 3,
+               "a single evolution kind")
 
 
 def test_matrix_shape_checks():

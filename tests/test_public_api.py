@@ -162,6 +162,37 @@ def test_no_public_callable_picks_a_slot_by_index():
             assert "slot_index" not in inspect.signature(obj).parameters, name
 
 
+def _top_level_definitions(path: Path) -> set[str]:
+    """Names a module binds by a top-level def, class or assignment."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_each_public_name_is_declared_once_by_its_module():
+    """Each module's __all__ lists only names it defines, no name is in two
+    lists, and ephist.__all__ is the lists in the package's import order;
+    the package itself names none of them."""
+    init = ast.parse((ROOT / "src" / "ephist" / "__init__.py").read_text())
+    modules = [node.module for node in init.body if isinstance(node, ast.ImportFrom)]
+    lists = []
+    for name in modules:
+        module = importlib.import_module(f"ephist.{name}")
+        undefined = set(module.__all__) - _top_level_definitions(Path(module.__file__))
+        assert sorted(undefined) == [], name
+        lists.append(module.__all__)
+    flat = [name for names in lists for name in names]
+    assert len(flat) == len(set(flat))
+    assert ephist.__all__ == flat
+    literals = {node.value for node in ast.walk(init) if isinstance(node, ast.Constant)}
+    assert sorted(literals & set(flat)) == []
+
+
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_names_are_gone(name):
     assert not hasattr(ephist, name)
