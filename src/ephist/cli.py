@@ -31,7 +31,6 @@ from .histories import (
     branch_matrix,
     decoherence_functional,
     dec_measure,
-    offdiagonal_offenders,
 )
 from .records import (
     construct_records,
@@ -242,7 +241,7 @@ def _cmd_decohere(args, out: _OutDir):
         "linearly_positive": report.linearly_positive,
         "max_offdiagonal": report.max_offdiagonal,
         "medium_decoherent": report.medium_decoherent,
-        "offenders": offdiagonal_offenders(report.functional, report.tolerance),
+        "offenders": report.offenders,
         "tolerance": report.tolerance,
     }))
 

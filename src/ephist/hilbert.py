@@ -31,7 +31,10 @@ TOL_OP = 1e-10     # operator identities (idempotency, completeness, unitarity)
 
 
 def frozen_copy(values, dtype=None) -> np.ndarray:
-    """A read-only copy of values; dtype=None keeps the values' own dtype."""
+    """A read-only copy of values (dtype=None keeps theirs), unless they own frozen C-order data."""
+    if (type(values) is np.ndarray and not values.flags.writeable and values.base is None
+            and values.flags.c_contiguous and (dtype is None or values.dtype == dtype)):
+        return values
     a = np.array(values, dtype=dtype)
     a.setflags(write=False)
     return a

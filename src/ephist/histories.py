@@ -19,6 +19,7 @@ comparable across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from math import inf, prod
 
@@ -114,14 +115,13 @@ def all_extended_probabilities(hs: HistorySet, psi: StateVector) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DecoherenceReport:
-    """Functional matrix plus the derived decoherence diagnostics."""
+    """Functional matrix plus the derived diagnostics; its offenders decide medium decoherence."""
 
     functional: np.ndarray
     dec: float
     ep_probs: np.ndarray
     dh_probs: np.ndarray
     max_offdiagonal: float
-    medium_decoherent: bool
     linearly_positive: bool
     tolerance: float
 
@@ -129,15 +129,13 @@ class DecoherenceReport:
         for name in ("functional", "ep_probs", "dh_probs"):
             object.__setattr__(self, name, frozen_copy(getattr(self, name)))
 
+    @cached_property
+    def offenders(self) -> np.recarray:
+        return offdiagonal_offenders(self.functional, self.tolerance)
+
     @property
-    def size(self) -> int:
-        return self.functional.shape[0]
-
-
-def _max_offdiagonal(functional: np.ndarray) -> float:
-    a = np.abs(functional)
-    np.fill_diagonal(a, 0.0)
-    return float(a.max(initial=0.0))
+    def medium_decoherent(self) -> bool:
+        return not len(self.offenders)
 
 
 def dec_measure(functional: np.ndarray) -> float:
@@ -151,7 +149,7 @@ def offdiagonal_offenders(functional: np.ndarray, tol: float) -> np.recarray:
 
     This is the engine's one medium-decoherence test: a set decoheres
     exactly when there is none. |D| is np.abs, the modulus
-    _max_offdiagonal and dec_measure take, and np.abs(z) == np.abs(z.conj()),
+    max_offdiagonal and dec_measure take, and np.abs(z) == np.abs(z.conj()),
     so the upper triangle of an exactly Hermitian functional decides it.
     Ties keep row-major order. Test emptiness with len(), not truth:
     numpy refuses the truth value of an array of any length but one.
@@ -176,24 +174,24 @@ def decoherence_functional(
 ) -> DecoherenceReport:
     """Full m x m functional over flattened history indices, plus flags.
 
-    The matrix is assembled exactly Hermitian with an exactly real
-    diagonal (the diagonal is _dh_probs, the squared column norms).
+    The matrix is assembled exactly Hermitian with an exactly real diagonal
+    (_dh_probs, the squared column norms) in one buffer that the report keeps.
     """
     _check_tolerance(tol)
     b = branch_matrix(hs, psi)
-    g = b.conj().T @ b
-    upper = np.triu(g, 1)
-    dh = _dh_probs(b)
-    functional = upper + upper.conj().T + np.diag(dh)
+    functional = np.triu(b.conj().T @ b, 1)
+    functional += functional.conj().T
+    functional += 0.0   # so no cell off the diagonal is -0.0 (0.0 + -0.0 is 0.0)
+    max_off = float(np.abs(functional).max(initial=0.0))   # the diagonal is still 0
+    np.fill_diagonal(functional, _dh_probs(b))
+    functional.setflags(write=False)
     ep = _ep_probs(psi, b)
-    max_off = _max_offdiagonal(functional)
     return DecoherenceReport(
         functional=functional,
         dec=dec_measure(functional),
         ep_probs=ep,
-        dh_probs=dh,
+        dh_probs=functional.diagonal().real,
         max_offdiagonal=max_off,
-        medium_decoherent=max_off <= tol,
         linearly_positive=bool(ep.min() >= -tol),
         tolerance=tol,
     )

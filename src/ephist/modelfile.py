@@ -325,9 +325,10 @@ class _Parser:
     def on_dim(self, line: _Line):
         if self.dim is not None:
             line.fail("a single dim declaration")
+        start = line.pos
         n = line.number("a positive integer dimension", _count)
         if n < 1:
-            line.fail("a positive integer dimension")
+            line.fail("a positive integer dimension", at=start)
         if n > DIM_CAP:
             raise CapExceeded("dimension", n, DIM_CAP)
         self.dim = n

@@ -13,7 +13,8 @@ it shares no shortcut with the code under test. serialize_model, the
 canonical model-file writer, is here too: only the tests write models.
 So are the routes the CLI's JSON writer replaced: one json.dumps of the
 whole payload, one dict per offender in it, and offenders as a list of
-((alpha, beta), magnitude) pairs.
+((alpha, beta), magnitude) pairs. So is the functional as the sum of its
+two triangles and its diagonal, which the in-place assembly replaced.
 """
 from typing import Iterator, Sequence, Union
 
@@ -255,6 +256,15 @@ def extended_density_from_amplitudes(y, slit: str = "U"):
 def dh_ep_difference(hs: HistorySet, components: Sequence[int], psi: StateVector) -> float:
     """p_dh - p_ep; identically -Re sum_{b != a} D(b, a), and 0 when decoherent."""
     return dh_probability(hs, components, psi) - extended_probability(hs, components, psi)
+
+
+def functional_sum(hs: HistorySet, psi: StateVector) -> np.ndarray:
+    """The decoherence functional as the sum of its strict upper triangle, that
+    triangle's conjugate transpose and the diagonal of squared branch norms."""
+    b = branch_matrix(hs, psi)
+    upper = np.triu(b.conj().T @ b, 1)
+    dh = np.einsum("ij,ij->j", b.conj(), b).real
+    return upper + upper.conj().T + np.diag(dh)
 
 
 def offdiagonal_offenders_loop(functional: np.ndarray, tol: float) -> list[tuple[tuple[int, int], float]]:
@@ -652,9 +662,10 @@ class _Parser:
     def on_dim(self, line: _Line):
         if self.dim is not None:
             line.fail("a single dim declaration")
+        start = line.pos
         n = line.number("a positive integer dimension", _count_loop)
         if n < 1:
-            line.fail("a positive integer dimension")
+            line.fail("a positive integer dimension", at=start)
         if n > DIM_CAP:
             raise CapExceeded("dimension", n, DIM_CAP)
         self.dim = n

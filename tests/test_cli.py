@@ -670,7 +670,8 @@ def _oracle_decohere(report):
     write them, with the offenders of the loop oracle as one dict each."""
     offenders = offdiagonal_offenders_loop(report.functional, report.tolerance)
     payload = _decoherence_payload(report, offender_dicts(offenders))
-    return _csv(tuple(f"c{j}" for j in range(report.size)), report.functional), dump_json(payload)
+    header = tuple(f"c{j}" for j in range(len(report.functional)))
+    return _csv(header, report.functional), dump_json(payload)
 
 
 @st.composite
@@ -688,8 +689,7 @@ def _reports(draw):
     return DecoherenceReport(
         functional=functional, dec=dec_measure(functional), ep_probs=ep,
         dh_probs=np.diag(functional).real.copy(), max_offdiagonal=float(mag.max()),
-        medium_decoherent=bool(mag.max() <= tol), linearly_positive=bool(ep.min() >= -tol),
-        tolerance=tol)
+        linearly_positive=bool(ep.min() >= -tol), tolerance=tol)
 
 
 @given(report=_reports())
@@ -794,7 +794,7 @@ def test_decoherence_json_refuses_non_finite_values(tmp_path, field):
         values[field][1] = float("nan")
     report = DecoherenceReport(
         functional=functional, dec=values["dec"], ep_probs=values["ep"], dh_probs=values["dh"],
-        max_offdiagonal=0.25, medium_decoherent=False, linearly_positive=True, tolerance=1e-8)
+        max_offdiagonal=0.25, linearly_positive=True, tolerance=1e-8)
     offenders = offdiagonal_offenders(functional, report.tolerance)
     assert len(offenders) == 1
     with pytest.raises(ValueError):

@@ -1,10 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ephist import (
     CapExceeded,
+    DecoherenceReport,
     DimensionMismatch,
+    HermitianOperator,
     HistorySet,
     InvariantViolation,
     Projector,
@@ -24,6 +28,7 @@ from oracles import (
     dh_probability,
     extended_probability,
     flatten_index,
+    functional_sum,
     history_label,
     offdiagonal_offenders_list,
     offdiagonal_offenders_loop,
@@ -168,6 +173,113 @@ def test_functional_structure(rng):
     # holds every off-diagonal magnitude max_offdiagonal reads
     mag = np.abs(d).view(np.uint64)
     assert np.array_equal(mag, mag.T)
+
+
+def _standard_basis_model(rng, d, n, k=None):
+    """Slots that split the standard basis into k groups (drawn from 2..d when
+    not given): every chain is a coordinate projector, exactly zero when its
+    groups do not meet, so many branches and cross terms are exact zeros."""
+    slots = []
+    for t in range(n):
+        kt = int(k or rng.integers(2, d + 1))
+        cuts = np.sort(rng.choice(np.arange(1, d), size=kt - 1, replace=False))
+        members = [Projector(np.diag(np.isin(np.arange(d), g).astype(float)), label=f"g{gi}")
+                   for gi, g in enumerate(np.split(rng.permutation(d), cuts))]
+        slots.append(ProjectorSet(tuple(members), time=float(t + 1)))
+    return random_state(rng, d), HistorySet(tuple(slots))
+
+
+FUNCTIONAL_MODELS = {
+    "random": lambda rng: random_model(rng),
+    "standard-basis": lambda rng: _standard_basis_model(rng, 6, 3),
+    "haar-512": lambda rng: _model_of_shape(rng, (8, 8, 8), d=8),
+    "standard-basis-512": lambda rng: _standard_basis_model(rng, 8, 3, k=8),
+}
+
+
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(sorted(FUNCTIONAL_MODELS)))
+@example(seed=44, kind="standard-basis")
+@settings(max_examples=60, deadline=None)
+def test_functional_in_place_has_the_bits_of_the_sum(seed, kind):
+    """The in-place assembly gives the three-term sum's bytes, signed zeros
+    included, at m = 512 and with exactly zero branches."""
+    psi, hs = FUNCTIONAL_MODELS[kind](np.random.default_rng(seed))
+    functional = decoherence_functional(hs, psi).functional
+    assert functional.tobytes() == functional_sum(hs, psi).tobytes()
+
+
+def test_functional_has_no_negative_zero_off_the_diagonal():
+    """This model's Gram matrix has -0.0 in its upper triangle; the sum of the
+    triangles and the diagonal turned it into 0.0, and so does the assembly."""
+    psi, hs = _standard_basis_model(np.random.default_rng(44), 6, 3)
+    b = branch_matrix(hs, psi)
+    upper = np.triu(b.conj().T @ b, 1)
+    assert any(np.signbit(part[part == 0.0]).any() for part in (upper.real, upper.imag))
+    functional = decoherence_functional(hs, psi).functional
+    for part in (functional.real, functional.imag):
+        assert not np.signbit(part[part == 0.0]).any()
+
+
+def test_functional_peak_memory():
+    """At m = 512 the call holds at most two functionals at once, b†b and its
+    triangle, then the triangle and its conjugate: a peak of no more than 2.5."""
+    psi, hs = _model_of_shape(np.random.default_rng(512), (8, 8, 8), d=8)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = decoherence_functional(hs, psi)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert report.functional.shape == (512, 512)
+    assert peak <= 2.5 * 512 * 512 * 16
+
+
+def test_report_keeps_the_functional_it_was_given():
+    """decoherence_functional's frozen buffer is the report's functional, and
+    HermitianOperator and a second report keep it without a copy."""
+    psi, hs = random_model(np.random.default_rng(5))
+    report = decoherence_functional(hs, psi)
+    functional = report.functional
+    assert not functional.flags.writeable and functional.base is None
+    assert HermitianOperator(functional).entries is functional
+    rebuilt = DecoherenceReport(functional, report.dec, report.ep_probs, report.dh_probs,
+                                report.max_offdiagonal, report.linearly_positive,
+                                report.tolerance)
+    assert rebuilt.functional is functional
+    assert rebuilt.ep_probs is report.ep_probs
+
+
+def _writable(x):
+    return x, x
+
+
+def _read_only_view(x):
+    view = x[:, :]
+    view.setflags(write=False)
+    return view, x
+
+
+def _read_only_fortran(x):
+    f = np.asfortranarray(x)
+    f.setflags(write=False)
+    return f, f
+
+
+@pytest.mark.parametrize("handed", [_writable, _read_only_view, _read_only_fortran])
+@pytest.mark.parametrize("keep", [lambda a: HermitianOperator(a).entries,
+                                  lambda a: DecoherenceReport(a, 0.0, [1.0], [1.0], 0.0, True,
+                                                              0.0).functional],
+                         ids=["HermitianOperator", "DecoherenceReport"])
+def test_arrays_a_caller_can_still_write_are_copied(handed, keep):
+    """A writable array, a view of one and a Fortran-order array are copied:
+    writing through what the caller holds afterwards changes nothing."""
+    given, owner = handed(np.array([[1.0, 2j], [-2j, 3.0]]))
+    kept = keep(given)
+    assert kept is not given and not kept.flags.writeable
+    owner.setflags(write=True)
+    owner[0, 0] = 7.0
+    assert kept.tolist() == [[1.0, 2j], [-2j, 3.0]]
 
 
 def test_dh_ep_difference_dual_route(rng):

@@ -264,7 +264,14 @@ def test_member_outside_slot():
 def test_duplicate_dim():
     e = _err("dim 2\ndim 3")
     assert "single dim" in e.expected
-    _both_fail("dim 0", 1, "a positive integer dimension")
+    for text in ("dim 0", "dim  00"):
+        for parse in (parse_model, parse_model_loop):
+            with pytest.raises(ParseError) as exc:
+                parse(text)
+            e = exc.value
+            # at the number's start with the number as found, as "dim 1_0" is
+            assert (e.line, e.col, e.expected, e.found) == (
+                1, 4, "a positive integer dimension", text[3:].strip())
     _both_fail("dim 2\nstate [1,0]\nstate [0,1]", 3, "a single state declaration")
 
 

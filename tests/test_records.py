@@ -99,7 +99,8 @@ def _assert_one_decision(hs, psi, tol):
     """The report's flag and maximum, its offender list and construct_records
     all take the one decision offdiagonal_offenders makes at tol."""
     report = decoherence_functional(hs, psi, tol)
-    offenders = offender_pairs(offdiagonal_offenders(report.functional, tol))
+    offenders = offender_pairs(report.offenders)
+    assert offenders == offender_pairs(offdiagonal_offenders(report.functional, tol))
     assert report.medium_decoherent == (offenders == [])
     if offenders:
         assert report.max_offdiagonal == offenders[0][1]
