@@ -476,7 +476,7 @@ _COMMANDS: dict[str, tuple[Callable, str, tuple]] = {
                  ("--model", "--tol")),
     "records": (_cmd_records, "construct and verify record projectors", ("--model", "--tol")),
     "coarsen": (_cmd_coarsen, "coarse grain by partition, or search greedily",
-                ("--model", "--tol", "--partition")),
+                ("--model", ("--tol", "--partition"))),
     "composite": (_cmd_composite, "product-rule report for composite systems", ("--model",)),
     "finegrained": (_cmd_finegrained, "fundamental distribution over a fine basis",
                     ("--model", "--partition")),

@@ -12,6 +12,7 @@ for the joint state and for the joint flat history index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 
 import numpy as np
@@ -20,9 +21,7 @@ from .errors import CapExceeded, DimensionMismatch
 from .hilbert import StateVector, frozen_copy
 from .histories import M_CAP, HistorySet, branch_matrix
 
-__all__ = ["JOINT_DIM_CAP", "CompositeSystem", "ProductRuleReport", "product_rule_report"]
-
-JOINT_DIM_CAP = 4096
+__all__ = ["CompositeSystem", "ProductRuleReport", "product_rule_report"]
 
 
 @dataclass(frozen=True)
@@ -38,8 +37,6 @@ class CompositeSystem:
         for psi, hs in self.factors:
             if psi.dim != hs.dim:
                 raise DimensionMismatch(f"factor state dim {psi.dim} vs history-set dim {hs.dim}")
-        if self.joint_dim > JOINT_DIM_CAP:
-            raise CapExceeded("joint dimension", self.joint_dim, JOINT_DIM_CAP)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -65,11 +62,14 @@ class ProductRuleReport:
 
     joint_ep: np.ndarray
     factor_ep_product: np.ndarray
-    max_violation: float
 
     def __post_init__(self):
         for name in ("joint_ep", "factor_ep_product"):
             object.__setattr__(self, name, frozen_copy(getattr(self, name)))
+
+    @cached_property
+    def max_violation(self) -> float:
+        return float(np.abs(self.joint_ep - self.factor_ep_product).max())
 
 
 def product_rule_report(cs: CompositeSystem) -> ProductRuleReport:
@@ -81,5 +81,4 @@ def product_rule_report(cs: CompositeSystem) -> ProductRuleReport:
     for psi, hs in cs.factors:
         z = psi.amplitudes.conj() @ branch_matrix(hs, psi)
         amps, product = np.kron(amps, z), np.kron(product, z.real)
-    joint = amps.real
-    return ProductRuleReport(joint, product, float(np.abs(joint - product).max()))
+    return ProductRuleReport(amps.real, product)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-__all__ = ["AllBranchesZero", "CapExceeded", "DimensionMismatch", "EngineError",
+__all__ = ["CapExceeded", "DimensionMismatch", "EngineError",
            "InvariantViolation", "NotDecoherent", "ParseError"]
 
 
@@ -72,14 +72,6 @@ class NotDecoherent(EngineError):
 
     def payload(self) -> dict:
         return {**super().payload(), "tolerance": self.tol, "offenders": self.offenders}
-
-
-class AllBranchesZero(EngineError):
-    code = "all-branches-zero"
-    exit_status = 4
-
-    def __init__(self):
-        super().__init__("every branch vector is zero; no record subspaces exist")
 
 
 class CapExceeded(EngineError):

@@ -115,19 +115,33 @@ def all_extended_probabilities(hs: HistorySet, psi: StateVector) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DecoherenceReport:
-    """Functional matrix plus the derived diagnostics; its offenders decide medium decoherence."""
+    """Functional matrix and extended probabilities; every diagnostic is read off them."""
 
     functional: np.ndarray
-    dec: float
     ep_probs: np.ndarray
-    dh_probs: np.ndarray
-    max_offdiagonal: float
-    linearly_positive: bool
     tolerance: float
 
     def __post_init__(self):
-        for name in ("functional", "ep_probs", "dh_probs"):
+        for name in ("functional", "ep_probs"):
             object.__setattr__(self, name, frozen_copy(getattr(self, name)))
+
+    @property
+    def dh_probs(self) -> np.ndarray:
+        return self.functional.diagonal().real
+
+    @cached_property
+    def dec(self) -> float:
+        return dec_measure(self.functional)
+
+    @cached_property
+    def max_offdiagonal(self) -> float:
+        mag = np.abs(self.functional)
+        np.fill_diagonal(mag, 0.0)
+        return float(mag.max(initial=0.0))
+
+    @property
+    def linearly_positive(self) -> bool:
+        return bool(self.ep_probs.min() >= -self.tolerance)
 
     @cached_property
     def offenders(self) -> np.recarray:
@@ -172,7 +186,7 @@ def _check_tolerance(tol: float) -> float:
 def decoherence_functional(
     hs: HistorySet, psi: StateVector, tol: float = DEFAULT_DEC_TOL,
 ) -> DecoherenceReport:
-    """Full m x m functional over flattened history indices, plus flags.
+    """Full m x m functional over flattened history indices, and the EPs.
 
     The matrix is assembled exactly Hermitian with an exactly real diagonal
     (_dh_probs, the squared column norms) in one buffer that the report keeps.
@@ -182,16 +196,6 @@ def decoherence_functional(
     functional = np.triu(b.conj().T @ b, 1)
     functional += functional.conj().T
     functional += 0.0   # so no cell off the diagonal is -0.0 (0.0 + -0.0 is 0.0)
-    max_off = float(np.abs(functional).max(initial=0.0))   # the diagonal is still 0
     np.fill_diagonal(functional, _dh_probs(b))
     functional.setflags(write=False)
-    ep = _ep_probs(psi, b)
-    return DecoherenceReport(
-        functional=functional,
-        dec=dec_measure(functional),
-        ep_probs=ep,
-        dh_probs=functional.diagonal().real,
-        max_offdiagonal=max_off,
-        linearly_positive=bool(ep.min() >= -tol),
-        tolerance=tol,
-    )
+    return DecoherenceReport(functional, _ep_probs(psi, b), tol)

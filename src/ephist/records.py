@@ -16,10 +16,11 @@ this one is fixed for reproducibility.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import AllBranchesZero, DimensionMismatch, InvariantViolation, NotDecoherent
+from .errors import DimensionMismatch, InvariantViolation, NotDecoherent
 from .hilbert import Projector, ProjectorSet, StateVector, frozen_copy
 from .histories import (
     DEFAULT_DEC_TOL,
@@ -67,8 +68,6 @@ def construct_records(hs: HistorySet, psi: StateVector, tol: float = DEFAULT_DEC
 
     norms = np.linalg.norm(b, axis=0)
     nonzero = [i for i in range(hs.size) if norms[i] > ZERO_BRANCH_TOL]
-    if not nonzero:
-        raise AllBranchesZero()
 
     d = hs.dim
     frames: dict[int, np.ndarray] = {}
@@ -145,36 +144,38 @@ class CorrelationReport:
 
     ``defects[a]`` is |<psi|R_a|psi> - Re<psi|C_a|psi>|. For histories
     with negative extended probability, ``negative_bound_ok[a]`` states
-    whether both |<psi|R_a|psi>| and |EP| are below the epsilon given to
-    record_correlation_report -- the only regime in which a negative
-    value can be epsilon-recorded at all.
+    whether both |<psi|R_a|psi>| and |EP| are below ``epsilon`` -- the
+    only regime in which a negative value can be epsilon-recorded at all.
     """
 
-    defects: np.ndarray
     record_probs: np.ndarray
     ep_probs: np.ndarray
-    negative_bound_ok: tuple[tuple[int, bool], ...]
+    epsilon: float
 
     def __post_init__(self):
-        for name in ("defects", "record_probs", "ep_probs"):
+        for name in ("record_probs", "ep_probs"):
             object.__setattr__(self, name, frozen_copy(getattr(self, name)))
+
+    @cached_property
+    def defects(self) -> np.ndarray:
+        return frozen_copy(np.abs(self.record_probs - self.ep_probs))
 
     @property
     def max_defect(self) -> float:
         return float(self.defects.max(initial=0.0))
+
+    @property
+    def negative_bound_ok(self) -> tuple[tuple[int, bool], ...]:
+        rec, ep, epsilon = self.record_probs, self.ep_probs, self.epsilon
+        return tuple((i, bool(abs(rec[i]) < epsilon and abs(ep[i]) < epsilon))
+                     for i in np.flatnonzero(ep < 0).tolist())
 
 
 def record_correlation_report(
     hs: HistorySet, psi: StateVector, rs: RecordSet, epsilon: float = DEFAULT_DEC_TOL
 ) -> CorrelationReport:
     _check_record_set(hs, rs)
-    ep = all_extended_probabilities(hs, psi)
     rec = np.array([
         float(np.vdot(psi.amplitudes, r.entries @ psi.amplitudes).real) for r in rs.members
     ])
-    defects = np.abs(rec - ep)
-    flags = tuple(
-        (i, bool(abs(rec[i]) < epsilon and abs(ep[i]) < epsilon))
-        for i in range(hs.size) if ep[i] < 0
-    )
-    return CorrelationReport(defects, rec, ep, flags)
+    return CorrelationReport(rec, all_extended_probabilities(hs, psi), epsilon)

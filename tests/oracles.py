@@ -14,16 +14,20 @@ canonical model-file writer, is here too: only the tests write models.
 So are the routes the CLI's JSON writer replaced: one json.dumps of the
 whole payload, one dict per offender in it, and offenders as a list of
 ((alpha, beta), magnitude) pairs. So is the functional as the sum of its
-two triangles and its diagonal, which the in-place assembly replaced.
+two triangles and its diagonal, which the in-place assembly replaced,
+and a decoherence report that computes every reading up front, which
+the report's derived readings replaced.
 """
 from typing import Iterator, Sequence, Union
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from ephist import (
+    DEFAULT_DEC_TOL,
     DIM_CAP,
     M_CAP,
     CapExceeded,
@@ -265,6 +269,37 @@ def functional_sum(hs: HistorySet, psi: StateVector) -> np.ndarray:
     upper = np.triu(b.conj().T @ b, 1)
     dh = np.einsum("ij,ij->j", b.conj(), b).real
     return upper + upper.conj().T + np.diag(dh)
+
+
+@dataclass(frozen=True)
+class EagerDecoherenceReport:
+    """Every reading of a DecoherenceReport, each stored as a field."""
+
+    functional: np.ndarray
+    dec: float
+    ep_probs: np.ndarray
+    dh_probs: np.ndarray
+    max_offdiagonal: float
+    linearly_positive: bool
+    tolerance: float
+
+
+def decoherence_functional_eager(
+    hs: HistorySet, psi: StateVector, tol: float = DEFAULT_DEC_TOL,
+) -> EagerDecoherenceReport:
+    """decoherence_functional computing every reading up front, the largest
+    off-diagonal |D| in a pass before the diagonal is filled."""
+    b = branch_matrix(hs, psi)
+    functional = np.triu(b.conj().T @ b, 1)
+    functional += functional.conj().T
+    functional += 0.0
+    max_off = float(np.abs(functional).max(initial=0.0))
+    np.fill_diagonal(functional, np.einsum("ij,ij->j", b.conj(), b).real)
+    ep = np.real(psi.amplitudes.conj() @ b)
+    return EagerDecoherenceReport(
+        functional=functional, dec=dec_measure(functional), ep_probs=ep,
+        dh_probs=functional.diagonal().real.copy(), max_offdiagonal=max_off,
+        linearly_positive=bool(ep.min() >= -tol), tolerance=tol)
 
 
 def offdiagonal_offenders_loop(functional: np.ndarray, tol: float) -> list[tuple[tuple[int, int], float]]:

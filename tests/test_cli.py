@@ -19,7 +19,6 @@ from ephist import (
     build_history_set,
     build_state,
     construct_records,
-    dec_measure,
     decoherence_functional,
     load_model,
     offdiagonal_offenders,
@@ -340,10 +339,12 @@ def test_each_command_takes_only_the_options_it_reads():
     ["eval", "--tol", "1e-3"], ["eval", "--seed", "5"], ["eval", "--bins", "3"],
     ["twoslit", "--bins", "8", "--kDelta", "5"], ["twoslit", "--kDelta", "5", "--bins", "8"],
     ["threebox", "--model", str(MODELS / "threebox.model")],
+    ["coarsen", "--model", str(MODELS / "threebox.model"), "--partition", "sector", "--tol", "1e-3"],
 ])
 def test_options_a_command_would_ignore_are_refused(tmp_path, argv, capsys):
     """Before, these ran and wrote the ignored values into manifest.json;
-    twoslit took --bins and dropped --kDelta."""
+    twoslit took --bins and dropped --kDelta, and coarsen --partition
+    read no --tol."""
     with pytest.raises(SystemExit) as exc:
         run(tmp_path, "o", *argv)
     assert exc.value.code == 2
@@ -684,12 +685,7 @@ def _reports(draw):
     functional = upper + upper.conj().T + np.diag(dh)
     ep = np.array(draw(st.lists(FLOAT_PARTS, min_size=m, max_size=m)))
     tol = draw(st.sampled_from([0.0, 1e-8, 0.5, 1e300]), label="tol")
-    mag = np.abs(functional)
-    np.fill_diagonal(mag, 0.0)
-    return DecoherenceReport(
-        functional=functional, dec=dec_measure(functional), ep_probs=ep,
-        dh_probs=np.diag(functional).real.copy(), max_offdiagonal=float(mag.max()),
-        linearly_positive=bool(ep.min() >= -tol), tolerance=tol)
+    return DecoherenceReport(functional=functional, ep_probs=ep, tolerance=tol)
 
 
 @given(report=_reports())
@@ -785,16 +781,12 @@ def test_decoherence_json_refuses_non_finite_values(tmp_path, field):
             out.write("error.json", _json_chunks({"command": "records", **err.payload()}))
         assert not (tmp_path / "error.json").exists()
         return
-    cross = complex(0.0, float("inf") if field == "magnitude" else 0.25)
-    functional = np.array([[0.5, cross], [cross.conjugate(), 0.5]])
-    values = {"dec": 0.5, "ep": np.array([0.5, 0.5]), "dh": np.array([0.5, 0.5])}
-    if field == "dec":
-        values["dec"] = float("nan")
-    elif field in values:
-        values[field][1] = float("nan")
-    report = DecoherenceReport(
-        functional=functional, dec=values["dec"], ep_probs=values["ep"], dh_probs=values["dh"],
-        max_offdiagonal=0.25, linearly_positive=True, tolerance=1e-8)
+    # the two finite cells of magnitude 1e308 sum past the largest float in dec
+    cross = complex(0.0, {"dec": 1e308, "magnitude": float("inf")}.get(field, 0.25))
+    dh = float("nan") if field == "dh" else 0.5
+    functional = np.array([[0.5, cross], [cross.conjugate(), dh]])
+    ep = np.array([0.5, float("nan") if field == "ep" else 0.5])
+    report = DecoherenceReport(functional, ep, 1e-8)
     offenders = offdiagonal_offenders(functional, report.tolerance)
     assert len(offenders) == 1
     with pytest.raises(ValueError):

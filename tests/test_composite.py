@@ -4,9 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import decoherent_fixture, random_model, random_state
+from conftest import decoherent_fixture, random_model, random_slot, random_state
 from ephist import (
-    JOINT_DIM_CAP,
     CapExceeded,
     CompositeSystem,
     DimensionMismatch,
@@ -57,12 +56,17 @@ def test_composite_validation():
         CompositeSystem(())
 
 
-def test_joint_dimension_cap():
-    factor = _trivial_factor(2)
-    with pytest.raises(CapExceeded) as exc:
-        CompositeSystem(tuple(factor for _ in range(13)))   # 2**13 > 4096
-    assert exc.value.exit_status == 5
-    assert 2 ** 12 <= JOINT_DIM_CAP
+def test_joint_dimension_beyond_the_history_cap(rng):
+    """Two d = 65 factors of two histories each: a joint dimension of 4225, but
+    only 4 joint histories, which is all product_rule_report allocates."""
+    factors = tuple((random_state(rng, 65), HistorySet((random_slot(rng, 65, 1.0, k=2),)))
+                    for _ in range(2))
+    cs = CompositeSystem(factors)
+    assert (cs.joint_dim, cs.joint_count) == (4225, 4)
+    rep = product_rule_report(cs)
+    for flat in range(4):
+        indices = unflatten_joint(cs, flat)
+        assert abs(rep.joint_ep[flat] - joint_extended_probability(cs, indices)) < 1e-12
 
 
 def test_joint_state_kron_order(rng):

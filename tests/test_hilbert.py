@@ -47,6 +47,17 @@ def test_state_vector_validates_norm():
         StateVector(np.array([1.0, 0.5]))
 
 
+def test_state_vector_rejects_a_matrix():
+    with pytest.raises(DimensionMismatch, match="expected a vector"):
+        StateVector(np.eye(2))
+
+
+def test_validate_rejects_mixed_dimensions():
+    members = (Projector(np.eye(2)), Projector(np.eye(3)))
+    with pytest.raises(DimensionMismatch, match="mixed dimensions"):
+        validate_projector_set(members)
+
+
 def test_state_vector_is_read_only():
     s = StateVector(np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
@@ -264,6 +275,17 @@ def test_heisenberg_explicit_unitaries_and_unknown_time():
     assert np.allclose(moved.entries, np.diag([0.0, 1.0]))
     with pytest.raises(InvariantViolation):
         heisenberg_projector(p, 2.0, evo)
+
+
+def test_heisenberg_rejects_mismatched_dynamics_and_infinite_time():
+    p = Projector(np.diag([1.0, 0.0]))
+    with pytest.raises(DimensionMismatch, match="Hamiltonian dim 3"):
+        heisenberg_projector(p, 1.0, EvolutionSpec.zero(3))
+    with pytest.raises(DimensionMismatch, match="unitary dim 3"):
+        heisenberg_projector(p, 1.0, EvolutionSpec(unitaries={1.0: np.eye(3)}))
+    with pytest.raises(InvariantViolation) as exc:
+        heisenberg_projector(p, float("inf"), EvolutionSpec.zero(2))
+    assert exc.value.name == "finite-time"
 
 
 @given(seed=st.integers(0, 2**32 - 1), t=st.floats(-4.0, 4.0, allow_nan=False))

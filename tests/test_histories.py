@@ -1,10 +1,12 @@
 import tracemalloc
 
+import ephist.histories
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ephist import (
+    DEFAULT_DEC_TOL,
     CapExceeded,
     DecoherenceReport,
     DimensionMismatch,
@@ -24,6 +26,7 @@ from oracles import (
     branch_vector,
     chain_amplitude,
     class_operator,
+    decoherence_functional_eager,
     dh_ep_difference,
     dh_probability,
     extended_probability,
@@ -208,6 +211,48 @@ def test_functional_in_place_has_the_bits_of_the_sum(seed, kind):
     assert functional.tobytes() == functional_sum(hs, psi).tobytes()
 
 
+READINGS = ("functional", "dec", "ep_probs", "dh_probs", "max_offdiagonal",
+            "linearly_positive", "tolerance")
+
+
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(sorted(FUNCTIONAL_MODELS)),
+       tol=st.sampled_from([0.0, DEFAULT_DEC_TOL, 1e-3, 0.5]))
+@settings(max_examples=60, deadline=None)
+def test_derived_readings_match_the_eager_report(seed, kind, tol):
+    """Every reading the report derives has the bytes, or the value and type,
+    the eager report stored, at m = 512 and with exactly zero branches."""
+    psi, hs = FUNCTIONAL_MODELS[kind](np.random.default_rng(seed))
+    report = decoherence_functional(hs, psi, tol)
+    eager = decoherence_functional_eager(hs, psi, tol)
+    for name in READINGS:
+        got, want = getattr(report, name), getattr(eager, name)
+        if isinstance(want, np.ndarray):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                             want.tobytes()), name
+        else:
+            assert (type(got), got) == (type(want), want), name
+
+
+def test_readings_are_derived_once_on_first_use(monkeypatch):
+    """decoherence_functional computes no reading; dec is computed on its first
+    read and kept; dh_probs is a read-only view of the functional's diagonal."""
+    calls = []
+
+    def counted(functional):
+        calls.append(functional)
+        return dec_measure(functional)
+
+    monkeypatch.setattr(ephist.histories, "dec_measure", counted)
+    psi, hs = random_model(np.random.default_rng(9))
+    report = decoherence_functional(hs, psi)
+    assert calls == []
+    assert report.dec == report.dec
+    assert len(calls) == 1 and calls[0] is report.functional
+    dh = report.dh_probs
+    assert dh.base is not None and np.shares_memory(dh, report.functional)
+    assert not dh.flags.writeable
+
+
 def test_functional_has_no_negative_zero_off_the_diagonal():
     """This model's Gram matrix has -0.0 in its upper triangle; the sum of the
     triangles and the diagonal turned it into 0.0, and so does the assembly."""
@@ -243,9 +288,7 @@ def test_report_keeps_the_functional_it_was_given():
     functional = report.functional
     assert not functional.flags.writeable and functional.base is None
     assert HermitianOperator(functional).entries is functional
-    rebuilt = DecoherenceReport(functional, report.dec, report.ep_probs, report.dh_probs,
-                                report.max_offdiagonal, report.linearly_positive,
-                                report.tolerance)
+    rebuilt = DecoherenceReport(functional, report.ep_probs, report.tolerance)
     assert rebuilt.functional is functional
     assert rebuilt.ep_probs is report.ep_probs
 
@@ -268,8 +311,7 @@ def _read_only_fortran(x):
 
 @pytest.mark.parametrize("handed", [_writable, _read_only_view, _read_only_fortran])
 @pytest.mark.parametrize("keep", [lambda a: HermitianOperator(a).entries,
-                                  lambda a: DecoherenceReport(a, 0.0, [1.0], [1.0], 0.0, True,
-                                                              0.0).functional],
+                                  lambda a: DecoherenceReport(a, [1.0], 0.0).functional],
                          ids=["HermitianOperator", "DecoherenceReport"])
 def test_arrays_a_caller_can_still_write_are_copied(handed, keep):
     """A writable array, a view of one and a Fortran-order array are copied:

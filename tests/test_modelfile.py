@@ -221,6 +221,24 @@ def test_lenient_number_forms_rejected_at_their_column(text, line, col, expected
         assert (exc.value.line, exc.value.col, exc.value.expected) == (line, col, expected)
 
 
+@pytest.mark.parametrize("text,line,col,expected", [
+    ("dim", 1, 4, "a positive integer dimension"),
+    ("dim 2\nstate", 2, 6, "an amplitude vector like [1,0]"),
+    ("dim 2\nslot", 2, 5, "a time label"),
+    ("dim 2\nslot 1.0", 2, 9, "a slot name"),
+    ("dim 2\nslot 1.0 s\nmember", 3, 7, "a member label"),
+    ("dim 2\nslot 1.0 s\nmember A", 3, 9, "basis or matrix"),
+    ("dim 2\nevolution", 2, 10, "zero, hamiltonian, or unitary"),
+])
+def test_missing_argument_at_end_of_line(text, line, col, expected):
+    """A directive cut off before its argument is a ParseError just past its
+    last character, from the parser and from the oracle."""
+    for parse in (parse_model, parse_model_loop):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (exc.value.line, exc.value.col, exc.value.expected) == (line, col, expected)
+
+
 def test_grammar_keeps_the_forms_it_accepts():
     doc = parse_model("dim 2\nstate [ .6 , -.8i ]\nevolution unitary 1. [[1,0],[0,1]]\n"
                       "slot 1e0 s\nmember A basis { 0 , 1 }\n")

@@ -27,6 +27,7 @@ REMOVED = (
     "joint_extended_probability", "merge_slot_alternatives", "slot_partition",
     "cylinder_history_set", "cylinder_partition", "identity_partition", "total_partition",
     "FINE_CAP", "serialize_model", "integrate_density", "interference_integral",
+    "AllBranchesZero", "JOINT_DIM_CAP",
 )
 
 
@@ -114,7 +115,7 @@ def test_benchmark_traced_names_resolve():
 
 def test_caps_are_exported_and_documented():
     caps = {name: getattr(ephist, name) for name in ephist.__all__ if name.endswith("_CAP")}
-    assert caps == {"M_CAP": 4096, "JOINT_DIM_CAP": 4096, "BINS_CAP": 4096, "DIM_CAP": 1024}
+    assert caps == {"M_CAP": 4096, "BINS_CAP": 4096, "DIM_CAP": 1024}
     text = README.read_text()
     assert [name for name in caps if f"`{name}`" not in text] == []
 
@@ -151,6 +152,15 @@ def test_projector_set_report_holds_only_set_defects():
     only completeness and exclusivity."""
     assert tuple(f.name for f in dataclasses.fields(ephist.ProjectorSetReport)) == (
         "completeness_defect", "exclusivity_defect")
+
+
+def test_engine_reports_hold_only_what_they_cannot_derive():
+    """Every other reading of the three engine reports is a property."""
+    fields = {name: tuple(f.name for f in dataclasses.fields(getattr(ephist, name)))
+              for name in ("DecoherenceReport", "CorrelationReport", "ProductRuleReport")}
+    assert fields == {"DecoherenceReport": ("functional", "ep_probs", "tolerance"),
+                      "CorrelationReport": ("record_probs", "ep_probs", "epsilon"),
+                      "ProductRuleReport": ("joint_ep", "factor_ep_product")}
 
 
 def test_no_public_callable_picks_a_slot_by_index():

@@ -1,9 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ephist import (
     DEFAULT_DEC_TOL,
+    CorrelationReport,
+    DimensionMismatch,
     HistorySet,
     M_CAP,
     InvariantViolation,
@@ -14,15 +18,20 @@ from ephist import (
     StateVector,
     all_extended_probabilities,
     branch_matrix,
+    build_history_set,
+    build_state,
     construct_records,
     decoherence_functional,
+    load_model,
     offdiagonal_offenders,
+    projector_set_from_basis,
     record_correlation_report,
     validate_projector_set,
     verify_strong_records,
     verify_weak_records,
 )
 from conftest import (
+    FLOAT_PARTS,
     decoherent_fixture,
     diagonal_fixture,
     haar_basis,
@@ -38,6 +47,8 @@ from oracles import (
     verify_strong_records_loop,
     verify_weak_records_loop,
 )
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 @given(seed=st.integers(0, 2**32 - 1))
@@ -234,6 +245,49 @@ def test_negative_ep_only_recorded_within_epsilon():
         assert ok
         assert abs(report.ep_probs[flat]) < 1e-10
         assert abs(report.record_probs[flat]) < 1e-10
+
+
+@given(pairs=st.lists(st.tuples(FLOAT_PARTS, FLOAT_PARTS), max_size=8),
+       epsilon=st.sampled_from([0.0, 1e-8, 0.5, 1e300]))
+@settings(max_examples=200, deadline=None)
+def test_correlation_readings_follow_from_its_data(pairs, epsilon):
+    """defects, max_defect and negative_bound_ok as record_correlation_report
+    once stored them; the flagged indices are Python ints, as JSON needs."""
+    rec = np.array([r for r, _ in pairs], dtype=float)
+    ep = np.array([e for _, e in pairs], dtype=float)
+    report = CorrelationReport(rec, ep, epsilon)
+    defects = np.abs(rec - ep)
+    assert report.defects.tobytes() == defects.tobytes() and not report.defects.flags.writeable
+    assert report.max_defect == float(defects.max(initial=0.0))
+    flags = tuple((i, bool(abs(rec[i]) < epsilon and abs(ep[i]) < epsilon))
+                  for i in range(len(pairs)) if ep[i] < 0)
+    assert report.negative_bound_ok == flags
+    assert all(type(i) is int for i, _ in report.negative_bound_ok)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_some_branch_carries_the_state(seed):
+    """The branches of a validated set sum to psi, so the longest has norm at
+    least about 1/m, far above the 1e-12 under which a branch counts as zero:
+    construct_records always has a nonzero branch to complete."""
+    psi, hs = random_model(np.random.default_rng(seed))
+    assert hs.size * np.linalg.norm(branch_matrix(hs, psi), axis=0).max() >= 1 - 1e-9
+
+
+@pytest.mark.parametrize("check", [verify_strong_records, verify_weak_records,
+                                   record_correlation_report])
+def test_record_checks_reject_a_record_set_of_another_model(check):
+    """records of recorded.model (4 histories, d=3) against threebox.model (6,
+    d=3), and against a d=2 model with 4 histories."""
+    recorded = load_model(str(MODELS / "recorded.model"))
+    rs = construct_records(build_history_set(recorded), build_state(recorded))
+    box = load_model(str(MODELS / "threebox.model"))
+    with pytest.raises(DimensionMismatch, match="4 records for 6 histories"):
+        check(build_history_set(box), build_state(box), rs)
+    qubit = HistorySet(tuple(projector_set_from_basis(np.eye(2), float(t)) for t in (1, 2)))
+    with pytest.raises(DimensionMismatch, match="record dim 3 vs history-set dim 2"):
+        check(qubit, StateVector(np.eye(2)[0]), rs)
 
 
 def test_construct_tolerance_is_respected(rng):
