@@ -77,6 +77,9 @@ def product_rule_report(cs: CompositeSystem) -> ProductRuleReport:
     amplitude vectors <psi_k|C_k|psi_k>, leftmost factor slowest."""
     if cs.joint_count > M_CAP:
         raise CapExceeded("joint history count", cs.joint_count, M_CAP)
+    # log2(M_CAP) factors (two histories each fill M_CAP) keep joint_dim short enough to write
+    if len(cs.factors) > M_CAP.bit_length() - 1:
+        raise CapExceeded("composite factor count", len(cs.factors), M_CAP.bit_length() - 1)
     amps, product = np.ones(1, dtype=np.complex128), np.ones(1)
     for psi, hs in cs.factors:
         z = psi.amplitudes.conj() @ branch_matrix(hs, psi)

@@ -666,11 +666,12 @@ def _decoherence_payload(report, offenders):
     }
 
 
-def _oracle_decohere(report):
+def _oracle_decohere(report, **members):
     """functional.csv and decoherence.json as the generic _csv and one json.dumps
-    write them, with the offenders of the loop oracle as one dict each."""
+    write them, with the offenders of the loop oracle as one dict each;
+    members replace the report's own."""
     offenders = offdiagonal_offenders_loop(report.functional, report.tolerance)
-    payload = _decoherence_payload(report, offender_dicts(offenders))
+    payload = {**_decoherence_payload(report, offender_dicts(offenders)), **members}
     header = tuple(f"c{j}" for j in range(len(report.functional)))
     return _csv(header, report.functional), dump_json(payload)
 
@@ -789,8 +790,16 @@ def test_decoherence_json_refuses_non_finite_values(tmp_path, field):
     report = DecoherenceReport(functional, ep, 1e-8)
     offenders = offdiagonal_offenders(functional, report.tolerance)
     assert len(offenders) == 1
+    # a NaN or infinite cell makes dec and max_offdiagonal non-finite too, and
+    # dec is written first: give both finite values, so the field under test is refused
+    members = {"dec": 0.5, "max_offdiagonal": 0.25} if field in ("dh", "magnitude") else {}
+    payload = {**_decoherence_payload(report, offenders), **members}
+    key = "offenders" if field == "magnitude" else field
+    finite = {"dec": 0.5, "ep": np.array([0.5, 0.5]), "dh": np.array([0.5, 0.5]),
+              "offenders": offdiagonal_offenders(np.array([[0.5, 0.25j], [-0.25j, 0.5]]), 1e-8)}
+    "".join(_json_chunks({**payload, key: finite[key]}))   # the field under test alone is refused
     with pytest.raises(ValueError):
-        _oracle_decohere(report)
+        _oracle_decohere(report, **members)
     with pytest.raises(ValueError):
-        out.write("decoherence.json", _json_chunks(_decoherence_payload(report, offenders)))
+        out.write("decoherence.json", _json_chunks(payload))
     assert not (tmp_path / "decoherence.json").exists()

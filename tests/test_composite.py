@@ -20,6 +20,7 @@ from ephist import (
     load_model,
     product_rule_report,
 )
+from ephist.cli import run_command
 from oracles import (
     factor_amplitudes,
     joint_class_operator,
@@ -67,6 +68,24 @@ def test_joint_dimension_beyond_the_history_cap(rng):
     for flat in range(4):
         indices = unflatten_joint(cs, flat)
         assert abs(rep.joint_ep[flat] - joint_extended_probability(cs, indices)) < 1e-12
+
+
+def test_composite_factor_count_cap(tmp_path):
+    """Twelve factors of one history each are reported; a thirteenth is refused
+    before anything is written, since joint_dim may grow past what JSON is given."""
+    one = tmp_path / "one.model"
+    one.write_text("dim 32\nstate [1" + ",0" * 31 + "]\nevolution zero\nslot 1.0 s\n"
+                   "member all basis {" + ",".join(map(str, range(32))) + "}\n")
+    cs = CompositeSystem(tuple(_trivial_factor(32) for _ in range(12)))
+    assert (cs.joint_dim, cs.joint_count) == (32 ** 12, 1)
+    assert product_rule_report(cs).joint_ep.tolist() == [1.0]
+    with pytest.raises(CapExceeded) as exc:
+        product_rule_report(CompositeSystem(cs.factors + cs.factors[:1]))
+    assert exc.value.payload()["cap"] == 12
+    model = tmp_path / "many.model"
+    model.write_text("composite many factors" + " one.model" * 2900 + "\n")
+    assert run_command(["composite", "--model", str(model), "--out", str(tmp_path / "o")]) == 5
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["error.json"]
 
 
 def test_joint_state_kron_order(rng):
