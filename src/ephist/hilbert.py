@@ -14,6 +14,7 @@ object or call carries its own.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -81,6 +82,14 @@ class HermitianOperator:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
+
+    @cached_property
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """np.linalg.eigh(entries) as read-only arrays, computed on first use."""
+        w, v = np.linalg.eigh(self.entries)
+        w.setflags(write=False)
+        v.setflags(write=False)
+        return w, v
 
 
 @dataclass(frozen=True)
@@ -232,8 +241,8 @@ class EvolutionSpec:
 
 
 def hermitian_exponential(h: HermitianOperator, t: float) -> np.ndarray:
-    """exp(-i H t) via eigendecomposition; raises if the result is not unitary."""
-    w, v = np.linalg.eigh(h.entries)
+    """exp(-i H t) from h's one eigendecomposition; raises if the result is not unitary."""
+    w, v = h.eigh
     u = (v * np.exp(-1j * w * t)) @ v.conj().T
     defect = np.abs(u.conj().T @ u - np.eye(h.dim)).max()
     if not defect <= TOL_OP:

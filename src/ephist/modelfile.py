@@ -233,7 +233,7 @@ class _Line:
         self.fail(f"closing {close_ch!r}", at=len(self.text))
 
 
-def _parse_vector(line: _Line, expected: str) -> tuple[complex, ...]:
+def _scan_vector(line: _Line, expected: str) -> tuple[complex, ...]:
     values = []
     for piece, off in line.literal("[", expected):
         try:
@@ -245,18 +245,63 @@ def _parse_vector(line: _Line, expected: str) -> tuple[complex, ...]:
     return tuple(values)
 
 
-def _parse_matrix(line: _Line, expected: str) -> Matrix:
+def _scan_matrix(line: _Line, expected: str) -> Matrix:
     pieces = line.literal("[", expected)
     rows = []
     for piece, off in pieces:
         sub = _Line(line.no, line.text, off)
-        rows.append(_parse_vector(sub, "a row like [1,0]"))
+        rows.append(_scan_vector(sub, "a row like [1,0]"))
         sub.skip_ws()
         if sub.pos < off + len(piece):
             sub.fail("',' or ']' after a row")
     if any(len(r) != len(rows[0]) for r in rows):
         line.fail("rows of equal length", at=pieces[0][1] - 1)
     return tuple(rows)
+
+
+# The whole grammar of a vector or matrix literal, so that one match reads
+# it: brackets, depth-1 commas, blanks and tokens of parse_complex's
+# characters. A literal the patterns or _values refuse goes to the scanner
+# above, which places the error.
+_NUMBER = re.compile(r"[0-9+\-.eEij]+")
+_ROW = rf"\[\s*{_NUMBER.pattern}(?:\s*,\s*{_NUMBER.pattern})*\s*\]"
+_VECTOR = re.compile(rf"\s*{_ROW}")
+_MATRIX = re.compile(rf"\s*\[\s*{_ROW}(?:\s*,\s*{_ROW})*\s*\]")
+_ROW_BODY = re.compile(r"\[[^][]*\]")
+
+
+def _values(literal: str) -> list[complex] | None:
+    """The finite values of a literal both patterns accept, as parse_complex
+    reads each token (an "i" suffix read as "j", "-i" as -1j); None if any
+    token is not a finite number."""
+    tokens = _NUMBER.findall(literal.replace("i", "j"))
+    try:
+        values = list(map(complex, tokens))
+    except ValueError:
+        return None
+    if "-j" in tokens:
+        values = [-1j if t == "-j" else z for t, z in zip(tokens, values)]
+    return values if all(map(cmath.isfinite, values)) else None
+
+
+def _parse_vector(line: _Line, expected: str) -> tuple[complex, ...]:
+    m = _VECTOR.match(line.text, line.pos)
+    values = m and _values(m.group())
+    if not values:
+        return _scan_vector(line, expected)
+    line.pos = m.end()
+    return tuple(values)
+
+
+def _parse_matrix(line: _Line, expected: str) -> Matrix:
+    m = _MATRIX.match(line.text, line.pos)
+    values = m and _values(m.group())
+    widths = values and {row.count(",") + 1 for row in _ROW_BODY.findall(m.group())}
+    if not widths or len(widths) != 1:
+        return _scan_matrix(line, expected)
+    line.pos = m.end()
+    k = widths.pop()
+    return tuple(tuple(values[i:i + k]) for i in range(0, len(values), k))
 
 
 def _parse_square(line: _Line, d: int, expected: str, what: str = "matrix") -> Matrix:

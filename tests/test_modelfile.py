@@ -1,4 +1,5 @@
 """Model-file parsing, diagnostics, serialization, and building."""
+import functools
 import importlib.util
 import itertools
 import math
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ephist import hilbert, modelfile
 from ephist import (
     CapExceeded,
     EvolutionSpec,
@@ -58,6 +60,12 @@ def test_parse_complex(text, value):
 def test_minus_i_keeps_its_negative_zero_real_part():
     assert math.copysign(1.0, parse_complex("-i").real) == -1.0
     assert math.copysign(1.0, parse_complex_loop("-i").real) == -1.0
+    # a trailing -i inside vector and matrix literals, read by one pattern
+    for parse in (parse_model, parse_model_loop):
+        doc = parse("dim 2\nstate [0,-i]\nevolution hamiltonian [[0,-i],[i,0]]\n"
+                    "slot 1 s\nmember X matrix [[0.5,-0.5j],[0.5i,0.5]]\nmember Y matrix [[1,0],[0,-j]]")
+        entries = (doc.state[1], doc.evolution.hamiltonian[0][1], doc.slots[0].members[1].matrix[1][1])
+        assert [(z.imag, math.copysign(1.0, z.real)) for z in entries] == [(-1.0, -1.0)] * 3
 
 
 @pytest.mark.parametrize("text", ["", "abc", "1+2", "++i", "1i2",
@@ -181,10 +189,18 @@ def test_bad_number_points_into_literal():
     ("dim 2\nslot inf x", 5),
     ("dim 2\nslot 1e400 x", 5),
     ("dim 2\nevolution unitary nan [[1,0],[0,1]]", 18),
+    # inside a member matrix row and a Hamiltonian literal
+    ("dim 2\nevolution hamiltonian [[0,nan],[nan,0]]", 27),
+    ("dim 2\nslot 1 s\nmember X matrix [[1,0],[0,nan]]", 27),
+    ("dim 2\nevolution hamiltonian [[0,1],[1,-inf]]", 33),
+    ("dim 2\nslot 1 s\nmember X matrix [[inf,0],[0,0]]", 19),
+    ("dim 2\nevolution hamiltonian [[1e400,0],[0,0]]", 25),
+    ("dim 2\nslot 1 s\nmember X matrix [[1,0],[0,1-1e400i]]", 27),
 ])
 def test_non_finite_literals_rejected_at_their_column(text, col):
     e = _err(text)
-    assert (e.line, e.col) == (2, col)
+    assert (e.line, e.col) == (text.count("\n") + 1, col)
+    assert _outcome(parse_model, text) == _outcome(parse_model_loop, text)
 
 
 LENIENT = "dim 2\nstate [1,0]\nevolution zero\nslot 1.0 s\nmember A basis {0}\nmember B basis {1}\n"
@@ -211,6 +227,16 @@ LENIENT = "dim 2\nstate [1,0]\nevolution zero\nslot 1.0 s\nmember A basis {0}\nm
     ("dim 2\nslot \u0661 s", 2, 5, "a time label"),
     ("dim 2\nevolution unitary 1_0 [[1,0],[0,1]]", 2, 18, "a time label"),
     ("dim 2\nfinegrained 2_0 basis [[1,0],[0,1]]", 2, 12, "a time label"),
+    # inside a member matrix row and a Hamiltonian literal: "_", inner
+    # blanks, a ragged row and a trailing -i after a blank or another -i
+    ("dim 2\nevolution hamiltonian [[0,1_0],[1_0,0]]", 2, 27, "a number like 1.5 or 1+2i"),
+    ("dim 2\nslot 1 s\nmember X matrix [[1,0],[0,1_0]]", 3, 27, "a number like 1.5 or 1+2i"),
+    ("dim 2\nevolution hamiltonian [[0,1 +0i],[1,0]]", 2, 27, "a number like 1.5 or 1+2i"),
+    ("dim 2\nslot 1 s\nmember X matrix [[1,0],[0, 0 .5 ]]", 3, 28, "a number like 1.5 or 1+2i"),
+    ("dim 2\nevolution hamiltonian [[0,1],[1]]", 2, 23, "rows of equal length"),
+    ("dim 2\nslot 1 s\nmember X matrix [[1,0,0],[0,1]]", 3, 17, "rows of equal length"),
+    ("dim 2\nevolution hamiltonian [[0,1 -i],[1+i,0]]", 2, 27, "a number like 1.5 or 1+2i"),
+    ("dim 2\nslot 1 s\nmember X matrix [[1,0],[0,2-i-i]]", 3, 27, "a number like 1.5 or 1+2i"),
 ])
 def test_lenient_number_forms_rejected_at_their_column(text, line, col, expected):
     """Forms Python's float() and int() accept but the grammar does not are
@@ -219,6 +245,7 @@ def test_lenient_number_forms_rejected_at_their_column(text, line, col, expected
         with pytest.raises(ParseError) as exc:
             parse(text)
         assert (exc.value.line, exc.value.col, exc.value.expected) == (line, col, expected)
+    assert _outcome(parse_model, text) == _outcome(parse_model_loop, text)
 
 
 @pytest.mark.parametrize("text,line,col,expected", [
@@ -381,7 +408,15 @@ def test_parse_error_payload():
         assert payload["expected"] and payload["found"] == found
 
 
-EDIT_CHARS = "[]{},+-.eij0123456789 x\n#_\u0661\t"
+EDIT_CHARS = "[]{},+-.eEij0123456789 x\n#_\u0661\t\u00a0"
+
+
+def _edit(draw, text: str, lo: int, hi: int) -> str:
+    """text after one single-character insert, delete or replacement at lo..hi."""
+    at = draw(st.integers(lo, hi))
+    edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+    new = "" if edit == "delete" else draw(st.sampled_from(EDIT_CHARS))
+    return text[:at] + new + text[at + (edit != "insert"):]
 
 
 @st.composite
@@ -389,10 +424,31 @@ def mutated_models(draw):
     """A shipped model after 1-3 single-character inserts, deletes or replacements."""
     text = draw(st.sampled_from(ALL_MODELS)).read_text()
     for _ in range(draw(st.integers(1, 3))):
-        at = draw(st.integers(0, len(text)))
-        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
-        new = "" if edit == "delete" else draw(st.sampled_from(EDIT_CHARS))
-        text = text[:at] + new + text[at + (edit != "insert"):]
+        text = _edit(draw, text, 0, len(text))
+    return text
+
+
+@functools.cache
+def _benchmark_literal_lines() -> tuple[str, ...]:
+    """Seed 0 of the benchmark up to its first records-settle member line and
+    up to its first model-sweep "evolution hamiltonian" line."""
+    gen = _perfbench_gen()
+    excerpts = []
+    for workload, head in (("records-settle", "member "), ("model-sweep", "evolution hamiltonian ")):
+        lines = gen.generate(workload, 0)[0].text.splitlines()
+        last = next(k for k, line in enumerate(lines) if line.startswith(head))
+        excerpts.append("\n".join(lines[:last + 1]) + "\n")
+    return tuple(excerpts)
+
+
+@st.composite
+def mutated_literals(draw):
+    """A benchmark excerpt after 1-3 single-character edits inside the bracket
+    literal of its last line, where a literal is read by one pattern."""
+    text = draw(st.sampled_from(_benchmark_literal_lines()))
+    lo = text.index("[", text.rindex("\n", 0, -1))   # the last line's literal
+    for _ in range(draw(st.integers(1, 3))):
+        text = _edit(draw, text, lo, len(text) - 2)   # the final "]" sits at len - 2
     return text
 
 
@@ -413,6 +469,14 @@ def test_parser_matches_loop_oracle_on_mutated_models(text):
     assert _outcome(parse_model, text) == _outcome(parse_model_loop, text)
 
 
+@given(text=mutated_literals())
+@settings(max_examples=400, deadline=None)
+def test_parser_matches_loop_oracle_on_mutated_benchmark_literals(text):
+    """Edits inside a large member matrix and a Hamiltonian literal give the
+    loop oracle's document or its error, whichever way the pattern goes."""
+    assert _outcome(parse_model, text) == _outcome(parse_model_loop, text)
+
+
 def _perfbench_gen():
     """perfbench/gen.py, the benchmark's model generator, imported as it is."""
     spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
@@ -429,6 +493,23 @@ def test_benchmark_models_parse_like_the_loop_oracle():
     for workload in gen.WORKLOADS:
         for spec in gen.generate(workload, 0)[:20]:
             assert parse_model(spec.text) == parse_model_loop(spec.text)
+
+
+def test_valid_literals_never_reach_the_scanner(monkeypatch):
+    """Every shipped model and seed 0 of every benchmark workload is read by
+    the single-pattern path alone: a literal that fell back to the scanner
+    would still parse, but without the speed the pattern gives."""
+    def scanner(line, expected):
+        raise AssertionError(f"line {line.no} fell back to the scanner: {line.text[:60]}")
+
+    monkeypatch.setattr(modelfile, "_scan_vector", scanner)
+    monkeypatch.setattr(modelfile, "_scan_matrix", scanner)
+    for path in ALL_MODELS:
+        parse_model(path.read_text())
+    gen = _perfbench_gen()
+    for workload in gen.WORKLOADS:
+        for spec in gen.generate(workload, 0):
+            parse_model(spec.text)
 
 
 # ------------------------------------------------------------------- building
@@ -466,6 +547,29 @@ def test_unitary_evolution_needs_matching_times():
         with pytest.raises(InvariantViolation) as exc:
             build_history_set(doc)
         assert exc.value.name == "known-time"
+
+
+def test_one_eigendecomposition_per_hamiltonian(monkeypatch):
+    """Three slots under one Hamiltonian: U(t) is formed at each slot time
+    from a single np.linalg.eigh of H."""
+    eigh, exponential = np.linalg.eigh, hilbert.hermitian_exponential
+    calls = {"eigh": 0, "exp": 0}
+
+    def counted_eigh(a):
+        calls["eigh"] += 1
+        return eigh(a)
+
+    def counted_exp(h, t):
+        calls["exp"] += 1
+        return exponential(h, t)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(hilbert, "hermitian_exponential", counted_exp)
+    text = "dim 2\nstate [1,0]\nevolution hamiltonian [[0,0.5],[0.5,0]]\n" + "".join(
+        f"slot {t} s{t}\nmember A basis {{0}}\nmember B basis {{1}}\n" for t in (1, 2, 3))
+    hs = build_history_set(parse_model(text))
+    assert hs.n_times == 3
+    assert calls == {"eigh": 1, "exp": 3}
 
 
 def test_each_member_becomes_one_projector(monkeypatch):
