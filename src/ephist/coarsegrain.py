@@ -9,16 +9,17 @@ slot, come from group_slots together with the partition they induce.
 The greedy search repeatedly merges the class pair that most reduces
 dec, breaking ties by the lexicographically lowest (i, j) pair, so runs
 are reproducible. It costs O(m^3) once, to build the matrix of merged
-cross terms sum_{l != a, b} |D_al + D_bl|, and then O(k^2) numpy work per
-merge over k classes, since each merge updates that matrix instead of
-rescanning every pair. Exhaustive partition enumeration is Bell-number
-territory and lives with the test oracles, not here.
+cross terms sum_{l != a, b} |D_al + D_bl| (a < b) in tiles of fixed
+size, and then O(k^2) numpy work per merge over k classes, since each
+merge updates D, |D| and that matrix in buffers allocated once instead
+of rescanning every pair. Exhaustive partition enumeration is
+Bell-number territory and lives with the test oracles, not here.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from math import inf
+from math import inf, isqrt
 from typing import Sequence
 
 import numpy as np
@@ -28,7 +29,6 @@ from .hilbert import HermitianOperator, Projector, ProjectorSet, StateVector
 from .histories import (
     HistorySet,
     all_extended_probabilities,
-    dec_measure,
     decoherence_functional,
 )
 
@@ -177,15 +177,6 @@ class GreedySearchResult:
     trace: tuple[tuple[tuple[int, int], float], ...]
 
 
-def _cross_row(current: np.ndarray, a: int) -> np.ndarray:
-    """[b] = sum over l != a, b of |D_al + D_bl|: the cross terms of classes a
-    and b merged. Entry a is not meaningful."""
-    terms = np.abs(current[a] + current)
-    terms[:, a] = 0.0
-    np.fill_diagonal(terms, 0.0)
-    return terms.sum(axis=1)
-
-
 def _exact_cross(current: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """[p] = sum over l != i[p], j[p] of |D_il + D_jl|, each summed like the
     plain row sum np.abs(D[i, mask] + D[j, mask]).sum(). Takes k pairs at a
@@ -202,6 +193,185 @@ def _exact_cross(current: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarra
     return np.concatenate(out)
 
 
+# elements in one tile of the greedy search's set-up and cross updates
+# (1 MiB complex): large enough to amortize numpy's per-call cost
+_TILE = 1 << 16
+
+
+def _fill_cross(z: np.ndarray, absval: np.ndarray, cross: np.ndarray) -> None:
+    """cross[a, b] = sum over l != a, b of |D_al + D_bl| for every a < b.
+
+    cross feeds only the approximate scores, which need only stay within
+    the search's slack of the exact ones; so it may be summed in any order
+    and built once per pair (it is symmetric). z is D with its diagonal
+    zeroed: its sum over every l counts l = a as |D_ba| and l = b as
+    |D_ab|, which are subtracted again. Every term is an off-diagonal
+    modulus, so the result is within a few eps times the off-diagonal
+    mass of the plain sum, far inside the slack. Tiles of a few rows a
+    against a run of rows b >= a and of l keep every temporary within
+    _TILE elements, whatever m is.
+    """
+    m = z.shape[0]
+    span = min(m, _TILE)
+    rows = max(1, min(8, isqrt(_TILE // span)))
+    run = _TILE // (rows * span)          # >= rows, so only a0 == b0 meets the diagonal
+    ctile, ftile = np.empty(_TILE, dtype=complex), np.empty(_TILE)
+    strict = np.triu(np.ones((rows, run), dtype=bool), 1)
+    for a0 in range(0, m, rows):
+        za = z[a0:a0 + rows, None]
+        for b0 in range(a0, m, run):
+            zb = z[None, b0:b0 + run]
+            block = 0.0
+            for l0 in range(0, m, span):
+                shape = (za.shape[0], zb.shape[1], min(span, m - l0))
+                size = shape[0] * shape[1] * shape[2]
+                terms = np.add(za[..., l0:l0 + span], zb[..., l0:l0 + span],
+                               out=ctile[:size].reshape(shape))
+                block = block + np.abs(terms, out=ftile[:size].reshape(shape)).sum(axis=2)
+            block -= absval[a0:a0 + rows, b0:b0 + run]
+            block -= absval[b0:b0 + run, a0:a0 + rows].T
+            np.copyto(cross[a0:a0 + rows, b0:b0 + run], block,
+                      where=strict[:block.shape[0], :block.shape[1]] if a0 == b0 else True)
+
+
+def _drop(src: np.ndarray, dst: np.ndarray, j: int) -> None:
+    """dst = src without row and column j, over the last two axes."""
+    dst[..., :j, :j] = src[..., :j, :j]
+    dst[..., :j, j:] = src[..., :j, j + 1:]
+    dst[..., j:, :j] = src[..., j + 1:, :j]
+    dst[..., j:, j:] = src[..., j + 1:, j + 1:]
+
+
+class _GreedyState:
+    """The greedy search over k current classes, merged one pair at a time.
+
+    Holds the merged functional D (k x k complex), |D| and the approximate
+    merged cross terms cross[a, b] = sum over l != a, b of |D_al + D_bl|
+    (a < b; NaN on and below the diagonal). D lives in one of two flat
+    buffers, |D| and cross as two planes in one of two more, and each is
+    compacted into its twin at every merge. So every view is C-contiguous
+    k x k: |D| is np.abs of D cell for cell, and its sum() is the one
+    dec_measure takes of D, bit for bit.
+    """
+
+    def __init__(self, functional: np.ndarray):
+        entries = np.array(HermitianOperator(functional).entries)
+        m = self.m = self.k = entries.shape[0]
+        self._cbufs = [entries.ravel(), np.empty(m * m, dtype=complex)]
+        self._fbufs = [np.empty(2 * m * m), np.empty(2 * m * m)]
+        self._views()
+        np.abs(self.current, out=self.absval)
+        total = self.absval.sum()
+        self.dec = float(total - np.trace(self.absval))
+        # every score, and every sum formed on the way to one, is at most
+        # about ten times the input's total modulus: below this bound none
+        # can overflow, and no score needs checking
+        self._bounded = bool(total < np.finfo(float).max / 16)
+        self._slack_unit = 128 * (m + 1) * np.finfo(float).eps
+        z = self._cbufs[1].reshape(m, m)
+        np.copyto(z, self.current)
+        np.fill_diagonal(z, 0.0)
+        # the off-diagonal mass bounds every cross entry; it is summed on
+        # its own, since the diagonal's rounding can swamp it in dec
+        self._off_mass = float(np.abs(z, out=self._spare(m)[1]).sum())
+        self.cross.fill(np.nan)
+        _fill_cross(z, self.absval, self.cross)
+
+    def _views(self) -> None:
+        k = self.k
+        self.current = self._cbufs[0][:k * k].reshape(k, k)
+        self._planes = self._fbufs[0][:2 * k * k].reshape(2, k, k)
+        self.absval, self.cross = self._planes
+
+    def _spare(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """k x k complex and float scratch in the twin buffers."""
+        return self._cbufs[1][:k * k].reshape(k, k), self._fbufs[1][:k * k].reshape(k, k)
+
+    def scores(self) -> tuple[np.ndarray, float, np.ndarray]:
+        """(s, slack, absrow). s[a, b] for a < b is half the approximate
+        change of dec when a and b merge, approx = dec + 2 s (NaN on and
+        below the diagonal); every approx lies within slack / 2 of the
+        exact score. absrow is the off-diagonal row sum of |D|."""
+        absval = self.absval
+        absrow = absval.sum(axis=1) - absval.diagonal()
+        s = self._spare(self.k)[1]
+        # dec + 2 (cross - old cross) - 2 |D_ab|, with the old cross terms
+        # (absrow_a - |D_ab|) + (absrow_b - |D_ba|) expanded
+        np.add(self.cross, absval.T, out=s)
+        s -= absrow[:, None]
+        s -= absrow
+        # |old cross| <= 2 max(absrow), and no cross entry ever exceeds the
+        # input's off-diagonal mass, so the accumulated rounding of every
+        # score is a small multiple of eps * m * these magnitudes
+        slack = self._slack_unit * (self._off_mass + abs(self.dec) + 2.0 * absrow.max())
+        return s, slack, absrow
+
+    def best_pair(self) -> tuple[int, int]:
+        """The lowest (i, j) among the pairs of least exact score.
+
+        The first exact minimum lies within slack of the least approx, so
+        it is among the pairs that close (row-major flat indices into s).
+        A lone such pair is it; several are scored again term by term,
+        exactly as a full rescan scores them.
+        """
+        s, slack, absrow = self.scores()
+        k, dec, absval = self.k, self.dec, self.absval
+        if not self._bounded and not np.isfinite(dec + 2.0 * s[np.triu_indices(k, 1)]).all():
+            raise InvariantViolation("finite-merge-scores", absval.sum(),
+                                     "functional too large for float merge scores")
+        near = np.flatnonzero(s <= np.fmin.reduce(s, axis=None) + 0.5 * slack)
+        if len(near) > 1:
+            ni, nj = np.divmod(near, k)
+            off = absval[ni, nj]
+            old_cross = (absrow[ni] - off) + (absrow[nj] - absval[nj, ni])
+            exact = dec + 2.0 * (_exact_cross(self.current, ni, nj) - old_cross) - 2.0 * off
+            near = near[np.argmin(exact):]      # first minimum: the lowest (i, j)
+        return divmod(int(near[0]), k)
+
+    def merge(self, i: int, j: int) -> None:
+        """Merge class j into class i < j; the classes after j move up one."""
+        k, current, absval, cross = self.k, self.current, self.absval, self.cross
+        col_i = current[:, i].copy()
+        # D_ii sums as the block sum does: ((D_ii + D_ji) + D_ij) + D_jj
+        d_ij = current[i, j]
+        current[i] += current[j]
+        current[i, j] = d_ij
+        current[:, i] += current[:, j]
+        current[i, i] += current[j, j]
+        np.abs(current[i], out=absval[i])
+        np.abs(current[:, i], out=absval[:, i])
+        # every pair a < b loses its l = i and l = j terms and gains the
+        # merged l = i term (row and column i are rebuilt below), a run of
+        # rows a at a time against the columns b >= its first a
+        step = max(1, _TILE // k)
+        for col, update in ((col_i, np.subtract), (current[:, j].copy(), np.subtract),
+                            (current[:, i].copy(), np.add)):
+            for a0 in range(0, k, step):
+                block = cross[a0:a0 + step, a0:]
+                terms = self._cbufs[1][:block.size].reshape(block.shape)
+                terms[:] = col[a0:]
+                terms += col[a0:a0 + step, None]
+                update(block, np.abs(terms, out=self._fbufs[1][:block.size].reshape(block.shape)),
+                       out=block)
+
+        _drop(current, self._cbufs[1][:(k - 1) ** 2].reshape(k - 1, k - 1), j)
+        _drop(self._planes, self._fbufs[1][:2 * (k - 1) ** 2].reshape(2, k - 1, k - 1), j)
+        self._cbufs.reverse()
+        self._fbufs.reverse()
+        self.k = k = k - 1
+        self._views()
+
+        current, absval, cross = self.current, self.absval, self.cross
+        terms, mags = self._spare(k)
+        np.abs(np.add(current[i], current, out=terms), out=mags)
+        mags[:, i] = 0.0
+        mags.ravel()[::k + 1] = 0.0
+        row = mags.sum(axis=1)
+        cross[i, i + 1:] = row[i + 1:]
+        cross[:i, i] = row[:i]
+        self.dec = float(absval.sum() - np.trace(absval))   # dec_measure's sum
+
+
 def greedy_merge_functional(functional: np.ndarray, target_tol: float) -> GreedySearchResult:
     """Greedy pair merging on an explicit functional matrix.
 
@@ -215,69 +385,30 @@ def greedy_merge_functional(functional: np.ndarray, target_tol: float) -> Greedy
     finite (InvariantViolation).
 
     Cost: an O(m^3) set-up builds cross[a, b] = sum over l != a, b of
-    |D_al + D_bl| one row at a time; each merge then scores every pair from
-    it and updates it in O(k^2) numpy work for k current classes. The pairs
-    whose score lies within a rounding bound of the best are scored again
-    term by term, so the chosen pair and every float are the ones a full
-    rescan of all pairs gives.
+    |D_al + D_bl| for a < b, in tiles of fixed size, so no set-up
+    temporary grows with m. Each merge then does O(k^2) numpy work for k
+    current classes, in buffers allocated once: it scores every pair with
+    whole-matrix operations on cross and on |D|, which it keeps up to
+    date; it updates row and column i of D and |D| and the three changed
+    terms of cross; and it compacts each array into its twin buffer. The
+    cheap scores lie within a rounding bound of the exact ones, so the
+    pairs that close to the best hold the first exact minimum: a lone one
+    is it, and several are scored again term by term. So the chosen pair
+    and every float are the ones a full rescan of all pairs gives.
     """
     if not -inf < target_tol < inf:
         raise InvariantViolation("tolerance", target_tol, "greedy target must be finite")
-    current = HermitianOperator(functional).entries
-    m = current.shape[0]
-    cross = np.array([_cross_row(current, a) for a in range(m)]).reshape(m, m)
-    # no cross entry ever exceeds the input's off-diagonal mass, so its
-    # accumulated rounding is a small multiple of eps * m * that mass
-    off_mass = np.abs(current[~np.eye(m, dtype=bool)]).sum()
-    classes = [(x,) for x in range(m)]
+    state = _GreedyState(functional)
+    classes = [(x,) for x in range(state.m)]
     trace: list[tuple[tuple[int, int], float]] = []
-    dec = dec_measure(current)
-
-    while not dec <= target_tol and len(classes) > 1:
-        k = len(classes)
-        absval = np.abs(current)
-        absrow = absval.sum(axis=1) - np.abs(np.diag(current))
-        iu, ju = np.triu_indices(k, 1)
-        off = absval[iu, ju]
-        old_cross = (absrow[iu] - off) + (absrow[ju] - absval[ju, iu])
-        # rows and columns contribute equally (Hermitian functional)
-        approx = dec + 2.0 * (cross[iu, ju] - old_cross) - 2.0 * off
-        if not np.isfinite(approx).all():
-            raise InvariantViolation("finite-merge-scores", absval.sum(),
-                                     "functional too large for float merge scores")
-        # approx differs from the term-by-term score only by rounding, a few
-        # eps * m times the magnitudes involved; every pair that close to the
-        # best is scored again, so the first exact minimum is among them
-        slack = 128 * (m + 1) * np.finfo(float).eps * (
-            off_mass + abs(dec) + np.abs(old_cross).max())
-        near = np.flatnonzero(approx <= approx.min() + slack)   # row-major order
-
-        exact_cross = _exact_cross(current, iu[near], ju[near])
-        exact = dec + 2.0 * (exact_cross - old_cross[near]) - 2.0 * off[near]
-        best = near[np.argmin(exact)]      # first minimum: the lowest (i, j)
-        i, j = int(iu[best]), int(ju[best])
-
-        keep = [x for x in range(k) if x != j]
-        merged = current[np.ix_(keep, keep)]
-        merged[i, :] += current[j, keep]
-        merged[:, i] += current[keep, j]
-        merged[i, i] += current[j, j]
-
-        # columns i and j become one column; row and column i are new
-        col_i, col_j, col = current[keep, i], current[keep, j], merged[:, i]
-        cross = cross[np.ix_(keep, keep)]
-        cross -= np.abs(col_i[:, None] + col_i) + np.abs(col_j[:, None] + col_j)
-        cross += np.abs(col[:, None] + col)
-        cross[i] = cross[:, i] = _cross_row(merged, i)
-
-        current = merged
+    while not state.dec <= target_tol and len(classes) > 1:
+        i, j = state.best_pair()
+        state.merge(i, j)
         classes[i] = tuple(sorted(classes[i] + classes[j]))
         del classes[j]
-        dec = dec_measure(current)
-        trace.append(((i, j), dec))
-
-    return GreedySearchResult(Partition(m, tuple(classes)), dec, bool(dec <= target_tol),
-                              tuple(trace))
+        trace.append(((i, j), state.dec))
+    return GreedySearchResult(Partition(state.m, tuple(classes)), state.dec,
+                              bool(state.dec <= target_tol), tuple(trace))
 
 
 def greedy_decohering_search(

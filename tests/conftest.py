@@ -2,6 +2,7 @@
 the suite stays reproducible run to run. The random-model generators are
 the ones scripts/decoherence_experiments.py defines, so the experiments
 and the tests draw the same models from the same seed."""
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -18,7 +19,8 @@ from ephist import (
 )
 from oracles import flatten_index, unflatten_index
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "scripts"))
 from decoherence_experiments import (  # noqa: E402
     haar_basis,
     random_model,
@@ -105,3 +107,12 @@ def non_decoherent_fixture(rng, threshold=1e-3, d_max=6, n_max=3):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260815)
+
+
+def perfbench_gen():
+    """perfbench/gen.py, the benchmark's model generator, imported as it is."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen   # its dataclass resolves annotations through sys.modules
+    spec.loader.exec_module(gen)
+    return gen

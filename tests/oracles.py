@@ -4,7 +4,8 @@ Tests compare the package against these. Each one builds its value
 from first principles (histories as component tuples flattened by
 loops, dense class operators, one branch vector and one chain amplitude
 per history, per-point amplitudes, brute-force enumeration, a rescan of
-every pair at each greedy merge, a model-file parser and a
+every pair at each greedy merge, the greedy search as it was before its
+buffers were reused in place, a model-file parser and a
 complex-literal reader that walk each literal one character at a time,
 projector-set and record checks that multiply every member, zero or
 not, an offender scan that takes np.abs of one cell at a time, joint
@@ -18,6 +19,7 @@ two triangles and its diagonal, which the in-place assembly replaced,
 and a decoherence report that computes every reading up front, which
 the report's derived readings replaced.
 """
+from math import inf
 from typing import Iterator, Sequence, Union
 
 import json
@@ -34,6 +36,7 @@ from ephist import (
     CompositeSystem,
     DimensionMismatch,
     GreedySearchResult,
+    HermitianOperator,
     HistorySet,
     InvariantViolation,
     NotDecoherent,
@@ -460,6 +463,113 @@ def greedy_merge_loop(functional: np.ndarray, target_tol: float) -> GreedySearch
         part = Partition(m, tuple(new_classes))
         trace.append(((i, j), dec_measure(current)))
 
+
+
+def _cross_row(current: np.ndarray, a: int) -> np.ndarray:
+    """[b] = sum over l != a, b of |D_al + D_bl|: the cross terms of classes a
+    and b merged. Entry a is not meaningful."""
+    terms = np.abs(current[a] + current)
+    terms[:, a] = 0.0
+    np.fill_diagonal(terms, 0.0)
+    return terms.sum(axis=1)
+
+
+def _exact_cross(current: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """[p] = sum over l != i[p], j[p] of |D_il + D_jl|, each summed like the
+    plain row sum np.abs(D[i, mask] + D[j, mask]).sum(). Takes k pairs at a
+    time, so no temporary outgrows k x k."""
+    k = current.shape[0]
+    out = []
+    for start in range(0, len(i), k):
+        bi, bj = i[start:start + k], j[start:start + k]
+        terms = np.abs(current[bi] + current[bj])
+        kept = np.ones(terms.shape, dtype=bool)
+        rows = np.arange(len(bi))
+        kept[rows, bi] = kept[rows, bj] = False
+        out.append(terms[kept].reshape(len(bi), k - 2).sum(axis=1))
+    return np.concatenate(out)
+
+
+def greedy_merge_rescore(functional: np.ndarray, target_tol: float) -> GreedySearchResult:
+    """greedy_merge_functional as it was before its working arrays were kept
+    in twin buffers: a fresh gather of every array per merge, scores read
+    through triu_indices, and one m x m temporary per set-up row.
+
+    Greedy pair merging on an explicit functional matrix.
+
+    Merges the class pair whose merge minimizes the resulting dec, until
+    dec <= target_tol or one class is left. The total merge always reaches
+    dec = 0, so any target_tol >= 0 is met.
+    Ties go to the lexicographically lowest (i, j), i < j, among the current
+    classes. target_tol must be finite; a negative one merges down to one
+    class. The functional must be square (DimensionMismatch), finite,
+    Hermitian to TOL_HERM and small enough for its merge scores to stay
+    finite (InvariantViolation).
+
+    Cost: an O(m^3) set-up builds cross[a, b] = sum over l != a, b of
+    |D_al + D_bl| one row at a time; each merge then scores every pair from
+    it and updates it in O(k^2) numpy work for k current classes. The pairs
+    whose score lies within a rounding bound of the best are scored again
+    term by term, so the chosen pair and every float are the ones a full
+    rescan of all pairs gives.
+    """
+    if not -inf < target_tol < inf:
+        raise InvariantViolation("tolerance", target_tol, "greedy target must be finite")
+    current = HermitianOperator(functional).entries
+    m = current.shape[0]
+    cross = np.array([_cross_row(current, a) for a in range(m)]).reshape(m, m)
+    # no cross entry ever exceeds the input's off-diagonal mass, so its
+    # accumulated rounding is a small multiple of eps * m * that mass
+    off_mass = np.abs(current[~np.eye(m, dtype=bool)]).sum()
+    classes = [(x,) for x in range(m)]
+    trace: list[tuple[tuple[int, int], float]] = []
+    dec = dec_measure(current)
+
+    while not dec <= target_tol and len(classes) > 1:
+        k = len(classes)
+        absval = np.abs(current)
+        absrow = absval.sum(axis=1) - np.abs(np.diag(current))
+        iu, ju = np.triu_indices(k, 1)
+        off = absval[iu, ju]
+        old_cross = (absrow[iu] - off) + (absrow[ju] - absval[ju, iu])
+        # rows and columns contribute equally (Hermitian functional)
+        approx = dec + 2.0 * (cross[iu, ju] - old_cross) - 2.0 * off
+        if not np.isfinite(approx).all():
+            raise InvariantViolation("finite-merge-scores", absval.sum(),
+                                     "functional too large for float merge scores")
+        # approx differs from the term-by-term score only by rounding, a few
+        # eps * m times the magnitudes involved; every pair that close to the
+        # best is scored again, so the first exact minimum is among them
+        slack = 128 * (m + 1) * np.finfo(float).eps * (
+            off_mass + abs(dec) + np.abs(old_cross).max())
+        near = np.flatnonzero(approx <= approx.min() + slack)   # row-major order
+
+        exact_cross = _exact_cross(current, iu[near], ju[near])
+        exact = dec + 2.0 * (exact_cross - old_cross[near]) - 2.0 * off[near]
+        best = near[np.argmin(exact)]      # first minimum: the lowest (i, j)
+        i, j = int(iu[best]), int(ju[best])
+
+        keep = [x for x in range(k) if x != j]
+        merged = current[np.ix_(keep, keep)]
+        merged[i, :] += current[j, keep]
+        merged[:, i] += current[keep, j]
+        merged[i, i] += current[j, j]
+
+        # columns i and j become one column; row and column i are new
+        col_i, col_j, col = current[keep, i], current[keep, j], merged[:, i]
+        cross = cross[np.ix_(keep, keep)]
+        cross -= np.abs(col_i[:, None] + col_i) + np.abs(col_j[:, None] + col_j)
+        cross += np.abs(col[:, None] + col)
+        cross[i] = cross[:, i] = _cross_row(merged, i)
+
+        current = merged
+        classes[i] = tuple(sorted(classes[i] + classes[j]))
+        del classes[j]
+        dec = dec_measure(current)
+        trace.append(((i, j), dec))
+
+    return GreedySearchResult(Partition(m, tuple(classes)), dec, bool(dec <= target_tol),
+                              tuple(trace))
 
 class _Line:
     """Cursor over one logical line; tracks the column for diagnostics."""

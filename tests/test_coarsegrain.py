@@ -1,4 +1,5 @@
 """Partitions, block-summed functionals, slot merges, greedy search."""
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     decoherent_fixture,
+    perfbench_gen,
     random_model,
     random_partition_classes,
     random_slot,
@@ -37,14 +39,20 @@ from ephist import (
     greedy_merge_functional,
     group_slots,
     load_model,
+    parse_model,
     partition_from_literal,
     three_box_report,
 )
+from ephist import coarsegrain
+from ephist.coarsegrain import _fill_cross, _GreedyState
 from oracles import (
+    _cross_row,
+    _exact_cross,
     class_operator,
     coarse_class_operator,
     enumerate_partitions,
     greedy_merge_loop,
+    greedy_merge_rescore,
     joint_functional,
     unflatten_index,
 )
@@ -378,6 +386,134 @@ def test_greedy_rejects_non_finite_target(target_tol):
         greedy_merge_functional(np.array([[1.0, 0.5], [0.5, 1.0]]), target_tol)
     assert exc.value.name == "tolerance"
     assert greedy_merge_functional(np.array([[1.0, 0.5], [0.5, 1.0]]), -1.0).partition.size == 1
+
+
+def _benchmark_functional(seed):
+    """The functional of the benchmark's greedy-search model (m = 96)."""
+    doc = parse_model(perfbench_gen().generate("greedy-search", seed)[0].text)
+    return decoherence_functional(build_history_set(doc), build_state(doc)).functional
+
+
+def _rank_functional(m, r, seed):
+    rng = np.random.default_rng(seed)
+    b = rng.normal(size=(r, m)) + 1j * rng.normal(size=(r, m))
+    return b.conj().T @ b
+
+
+# entries near 1e306 put the total modulus past float max / 16, the bound
+# below which no merge score can overflow, so every score is checked
+HUGE = np.array([[4.0, 1.0, -2.0, 0.5], [1.0, 3.0, 1.5j, 2.0],
+                 [-2.0, -1.5j, 4.0, 1.0], [0.5, 2.0, 1.0, 5.0]]) * 1e306
+
+
+@pytest.mark.parametrize("target_tol", [1e-8, -1.0])
+@pytest.mark.parametrize("name", ["seed0", "seed1", "seed2", "rank16-256", "huge"])
+def test_greedy_matches_rescore_oracle(name, target_tol):
+    """Bit for bit the search as it was before its buffers were reused: the
+    classes, every ((i, j), dec_after), dec and succeeded."""
+    if name.startswith("seed"):
+        functional = _benchmark_functional(int(name[4:]))
+    elif name == "huge":
+        functional = HUGE
+    else:
+        functional = _rank_functional(256, 16, 0)
+    new = greedy_merge_functional(functional, target_tol)
+    old = greedy_merge_rescore(functional, target_tol)
+    assert new.partition.classes == old.partition.classes
+    assert repr(new.trace) == repr(old.trace)
+    assert repr(new.dec) == repr(old.dec)
+    assert new.succeeded == old.succeeded
+
+
+def _assert_scores_within_slack(functional):
+    """At every merge every pair's approximate score lies within half the
+    slack of its exact score, which is what puts the first exact minimum
+    among the pairs rescored; and the pair chosen is that minimum."""
+    state = _GreedyState(functional)
+    while state.k > 1:
+        current, dec = state.current, state.dec
+        s, slack, _ = state.scores()
+        iu, ju = np.triu_indices(state.k, 1)
+        absval = np.abs(current)
+        absrow = absval.sum(axis=1) - np.abs(np.diag(current))
+        off = absval[iu, ju]
+        old_cross = (absrow[iu] - off) + (absrow[ju] - absval[ju, iu])
+        exact = dec + 2.0 * (_exact_cross(current, iu, ju) - old_cross) - 2.0 * off
+        assert np.all(np.abs(dec + 2.0 * s[iu, ju] - exact) <= 0.5 * slack)
+        assert np.isnan(s[np.tril_indices(state.k)]).all()
+        best = np.argmin(exact)
+        i, j = state.best_pair()
+        assert (i, j) == (iu[best], ju[best])
+        state.merge(i, j)
+
+
+@st.composite
+def scaled_functionals(draw):
+    """Rank-r b^dagger b functionals, m <= 128, at scales far from 1, some
+    nearly decoherent (off-diagonal entries far below the diagonal, whose
+    rounding swamps them in dec and in the row sums of |D|), some with a
+    Hermiticity defect inside TOL_HERM."""
+    m = draw(st.integers(2, 128))
+    functional = _rank_functional(m, draw(st.integers(1, m)), draw(st.integers(0, 2**32 - 1)))
+    functional = (functional + functional.conj().T) * draw(st.sampled_from([1e-150, 1e-6, 1.0, 1e150]))
+    diagonal = np.diag(np.diag(functional))
+    functional = diagonal + draw(st.sampled_from([1.0, 1e-12, 1e-200])) * (functional - diagonal)
+    if draw(st.booleans()):
+        functional = functional + 1e-13 * np.triu(np.ones((m, m)), 1)
+    return functional
+
+
+@st.composite
+def complex_integer_functionals(draw):
+    """integer_functionals plus an integer antisymmetric imaginary part."""
+    real = draw(integer_functionals())
+    m = real.shape[0]
+    imag = np.triu(np.array(draw(st.lists(st.integers(-2, 2), min_size=m * m, max_size=m * m)),
+                            dtype=float).reshape(m, m), 1)
+    return real + 1j * (imag - imag.T)
+
+
+@given(functional=st.one_of(scaled_functionals(), integer_functionals(),
+                            complex_integer_functionals()))
+@settings(max_examples=80, deadline=None)
+def test_greedy_scores_stay_within_slack(functional):
+    _assert_scores_within_slack(functional)
+
+
+def test_greedy_search_memory_is_bounded():
+    """A rank-16 search at m = 512 peaks below 20 MiB under tracemalloc:
+    one m x m complex temporary per set-up row took it to 25 MiB."""
+    functional = _rank_functional(512, 16, 0)
+    tracemalloc.start()
+    try:
+        greedy_merge_functional(functional, 1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+
+
+@pytest.mark.parametrize("tile, m", [(2, 9), (50, 30), (700, 40), (1 << 16, 512)])
+def test_fill_cross_tiles(monkeypatch, tile, m):
+    """Whatever the tile (smaller than one row of l, or than one pair of
+    rows), the set-up's cross terms are the per-row ones to a few eps of
+    the off-diagonal mass. Its temporaries are the tile and numpy's
+    iterator buffers, whatever m is: the per-row route took 6 MiB at 512."""
+    monkeypatch.setattr(coarsegrain, "_TILE", tile)
+    functional = _rank_functional(m, 3, m)
+    z, absval, cross = functional.copy(), np.abs(functional), np.full((m, m), np.nan)
+    np.fill_diagonal(z, 0.0)
+    tracemalloc.start()
+    try:
+        _fill_cross(z, absval, cross)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * tile + 2**19
+    iu = np.triu_indices(m, 1)
+    expected = np.array([_cross_row(functional, a) for a in range(m)])
+    assert np.abs(cross[iu] - expected[iu]).max() <= 64 * m * np.finfo(float).eps * absval.sum()
+    assert np.isnan(cross[np.tril_indices(m)]).all()
 
 
 # ----------------------------------------------------------------- enumeration

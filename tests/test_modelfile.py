@@ -1,9 +1,7 @@
 """Model-file parsing, diagnostics, serialization, and building."""
 import functools
-import importlib.util
 import itertools
 import math
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import perfbench_gen
 from ephist import hilbert, modelfile
 from ephist import (
     CapExceeded,
@@ -432,7 +431,7 @@ def mutated_models(draw):
 def _benchmark_literal_lines() -> tuple[str, ...]:
     """Seed 0 of the benchmark up to its first records-settle member line and
     up to its first model-sweep "evolution hamiltonian" line."""
-    gen = _perfbench_gen()
+    gen = perfbench_gen()
     excerpts = []
     for workload, head in (("records-settle", "member "), ("model-sweep", "evolution hamiltonian ")):
         lines = gen.generate(workload, 0)[0].text.splitlines()
@@ -477,19 +476,10 @@ def test_parser_matches_loop_oracle_on_mutated_benchmark_literals(text):
     assert _outcome(parse_model, text) == _outcome(parse_model_loop, text)
 
 
-def _perfbench_gen():
-    """perfbench/gen.py, the benchmark's model generator, imported as it is."""
-    spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = gen   # its dataclass resolves annotations through sys.modules
-    spec.loader.exec_module(gen)
-    return gen
-
-
 def test_benchmark_models_parse_like_the_loop_oracle():
     """The benchmark's inputs stay inside the grammar: seed 0 of every
     workload (the first 20 sweep models) parses to the oracle's document."""
-    gen = _perfbench_gen()
+    gen = perfbench_gen()
     for workload in gen.WORKLOADS:
         for spec in gen.generate(workload, 0)[:20]:
             assert parse_model(spec.text) == parse_model_loop(spec.text)
@@ -506,7 +496,7 @@ def test_valid_literals_never_reach_the_scanner(monkeypatch):
     monkeypatch.setattr(modelfile, "_scan_matrix", scanner)
     for path in ALL_MODELS:
         parse_model(path.read_text())
-    gen = _perfbench_gen()
+    gen = perfbench_gen()
     for workload in gen.WORKLOADS:
         for spec in gen.generate(workload, 0):
             parse_model(spec.text)
