@@ -26,9 +26,6 @@ from .errors import EngineError, InvariantViolation
 from .histories import (
     DEFAULT_DEC_TOL,
     _check_tolerance,
-    _dh_probs,
-    _ep_probs,
-    branch_matrix,
     decoherence_functional,
     dec_measure,
 )
@@ -104,11 +101,10 @@ def _csv(header: Sequence[str], rows) -> str:
 def _functional_csv(functional: np.ndarray) -> Iterator[str]:
     """_csv of the c0..c{m-1} header and the functional's rows, one row per chunk.
 
-    decoherence_functional assembles the matrix exactly Hermitian, so
-    cell (j, i) has the real bits of cell (i, j) and the negated
-    imaginary part: only the upper triangle is formatted. Row i keeps
-    the mirrored text of its cell (i, j) for row j until row j is
-    written.
+    The report's functional is assembled exactly Hermitian, so cell
+    (j, i) has the real bits of cell (i, j) and the negated imaginary
+    part: only the upper triangle is formatted. Row i keeps the mirrored
+    text of its cell (i, j) for row j until row j is written.
     """
     m = functional.shape[0]
     yield ",".join(f"c{j}" for j in range(m)) + "\n"
@@ -213,9 +209,8 @@ def _negative_sum(values: np.ndarray) -> float:
 
 def _cmd_eval(args, out: _OutDir):
     _, hs, psi = _history_model(args)
-    b = branch_matrix(hs, psi)
-    ep = _ep_probs(psi, b)
-    dh = _dh_probs(b)
+    report = decoherence_functional(hs, psi)
+    ep, dh = report.ep_probs, report.dh_probs
     rows = [(flat, label, ep[flat], dh[flat], dh[flat] - ep[flat])
             for flat, label in enumerate(hs.history_labels())]
     out.write("histories.csv", _csv(("flat", "label", "ep", "dh", "dh_minus_ep"), rows))

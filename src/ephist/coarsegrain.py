@@ -70,8 +70,8 @@ class Partition:
     def class_of(self) -> np.ndarray:
         """Fine index -> class index map."""
         out = np.empty(self.fine_count, dtype=int)
-        for k, c in enumerate(self.classes):
-            out[list(c)] = k
+        out[np.concatenate(self.classes)] = np.repeat(np.arange(self.size),
+                                                      [len(c) for c in self.classes])
         return out
 
 
@@ -120,8 +120,7 @@ def coarse_decoherence_functional(functional: np.ndarray, part: Partition) -> np
         raise DimensionMismatch(
             f"functional shape {functional.shape} vs fine count {part.fine_count}")
     s = np.zeros((part.fine_count, part.size))
-    for k, c in enumerate(part.classes):
-        s[list(c), k] = 1.0
+    s[np.arange(part.fine_count), part.class_of()] = 1.0
     return s.T @ functional @ s
 
 

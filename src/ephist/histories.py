@@ -11,6 +11,10 @@ and the branch-norm probability ||C psi||^2, which is non-negative but
 only additive when the set decoheres. The decoherence functional
 D(a, b) = <psi_a|psi_b> measures the interference between branches.
 
+A DecoherenceReport keeps the d x m branch matrix, not the m x m functional:
+the matrix is built on its first read, and the offenders scan a temporary
+Gram matrix, so deciding whether a set decoheres keeps no m x m array.
+
 Histories are numbered by one flat index, with the EARLIEST time
 varying fastest: history (a1, a2, a3, ...) of slots sized (s1, s2, ...)
 is flat = a1 + s1*a2 + s1*s2*a3 + ... . Fixed so report matrices are
@@ -99,11 +103,6 @@ def branch_matrix(hs: HistorySet, psi: StateVector) -> np.ndarray:
     return b
 
 
-def _dh_probs(b: np.ndarray) -> np.ndarray:
-    """||C psi||^2 per column of a branch matrix: the functional's exactly real diagonal."""
-    return np.einsum("ij,ij->j", b.conj(), b).real
-
-
 def _ep_probs(psi: StateVector, b: np.ndarray) -> np.ndarray:
     """Re<psi|C psi> per column of a branch matrix: the extended probabilities."""
     return np.real(psi.amplitudes.conj() @ b)
@@ -115,19 +114,32 @@ def all_extended_probabilities(hs: HistorySet, psi: StateVector) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DecoherenceReport:
-    """Functional matrix and extended probabilities; every diagnostic is read off them."""
+    """Branch matrix and EPs; every diagnostic, the functional too, is read off them."""
 
-    functional: np.ndarray
+    branches: np.ndarray
     ep_probs: np.ndarray
     tolerance: float
 
     def __post_init__(self):
-        for name in ("functional", "ep_probs"):
+        for name in ("branches", "ep_probs"):
             object.__setattr__(self, name, frozen_copy(getattr(self, name)))
 
-    @property
+    @cached_property
     def dh_probs(self) -> np.ndarray:
-        return self.functional.diagonal().real
+        """||C psi||^2 per branch: the functional's exactly real diagonal."""
+        return frozen_copy(np.einsum("ij,ij->j", self.branches.conj(), self.branches).real)
+
+    @cached_property
+    def functional(self) -> np.ndarray:
+        """b^dag b in one buffer, each row's lower part its column's upper part
+        conjugated: exactly Hermitian, with the exactly real dh_probs on the diagonal."""
+        functional = self.branches.conj().T @ self.branches
+        for i in range(1, functional.shape[0]):
+            np.conjugate(functional[:i, i], out=functional[i, :i])
+        functional += 0.0   # so no cell off the diagonal is -0.0 (0.0 + -0.0 is 0.0)
+        np.fill_diagonal(functional, self.dh_probs)
+        functional.setflags(write=False)
+        return functional
 
     @cached_property
     def dec(self) -> float:
@@ -145,7 +157,9 @@ class DecoherenceReport:
 
     @cached_property
     def offenders(self) -> np.recarray:
-        return offdiagonal_offenders(self.functional, self.tolerance)
+        """On a temporary b^dag b, not the functional: its upper triangle is the
+        functional's up to the sign of a zero, which np.abs ignores."""
+        return offdiagonal_offenders(self.branches.conj().T @ self.branches, self.tolerance)
 
     @property
     def medium_decoherent(self) -> bool:
@@ -186,16 +200,9 @@ def _check_tolerance(tol: float) -> float:
 def decoherence_functional(
     hs: HistorySet, psi: StateVector, tol: float = DEFAULT_DEC_TOL,
 ) -> DecoherenceReport:
-    """Full m x m functional over flattened history indices, and the EPs.
-
-    The matrix is assembled exactly Hermitian with an exactly real diagonal
-    (_dh_probs, the squared column norms) in one buffer that the report keeps.
-    """
+    """The report of the m x m functional over flat history indices, which it
+    builds from the branches when first read, and of the EPs."""
     _check_tolerance(tol)
     b = branch_matrix(hs, psi)
-    functional = np.triu(b.conj().T @ b, 1)
-    functional += functional.conj().T
-    functional += 0.0   # so no cell off the diagonal is -0.0 (0.0 + -0.0 is 0.0)
-    np.fill_diagonal(functional, _dh_probs(b))
-    functional.setflags(write=False)
-    return DecoherenceReport(functional, _ep_probs(psi, b), tol)
+    b.setflags(write=False)
+    return DecoherenceReport(b, _ep_probs(psi, b), tol)

@@ -5,6 +5,10 @@ it exists exactly when the history set is medium decoherent, and then
 the records are projectors onto the branch directions. A weak record
 only reproduces the probabilities, Re<psi|R_b C_a|psi> = delta_ba p(a).
 
+construct_records decides by the offenders of decoherence_functional's
+report, the engine's one medium-decoherence test, and builds the records
+from the same report's branches.
+
 Construction is deterministic: branches are orthonormalized by modified
 Gram-Schmidt (with one re-orthogonalization pass) in flat index order,
 zero branches (norm <= 1e-12) get rank-0 records, and the orthogonal
@@ -25,11 +29,10 @@ from .hilbert import Projector, ProjectorSet, StateVector, frozen_copy
 from .histories import (
     DEFAULT_DEC_TOL,
     HistorySet,
-    _check_tolerance,
     _ep_probs,
     all_extended_probabilities,
     branch_matrix,
-    offdiagonal_offenders,
+    decoherence_functional,
 )
 
 __all__ = ["CorrelationReport", "RecordCheckReport", "RecordSet", "construct_records",
@@ -53,18 +56,11 @@ def _check_record_set(hs: HistorySet, rs: RecordSet) -> None:
 
 
 def construct_records(hs: HistorySet, psi: StateVector, tol: float = DEFAULT_DEC_TOL) -> RecordSet:
-    """Build the branch-projection record set of a medium-decoherent history set.
-
-    The strict upper triangle of b^dag b is the functional's up to the
-    sign of a zero, so offdiagonal_offenders takes the same decision as
-    on decoherence_functional's report and NotDecoherent names the same
-    offenders.
-    """
-    _check_tolerance(tol)
-    b = branch_matrix(hs, psi)
-    offenders = offdiagonal_offenders(b.conj().T @ b, tol)
-    if len(offenders):
-        raise NotDecoherent(offenders, tol)
+    """Build the branch-projection record set of a medium-decoherent history set."""
+    report = decoherence_functional(hs, psi, tol)
+    if len(report.offenders):
+        raise NotDecoherent(report.offenders, tol)
+    b = report.branches
 
     norms = np.linalg.norm(b, axis=0)
     nonzero = [i for i in range(hs.size) if norms[i] > ZERO_BRANCH_TOL]

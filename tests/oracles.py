@@ -287,22 +287,29 @@ class EagerDecoherenceReport:
     tolerance: float
 
 
+def eager_report(functional: np.ndarray, ep: np.ndarray, tol: float) -> EagerDecoherenceReport:
+    """Every reading of a report on this functional and these EPs, computed
+    up front; the largest off-diagonal |D| masks the diagonal out."""
+    off_diagonal = ~np.eye(functional.shape[0], dtype=bool)
+    return EagerDecoherenceReport(
+        functional=functional, dec=dec_measure(functional), ep_probs=ep,
+        dh_probs=functional.diagonal().real.copy(),
+        max_offdiagonal=float(np.abs(functional[off_diagonal]).max(initial=0.0)),
+        linearly_positive=bool(ep.min() >= -tol), tolerance=tol)
+
+
 def decoherence_functional_eager(
     hs: HistorySet, psi: StateVector, tol: float = DEFAULT_DEC_TOL,
 ) -> EagerDecoherenceReport:
-    """decoherence_functional computing every reading up front, the largest
-    off-diagonal |D| in a pass before the diagonal is filled."""
+    """decoherence_functional computing every reading up front, on a
+    functional assembled as the sum of its upper triangle, that triangle's
+    conjugate and the diagonal."""
     b = branch_matrix(hs, psi)
     functional = np.triu(b.conj().T @ b, 1)
     functional += functional.conj().T
     functional += 0.0
-    max_off = float(np.abs(functional).max(initial=0.0))
     np.fill_diagonal(functional, np.einsum("ij,ij->j", b.conj(), b).real)
-    ep = np.real(psi.amplitudes.conj() @ b)
-    return EagerDecoherenceReport(
-        functional=functional, dec=dec_measure(functional), ep_probs=ep,
-        dh_probs=functional.diagonal().real.copy(), max_offdiagonal=max_off,
-        linearly_positive=bool(ep.min() >= -tol), tolerance=tol)
+    return eager_report(functional, np.real(psi.amplitudes.conj() @ b), tol)
 
 
 def offdiagonal_offenders_loop(functional: np.ndarray, tol: float) -> list[tuple[tuple[int, int], float]]:
@@ -434,16 +441,18 @@ def greedy_merge_loop(functional: np.ndarray, target_tol: float) -> GreedySearch
         if k <= 1:
             return GreedySearchResult(part, dec, False, tuple(trace))
 
-        absrow = np.abs(current).sum(axis=1) - np.abs(np.diag(current))
+        # array moduli: numpy's scalar abs of a complex can differ in the last bit
+        mag = np.abs(current)
+        absrow = mag.sum(axis=1) - np.abs(np.diag(current))
         best_pair, best_dec = None, None
         for i in range(k):
             for j in range(i + 1, k):
                 mask = np.ones(k, dtype=bool)
                 mask[[i, j]] = False
                 merged_cross = np.abs(current[i, mask] + current[j, mask]).sum()
-                old_cross = (absrow[i] - abs(current[i, j])) + (absrow[j] - abs(current[j, i]))
+                old_cross = (absrow[i] - mag[i, j]) + (absrow[j] - mag[j, i])
                 # rows and columns contribute equally (Hermitian functional)
-                cand = dec + 2.0 * (merged_cross - old_cross) - 2.0 * abs(current[i, j])
+                cand = dec + 2.0 * (merged_cross - old_cross) - 2.0 * mag[i, j]
                 if best_dec is None or cand < best_dec:
                     best_pair, best_dec = (i, j), cand
 

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from ephist import (
     DEFAULT_DEC_TOL,
-    DecoherenceReport,
     ModelDocument,
     NotDecoherent,
     build_history_set,
@@ -36,7 +35,9 @@ from ephist.cli import (
 from ephist.modelfile import EvolutionClause, MemberClause, SlotClause
 from conftest import FLOAT_PARTS, random_model
 from oracles import (
+    decoherence_functional_eager,
     dump_json,
+    eager_report,
     not_decoherent_payload,
     offdiagonal_offenders_loop,
     offender_dicts,
@@ -653,12 +654,13 @@ def test_non_finite_model_numbers_never_reach_artifacts(data):
 
 
 def _decoherence_payload(report, offenders):
-    """decoherence.json's members, as decohere gives them to the writer."""
+    """decoherence.json's members, as decohere gives them to the writer: the
+    readings of an eager report, and a verdict that follows the offenders."""
     return {
         "tolerance": report.tolerance,
         "dec": report.dec,
         "max_offdiagonal": report.max_offdiagonal,
-        "medium_decoherent": report.medium_decoherent,
+        "medium_decoherent": not len(offenders),
         "linearly_positive": report.linearly_positive,
         "ep": report.ep_probs,
         "dh": report.dh_probs,
@@ -678,7 +680,8 @@ def _oracle_decohere(report, **members):
 
 @st.composite
 def _reports(draw):
-    """A DecoherenceReport whose functional is assembled as decoherence_functional does."""
+    """The eager readings of an arbitrary Hermitian functional with a real
+    diagonal, and of arbitrary EPs."""
     m = draw(st.integers(1, 6), label="m")
     g = np.array(draw(st.lists(FLOAT_PARTS, min_size=2 * m * m, max_size=2 * m * m))).view(complex)
     upper = np.triu(g.reshape(m, m), 1)
@@ -686,7 +689,7 @@ def _reports(draw):
     functional = upper + upper.conj().T + np.diag(dh)
     ep = np.array(draw(st.lists(FLOAT_PARTS, min_size=m, max_size=m)))
     tol = draw(st.sampled_from([0.0, 1e-8, 0.5, 1e300]), label="tol")
-    return DecoherenceReport(functional=functional, ep_probs=ep, tolerance=tol)
+    return eager_report(functional, ep, tol)
 
 
 @given(report=_reports())
@@ -755,7 +758,7 @@ def test_decohere_large_model_matches_generic_route(tmp_path):
     hs, psi = build_history_set(doc), build_state(doc)
     report = decoherence_functional(hs, psi)
     assert not report.medium_decoherent
-    csv, decoherence = _oracle_decohere(report)
+    csv, decoherence = _oracle_decohere(decoherence_functional_eager(hs, psi))
     assert (out / "functional.csv").read_bytes() == csv.encode()
     assert (out / "decoherence.json").read_bytes() == decoherence.encode()
 
@@ -787,7 +790,7 @@ def test_decoherence_json_refuses_non_finite_values(tmp_path, field):
     dh = float("nan") if field == "dh" else 0.5
     functional = np.array([[0.5, cross], [cross.conjugate(), dh]])
     ep = np.array([0.5, float("nan") if field == "ep" else 0.5])
-    report = DecoherenceReport(functional, ep, 1e-8)
+    report = eager_report(functional, ep, 1e-8)
     offenders = offdiagonal_offenders(functional, report.tolerance)
     assert len(offenders) == 1
     # a NaN or infinite cell makes dec and max_offdiagonal non-finite too, and

@@ -179,12 +179,14 @@ def test_functional_structure(rng):
 
 
 def _standard_basis_model(rng, d, n, k=None):
-    """Slots that split the standard basis into k groups (drawn from 2..d when
-    not given): every chain is a coordinate projector, exactly zero when its
-    groups do not meet, so many branches and cross terms are exact zeros."""
+    """Slots that split the standard basis into k groups (one count per slot
+    when k is a tuple; drawn from 2..d when not given): every chain is a
+    coordinate projector, exactly zero when its groups do not meet, so many
+    branches and cross terms are exact zeros."""
+    ks = k if isinstance(k, tuple) else (k,) * n
     slots = []
     for t in range(n):
-        kt = int(k or rng.integers(2, d + 1))
+        kt = int(ks[t] or rng.integers(2, d + 1))
         cuts = np.sort(rng.choice(np.arange(1, d), size=kt - 1, replace=False))
         members = [Projector(np.diag(np.isin(np.arange(d), g).astype(float)), label=f"g{gi}")
                    for gi, g in enumerate(np.split(rng.permutation(d), cuts))]
@@ -234,8 +236,8 @@ def test_derived_readings_match_the_eager_report(seed, kind, tol):
 
 
 def test_readings_are_derived_once_on_first_use(monkeypatch):
-    """decoherence_functional computes no reading; dec is computed on its first
-    read and kept; dh_probs is a read-only view of the functional's diagonal."""
+    """decoherence_functional computes no reading; dh_probs and the offenders
+    build no functional; dec builds it on its first read, and both are kept."""
     calls = []
 
     def counted(functional):
@@ -245,12 +247,14 @@ def test_readings_are_derived_once_on_first_use(monkeypatch):
     monkeypatch.setattr(ephist.histories, "dec_measure", counted)
     psi, hs = random_model(np.random.default_rng(9))
     report = decoherence_functional(hs, psi)
-    assert calls == []
+    assert calls == [] and set(vars(report)) == {"branches", "ep_probs", "tolerance"}
+    dh = report.dh_probs
+    assert report.dh_probs is dh and not dh.flags.writeable
+    assert isinstance(report.medium_decoherent, bool)
+    assert "functional" not in vars(report)
     assert report.dec == report.dec
     assert len(calls) == 1 and calls[0] is report.functional
-    dh = report.dh_probs
-    assert dh.base is not None and np.shares_memory(dh, report.functional)
-    assert not dh.flags.writeable
+    assert report.functional is vars(report)["functional"]
 
 
 def test_functional_has_no_negative_zero_off_the_diagonal():
@@ -265,32 +269,71 @@ def test_functional_has_no_negative_zero_off_the_diagonal():
         assert not np.signbit(part[part == 0.0]).any()
 
 
-def test_functional_peak_memory():
-    """At m = 512 the call holds at most two functionals at once, b†b and its
-    triangle, then the triangle and its conjugate: a peak of no more than 2.5."""
-    psi, hs = _model_of_shape(np.random.default_rng(512), (8, 8, 8), d=8)
+def _traced_peak(read):
+    """(read(), the tracemalloc peak of the call above what was traced before it)."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        report = decoherence_functional(hs, psi)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        value = read()
+        return value, tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert report.functional.shape == (512, 512)
-    assert peak <= 2.5 * 512 * 512 * 16
+
+
+FUNCTIONAL_512 = 512 * 512 * 16   # bytes of one m = 512 functional
+
+
+def test_report_without_its_functional_holds_no_m_by_m_array():
+    """At m = 512 the report and its EPs and dh cost under 1/16 of a functional,
+    and reading them builds none."""
+    psi, hs = _model_of_shape(np.random.default_rng(512), (8, 8, 8), d=8)
+
+    def read():
+        report = decoherence_functional(hs, psi)
+        report.ep_probs, report.dh_probs
+        return report
+
+    report, peak = _traced_peak(read)
+    assert peak < FUNCTIONAL_512 / 16
+    assert "functional" not in vars(report)
+
+
+def test_functional_peak_memory():
+    """At m = 512 the first read of the functional holds one buffer, the Gram
+    matrix it mirrors in place: a peak of no more than 1.1 functionals."""
+    psi, hs = _model_of_shape(np.random.default_rng(512), (8, 8, 8), d=8)
+    report = decoherence_functional(hs, psi)
+    functional, peak = _traced_peak(lambda: report.functional)
+    assert functional.shape == (512, 512)
+    assert peak <= 1.1 * FUNCTIONAL_512
+
+
+def test_functional_has_the_eager_bytes_at_m_2048_with_zero_branches():
+    """The one-buffer assembly gives the eager report's bytes beyond m = 512
+    (test_derived_readings_match_the_eager_report covers smaller sets)."""
+    psi, hs = _standard_basis_model(np.random.default_rng(2048), 16, 3, k=(16, 16, 8))
+    report = decoherence_functional(hs, psi)
+    assert hs.size == 2048 and not np.linalg.norm(report.branches, axis=0).all()
+    want = decoherence_functional_eager(hs, psi).functional
+    # the bytes compared as 64-bit words: no 64 MiB tobytes() copies
+    assert np.array_equal(report.functional.view(np.uint64), want.view(np.uint64))
 
 
 def test_report_keeps_the_functional_it_was_given():
-    """decoherence_functional's frozen buffer is the report's functional, and
-    HermitianOperator and a second report keep it without a copy."""
+    """decoherence_functional's frozen branch matrix is the report's, and a
+    second report keeps it without a copy; the functional the report builds
+    is one frozen buffer, kept by the report and by HermitianOperator."""
     psi, hs = random_model(np.random.default_rng(5))
     report = decoherence_functional(hs, psi)
+    branches = report.branches
+    assert not branches.flags.writeable and branches.base is None
+    rebuilt = DecoherenceReport(branches, report.ep_probs, report.tolerance)
+    assert rebuilt.branches is branches
+    assert rebuilt.ep_probs is report.ep_probs
     functional = report.functional
     assert not functional.flags.writeable and functional.base is None
+    assert report.functional is functional
     assert HermitianOperator(functional).entries is functional
-    rebuilt = DecoherenceReport(functional, report.ep_probs, report.tolerance)
-    assert rebuilt.functional is functional
-    assert rebuilt.ep_probs is report.ep_probs
 
 
 def _writable(x):
@@ -311,7 +354,7 @@ def _read_only_fortran(x):
 
 @pytest.mark.parametrize("handed", [_writable, _read_only_view, _read_only_fortran])
 @pytest.mark.parametrize("keep", [lambda a: HermitianOperator(a).entries,
-                                  lambda a: DecoherenceReport(a, [1.0], 0.0).functional],
+                                  lambda a: DecoherenceReport(a, [1.0], 0.0).branches],
                          ids=["HermitianOperator", "DecoherenceReport"])
 def test_arrays_a_caller_can_still_write_are_copied(handed, keep):
     """A writable array, a view of one and a Fortran-order array are copied:

@@ -158,7 +158,7 @@ def test_engine_reports_hold_only_what_they_cannot_derive():
     """Every other reading of the three engine reports is a property."""
     fields = {name: tuple(f.name for f in dataclasses.fields(getattr(ephist, name)))
               for name in ("DecoherenceReport", "CorrelationReport", "ProductRuleReport")}
-    assert fields == {"DecoherenceReport": ("functional", "ep_probs", "tolerance"),
+    assert fields == {"DecoherenceReport": ("branches", "ep_probs", "tolerance"),
                       "CorrelationReport": ("record_probs", "ep_probs", "epsilon"),
                       "ProductRuleReport": ("joint_ep", "factor_ep_product")}
 

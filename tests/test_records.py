@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -379,3 +380,23 @@ def test_records_at_the_history_cap(rng):
     assert sum(ranks) == d
     assert {i for i, r in enumerate(ranks) if r > 0} == live
     assert ranks.count(0) == M_CAP - len(live)
+
+
+def test_construct_records_peak_memory():
+    """At m = 512 deciding holds the Gram matrix of the branches and its
+    modulus, 1.5 functionals, beside the branches and their conjugate; the
+    report's functional is never built, and the records cost less."""
+    d = 8
+    members = tuple(Projector(np.diag(np.eye(d)[i]), label=f"e{i}") for i in range(d))
+    hs = HistorySet(tuple(ProjectorSet(members, time=float(t + 1)) for t in range(3)))
+    psi = random_state(np.random.default_rng(512), d)
+    branch_bytes = branch_matrix(hs, psi).nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rs = construct_records(hs, psi)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert rs.size == hs.size == 512
+    assert peak <= 1.5 * 512 * 512 * 16 + 2 * branch_bytes
