@@ -23,10 +23,10 @@ exponent (1.5, -.5, 2e-3); an entry is a decimal, "a+bi", "a-bi", "bi",
 "i" or "-i" (suffix i or j); dim and basis indices are digits only.
 nan, inf, 1e400, "_", other digits and inner blanks are rejected. A bracket
 literal ends with a closer of its own kind, and each matrix row is exactly
-one [...] with only blanks before the next "," or "]". parse_model gives
-ParseError with 1-based line and column and, within a directive's
-arguments, the text from that column on as found; CapExceeded for a dim
-above DIM_CAP.
+one [...] with only blanks before the next "," or "]". Partition and
+composite names are unique. parse_model gives ParseError with 1-based
+line and column and, within a directive's arguments, the text from that
+column on as found; CapExceeded for a dim above DIM_CAP.
 """
 from __future__ import annotations
 
@@ -129,20 +129,31 @@ def _count(text: str) -> int:
     return int(text)
 
 
-def parse_complex(text: str) -> complex:
-    """One finite literal: "1.5", "2i", "1+2i", "-1.5e-3-2e-4j".
+# One number token, of parse_complex's characters (so no blank, "_",
+# parenthesis, nan, inf or non-ASCII digit); complex() reads each token.
+_NUMBER = re.compile(r"[0-9+\-.eEij]++")
 
-    Once the text is checked to hold only the grammar's characters (so no
-    blank, "_", parenthesis, nan, inf or non-ASCII digit), complex() reads it."""
+
+def _values(literal: str) -> list[complex] | None:
+    """The finite values of the tokens in a literal (an "i" suffix read as
+    "j", "-i" as -1j); None if any token is not a finite number."""
+    tokens = _NUMBER.findall(literal.replace("i", "j"))
+    try:
+        values = list(map(complex, tokens))
+    except ValueError:
+        return None
+    if "-j" in tokens:   # keeps the -0.0 real part that complex("-j") drops
+        values = [-1j if t == "-j" else z for t, z in zip(tokens, values)]
+    return values if all(map(cmath.isfinite, values)) else None
+
+
+def parse_complex(text: str) -> complex:
+    """One finite literal: "1.5", "2i", "1+2i", "-1.5e-3-2e-4j"."""
     s = text.strip()
-    if not s or s.strip("0123456789+-.eEij"):
-        raise ValueError(f"not a number: {text!r}")
-    if s in ("-i", "-j"):
-        return -1j   # keeps the -0.0 real part that complex("-j") drops
-    z = complex(s[:-1] + "j" if s[-1] == "i" else s)
-    if not cmath.isfinite(z):
-        raise ValueError(f"non-finite number {text!r}")
-    return z
+    values = _NUMBER.fullmatch(s) and _values(s)
+    if not values:
+        raise ValueError(f"not a finite number: {text!r}")
+    return values[0]
 
 
 def format_complex(z: complex) -> str:
@@ -155,7 +166,7 @@ def format_complex(z: complex) -> str:
 
 
 _SPACE = re.compile(r"\s*")
-_WORD = re.compile(r"\S+")
+_WORD = re.compile(r"\s*+(\S++)")
 _STRUCTURE = re.compile(r"[][{},]")
 
 
@@ -183,12 +194,12 @@ class _Line:
             self.fail("end of line")
 
     def word(self, expected: str) -> str:
-        self.skip_ws()
         m = _WORD.match(self.text, self.pos)
         if m is None:
+            self.skip_ws()
             self.fail(expected)
         self.pos = m.end()
-        return m.group()
+        return m.group(1)
 
     def keyword(self, kw: str):
         if self.word(f"the word {kw}") != kw:
@@ -260,28 +271,14 @@ def _scan_matrix(line: _Line, expected: str) -> Matrix:
 
 
 # The whole grammar of a vector or matrix literal, so that one match reads
-# it: brackets, depth-1 commas, blanks and tokens of parse_complex's
-# characters. A literal the patterns or _values refuse goes to the scanner
-# above, which places the error.
-_NUMBER = re.compile(r"[0-9+\-.eEij]+")
-_ROW = rf"\[\s*{_NUMBER.pattern}(?:\s*,\s*{_NUMBER.pattern})*\s*\]"
-_VECTOR = re.compile(rf"\s*{_ROW}")
-_MATRIX = re.compile(rf"\s*\[\s*{_ROW}(?:\s*,\s*{_ROW})*\s*\]")
-_ROW_BODY = re.compile(r"\[[^][]*\]")
-
-
-def _values(literal: str) -> list[complex] | None:
-    """The finite values of a literal both patterns accept, as parse_complex
-    reads each token (an "i" suffix read as "j", "-i" as -1j); None if any
-    token is not a finite number."""
-    tokens = _NUMBER.findall(literal.replace("i", "j"))
-    try:
-        values = list(map(complex, tokens))
-    except ValueError:
-        return None
-    if "-j" in tokens:
-        values = [-1j if t == "-j" else z for t, z in zip(tokens, values)]
-    return values if all(map(cmath.isfinite, values)) else None
+# it: brackets, depth-1 commas, blanks and _NUMBER tokens. Every repetition
+# is possessive, so a literal the patterns refuse fails at its first miss;
+# it goes to the scanner above, which places the error, as does one whose
+# tokens _values refuses.
+_ROW = rf"\[\s*+{_NUMBER.pattern}(?:\s*+,\s*+{_NUMBER.pattern})*+\s*+\]"
+_VECTOR = re.compile(rf"\s*+{_ROW}")
+_MATRIX = re.compile(rf"\s*+\[\s*+{_ROW}(?:\s*+,\s*+{_ROW})*+\s*+\]")
+_ROW_BODY = re.compile(r"\[[^][]*+\]")
 
 
 def _parse_vector(line: _Line, expected: str) -> tuple[complex, ...]:
@@ -356,6 +353,14 @@ class _Parser:
     def check_time_order(self, line: _Line, clauses, time: float, what: str):
         if clauses and time <= clauses[-1].time:
             line.fail(f"{what} time greater than {clauses[-1].time}")
+
+    def new_name(self, line: _Line, clauses, what: str) -> str:
+        """The next word, refused at its column if an earlier clause has that name."""
+        name = line.word(f"a {what} name")
+        if any(c.name == name for c in clauses):
+            line.fail(f"a {what} name other than {name} (already declared)",
+                      at=line.pos - len(name))
+        return name
 
     def directive(self, line: _Line):
         head = line.word("a directive")
@@ -435,7 +440,7 @@ class _Parser:
         self.open_slot[3].append(clause)
 
     def on_partition(self, line: _Line):
-        name = line.word("a partition name")
+        name = self.new_name(line, self.partitions, "partition")
         # the first piece starts just after the opening "["
         start = line.literal("[", "a class list like [[0],[1,2]]")[0][1] - 1
         literal = line.text[start:line.pos]
@@ -454,7 +459,7 @@ class _Parser:
         self.finegrained.append(FineClause(t, rows))
 
     def on_composite(self, line: _Line):
-        name = line.word("a composite name")
+        name = self.new_name(line, self.composites, "composite")
         line.keyword("factors")
         paths = []
         while not line.at_end():

@@ -81,9 +81,10 @@ def construct_records(hs: HistorySet, psi: StateVector, tol: float = DEFAULT_DEC
 
     q = np.column_stack([frames[i] for i in nonzero])
     complement = np.eye(d) - q @ q.conj().T
+    zero = frozen_copy(np.zeros((d, d)), np.complex128)   # shared by every rank-0 record
     members, labels = [], hs.history_labels()
     for i in range(hs.size):
-        r = np.outer(frames[i], frames[i].conj()) if i in frames else np.zeros((d, d))
+        r = np.outer(frames[i], frames[i].conj()) if i in frames else zero
         if i == nonzero[0]:
             r = r + complement
         members.append(Projector(r, label=labels[i]))

@@ -803,6 +803,15 @@ class _Parser:
         if prior and time <= prior[-1]:
             line.fail(f"{what} time greater than {prior[-1]}")
 
+    def new_name(self, line: _Line, clauses, what: str) -> str:
+        line.skip_ws()
+        start = line.pos
+        name = line.word(f"a {what} name")
+        for c in clauses:
+            if c.name == name:
+                line.fail(f"a {what} name other than {name} (already declared)", at=start)
+        return name
+
     def directive(self, line: _Line):
         head = line.word("a directive")
         if head != "member":
@@ -887,7 +896,7 @@ class _Parser:
         self.open_slot[3].append(clause)
 
     def on_partition(self, line: _Line):
-        name = line.word("a partition name")
+        name = self.new_name(line, self.partitions, "partition")
         inner, base = line.bracket("[", "]", "a class list like [[0],[1,2]]")
         literal = "[" + inner + "]"
         raw = _load_class_list(literal, line.no, base, "a class list like [[0],[1,2]]")
@@ -910,7 +919,7 @@ class _Parser:
         self.finegrained.append(FineClause(t, rows))
 
     def on_composite(self, line: _Line):
-        name = line.word("a composite name")
+        name = self.new_name(line, self.composites, "composite")
         kw = line.word("the word factors")
         if kw != "factors":
             line.fail("the word factors")

@@ -165,6 +165,30 @@ def test_coarsen_unknown_partition(tmp_path):
     assert err["invariant"] == "unknown-partition"
 
 
+@pytest.mark.parametrize("command,line,col", [
+    (("coarsen", "--partition", "sector"), 28, 11),
+    (("composite",), 2, 11),
+])
+def test_repeated_name_is_a_parse_error(tmp_path, command, line, col):
+    """A second partition or composite of one name fails the run with exit 2
+    and error.json alone, instead of replacing or dropping the first."""
+    if command[0] == "coarsen":
+        text = (MODELS / "threebox.model").read_text().rstrip("\n") + "\n"
+        assert text.count("\n") == line - 1
+        text += "partition sector [[0],[1,2,3,4,5]]\n"
+    else:
+        factors = f"{MODELS / 'qubit_a.model'} {MODELS / 'qubit_b.model'}"
+        text = f"composite pair factors {factors}\ncomposite pair factors {factors}\n"
+    model = tmp_path / "twice.model"
+    model.write_text(text)
+    status, out = run(tmp_path, "o", *command, "--model", str(model))
+    assert status == 2
+    assert [p.name for p in out.iterdir()] == ["error.json"]
+    err = load(out, "error.json")
+    assert (err["code"], err["line"], err["col"]) == ("parse-error", line, col)
+    assert "already declared" in err["expected"]
+
+
 def test_composite(tmp_path):
     status, out = run(tmp_path, "o", "composite", "--model", str(MODELS / "pair.model"))
     assert status == 0

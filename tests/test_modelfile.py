@@ -279,6 +279,24 @@ def test_unterminated_bracket():
     assert "closing" in e.expected
 
 
+_LARGE = "[" + ",".join(
+    "[" + ",".join(format_complex(complex(i - j, (i + j) % 3 - 1)) for j in range(100)) + "]"
+    for i in range(100)) + "]"
+
+
+@pytest.mark.parametrize("text", [
+    "dim 100\nslot 1 s\nmember X matrix " + _LARGE[:-2] + "x]",   # the last row's "]" replaced
+    "dim 100\nevolution hamiltonian " + _LARGE[:-1],               # left unterminated
+], ids=["last-row-closer-replaced", "unterminated"])
+def test_large_refused_literal_gives_the_loop_oracles_error(text):
+    """A 100x100 literal the pattern refuses near its end gives the loop
+    oracle's ParseError, field for field, once the scanner places it."""
+    e = _err(text)
+    assert (e.line, e.col, e.expected) == (text.count("\n") + 1,
+                                           len(text) - text.rindex("\n"), "closing ']'")
+    assert _outcome(parse_model, text) == _outcome(parse_model_loop, text)
+
+
 @pytest.mark.parametrize("text,line,col,expected", [
     ("dim 2\nstate [1,0}", 2, 11, "closing ']'"),
     ("dim 2\nslot 1 x\nmember A basis {0]", 3, 18, "closing '}'"),
@@ -347,6 +365,26 @@ def test_bad_partition_literal():
     assert (e.line, e.col, e.found) == (2, 17, "],[1]]")
     e = _err("dim 2\npartition p [[0],[]]")
     assert "nonempty lists" in e.expected
+
+
+@pytest.mark.parametrize("text,col,expected,found", [
+    ("dim 6\npartition sector [[0,1,2],[3,4,5]]\npartition  sector [[0],[1,2,3,4,5]]",
+     12, "a partition name other than sector (already declared)", "sector [[0],[1,2,3,4,5]]"),
+    ("composite pair factors a.model b.model\ncomposite pair factors c.model d.model",
+     11, "a composite name other than pair (already declared)", "pair factors c.model d.model"),
+])
+def test_repeated_name_refused_at_its_column(text, col, expected, found):
+    """A second partition or composite of one name is refused at the name,
+    by the parser and by the loop oracle, instead of shadowing the first."""
+    for parse in (parse_model, parse_model_loop):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        e = exc.value
+        assert (e.line, e.col, e.expected, e.found) == (text.count("\n") + 1, col, expected, found)
+    # another name is a new clause
+    renamed = text.replace(" sector [[0],", " other [[0],").replace("pair factors c", "two factors c")
+    doc = parse_model(renamed)
+    assert len(doc.partitions) + len(doc.composites) == 2
 
 
 def test_composite_needs_two_factors():

@@ -356,7 +356,8 @@ def test_record_checks_skipping_zero_records_match_loops(seed, fixture, shuffle,
 def test_records_at_the_history_cap(rng):
     """M_CAP histories over d=32: three slots of 16 rank-2 members over one
     shared basis. A history's branch is nonzero only if some basis vector
-    lies in all three of its members, so at most 32 records are nonzero."""
+    lies in all three of its members, so at most 32 records are nonzero; the
+    zero records share one read-only array."""
     d, basis = 32, haar_basis(rng, 32)
     slots, owner = [], []
     for t in range(3):
@@ -380,6 +381,9 @@ def test_records_at_the_history_cap(rng):
     assert sum(ranks) == d
     assert {i for i, r in enumerate(ranks) if r > 0} == live
     assert ranks.count(0) == M_CAP - len(live)
+    zero = next(r.entries for r in rs.members if r.rank == 0)
+    assert all(r.entries is zero for r in rs.members if r.rank == 0)
+    assert not zero.flags.writeable and zero.dtype == np.complex128 and not zero.any()
 
 
 def test_construct_records_peak_memory():
