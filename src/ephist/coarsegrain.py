@@ -1,19 +1,18 @@
 """Partitions of history sets and coarse-grained functionals.
 
-Coarse graining block-sums class operators, extended probabilities, and
-the decoherence functional; dec(D) never increases under it. Partitions
-act on flattened history indices. Slot-wise ("sequence-preserving")
-merges, which keep the chain form by summing projectors inside each time
-slot, come from group_slots together with the partition they induce.
+A coarse history's class operator is the sum of its fine ones, so its
+extended probability and each cell of its decoherence functional are
+class sums too, and class_sums is the one code that sums over classes;
+dec(D) never increases under it. Partitions act on flattened history
+indices. Slot-wise ("sequence-preserving") merges, which keep the chain
+form by summing projectors inside each time slot, come from group_slots
+together with the partition they induce.
 
 The greedy search repeatedly merges the class pair that most reduces
 dec, breaking ties by the lexicographically lowest (i, j) pair, so runs
-are reproducible. It costs O(m^3) once, to build the matrix of merged
-cross terms sum_{l != a, b} |D_al + D_bl| (a < b) in tiles of fixed
-size, and then O(k^2) numpy work per merge over k classes, since each
-merge updates D, |D| and that matrix in buffers allocated once instead
-of rescanning every pair. Exhaustive partition enumeration is
-Bell-number territory and lives with the test oracles, not here.
+are reproducible; greedy_merge_functional states its cost. Exhaustive
+partition enumeration is Bell-number territory and lives with the test
+oracles, not here.
 """
 from __future__ import annotations
 
@@ -107,21 +106,23 @@ def partition_from_literal(text: str, fine_count: int) -> Partition:
 
 
 def class_sums(values: np.ndarray, part: Partition) -> np.ndarray:
+    """Each class's .sum(axis=0) of values (pairwise on 1-D), straight into the result."""
     values = np.asarray(values)
     if values.shape[0] != part.fine_count:
         raise DimensionMismatch(f"{values.shape[0]} values for fine count {part.fine_count}")
-    return np.array([values[list(c)].sum() for c in part.classes])
+    sums = np.empty((part.size,) + values.shape[1:], values[:0].sum(axis=0).dtype)
+    for k, c in enumerate(part.classes):
+        np.add.reduce(values[list(c)], axis=0, out=sums[k, ...])
+    return sums
 
 
 def coarse_decoherence_functional(functional: np.ndarray, part: Partition) -> np.ndarray:
-    """Block-summed functional; dec of the result never exceeds dec of the input."""
+    """Block sums, rows then columns; dec of the result never exceeds dec of the input."""
     functional = np.asarray(functional)
     if functional.shape != (part.fine_count, part.fine_count):
         raise DimensionMismatch(
             f"functional shape {functional.shape} vs fine count {part.fine_count}")
-    s = np.zeros((part.fine_count, part.size))
-    s[np.arange(part.fine_count), part.class_of()] = 1.0
-    return s.T @ functional @ s
+    return class_sums(class_sums(functional, part).T, part).T
 
 
 def coarse_extended_probabilities(hs: HistorySet, part: Partition, psi: StateVector) -> np.ndarray:
@@ -152,10 +153,9 @@ def group_slots(
             group_of.append(np.arange(slot.size))
             continue
         grouping = Partition(slot.size, tuple(tuple(g) for g in groups))  # validates shape
-        members = tuple(
-            Projector(sum(slot.members[i].entries for i in g),
-                      label="+".join(slot.members[i].label for i in g))
-            for g in grouping.classes)
+        sums = class_sums([p.entries for p in slot.members], grouping)
+        members = tuple(Projector(entries, label="+".join(slot.members[i].label for i in g))
+                        for g, entries in zip(grouping.classes, sums))
         slots.append(ProjectorSet(members, time=slot.time))
         group_of.append(grouping.class_of())
     merged = HistorySet(tuple(slots))

@@ -101,6 +101,8 @@ class Projector:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", _frozen_array(self.entries, "matrix"))
+        if not self.entries.any():   # exactly Hermitian and idempotent; NaN and inf are nonzero
+            return
         herm = np.abs(self.entries - self.entries.conj().T).max(initial=0.0)
         if not herm <= TOL_HERM:
             raise InvariantViolation("projector-hermiticity", herm, self.label)

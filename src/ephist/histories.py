@@ -157,9 +157,12 @@ class DecoherenceReport:
 
     @cached_property
     def offenders(self) -> np.recarray:
-        """On a temporary b^dag b, not the functional: its upper triangle is the
-        functional's up to the sign of a zero, which np.abs ignores."""
-        return offdiagonal_offenders(self.branches.conj().T @ self.branches, self.tolerance)
+        """On the functional once it is built, else on a temporary b^dag b, so no
+        second m x m array is built beside the functional. Their upper
+        triangles agree up to the sign of a zero, which np.abs ignores."""
+        functional = vars(self).get("functional")
+        return offdiagonal_offenders(self.branches.conj().T @ self.branches
+                                     if functional is None else functional, self.tolerance)
 
     @property
     def medium_decoherent(self) -> bool:

@@ -17,7 +17,9 @@ whole payload, one dict per offender in it, and offenders as a list of
 ((alpha, beta), magnitude) pairs. So is the functional as the sum of its
 two triangles and its diagonal, which the in-place assembly replaced,
 and a decoherence report that computes every reading up front, which
-the report's derived readings replaced.
+the report's derived readings replaced. So are the coarse functional as
+two gemms with a dense 0/1 membership matrix and merged slot members as
+Python sums, which class_sums replaced.
 """
 from math import inf
 from typing import Iterator, Sequence, Union
@@ -251,6 +253,23 @@ def coarse_class_operator(hs: HistorySet, part: Partition, class_index: int) -> 
     for flat in part.classes[class_index]:
         c += class_operator(hs, unflatten_index(flat, hs.shape))
     return c
+
+
+def coarse_decoherence_functional_gemm(functional: np.ndarray, part: Partition) -> np.ndarray:
+    """S^T D S, with S the dense m x k 0/1 membership matrix (promoted to
+    complex by the products): two gemms and O(m^2 k) work."""
+    functional = np.asarray(functional)
+    if functional.shape != (part.fine_count, part.fine_count):
+        raise DimensionMismatch(
+            f"functional shape {functional.shape} vs fine count {part.fine_count}")
+    s = np.zeros((part.fine_count, part.size))
+    s[np.arange(part.fine_count), part.class_of()] = 1.0
+    return s.T @ functional @ s
+
+
+def group_member_sums_loop(slot: ProjectorSet, groups: Sequence[Sequence[int]]) -> list[np.ndarray]:
+    """Each group's member matrices added by Python's sum, which starts from 0."""
+    return [sum(slot.members[i].entries for i in g) for g in groups]
 
 
 def extended_density_from_amplitudes(y, slit: str = "U"):

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from ephist.cli import (
     run_command,
 )
 from ephist.modelfile import EvolutionClause, MemberClause, SlotClause
-from conftest import FLOAT_PARTS, random_model
+from conftest import FLOAT_PARTS, perfbench_gen, random_model
 from oracles import (
     decoherence_functional_eager,
     dump_json,
@@ -101,6 +102,28 @@ def test_decohere(tmp_path):
     assert abs(sum(rep["ep"]) - 1.0) < 1e-12
     rows = (out / "functional.csv").read_text().splitlines()
     assert len(rows) == len(rep["ep"]) + 1
+
+
+def test_decohere_builds_no_second_gram_beside_the_functional(tmp_path, monkeypatch):
+    """With functional.csv cut to its header line, decohere at m = 1024 peaks
+    under 2 functionals: the offenders are scanned on the functional it
+    holds (a second Gram matrix beside it peaked at 2.55)."""
+    import ephist.cli
+    spec = perfbench_gen().make_model(np.random.default_rng(1024), 16, (16, 16, 4),
+                                      hamiltonian=True)
+    model = tmp_path / "h1024.model"
+    model.write_text(spec.text)
+    monkeypatch.setattr(ephist.cli, "_functional_csv", lambda f: iter([next(_functional_csv(f))]))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        status, out = run(tmp_path, "o", "decohere", "--model", str(model))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    assert load(out, "decoherence.json")["offenders"]
+    assert peak < 2 * 1024 * 1024 * 16
 
 
 def test_records_success(tmp_path):

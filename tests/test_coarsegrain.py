@@ -50,9 +50,11 @@ from oracles import (
     _exact_cross,
     class_operator,
     coarse_class_operator,
+    coarse_decoherence_functional_gemm,
     enumerate_partitions,
     greedy_merge_loop,
     greedy_merge_rescore,
+    group_member_sums_loop,
     joint_functional,
     unflatten_index,
 )
@@ -107,6 +109,32 @@ def test_class_sums_keep_complex_dtype():
     p = Partition(2, ((0, 1),))
     out = class_sums(np.array([1 + 2j, 3 - 1j]), p)
     assert out[0] == 4 + 1j
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (9, 3, 4)])
+def test_class_sums_of_arrays_are_per_class_sums(shape):
+    """Along the first axis, each class is its members added in order."""
+    rng = np.random.default_rng(shape[0])
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    part = Partition(shape[0], random_partition_classes(rng, shape[0]))
+    out = class_sums(values, part)
+    assert out.shape == (part.size,) + shape[1:]
+    for k, c in enumerate(part.classes):
+        brute = values[c[0]].copy()
+        for i in c[1:]:
+            brute = brute + values[i]
+        assert np.array_equal(out[k], brute)
+
+
+def test_class_sums_of_a_vector_keep_the_pairwise_sum():
+    """Past 8 members numpy's pairwise .sum() differs from adding in order;
+    each class keeps .sum()'s bits, so coarse EPs keep theirs."""
+    rng = np.random.default_rng(9)
+    values = rng.normal(size=200) * 10.0 ** rng.integers(-8, 8, size=200)
+    classes = tuple(tuple(int(i) for i in c) for c in np.array_split(rng.permutation(200), 8))
+    assert min(len(c) for c in classes) >= 9
+    out = class_sums(values, Partition(200, classes))
+    assert out.tobytes() == np.array([values[list(c)].sum() for c in classes]).tobytes()
 
 
 # ----------------------------------------------------- coarse-grained objects
@@ -167,6 +195,58 @@ def test_coarse_class_operator_requires_matching_size(rng):
         coarse_extended_probabilities(hs, wrong, psi)
     with pytest.raises(DimensionMismatch):
         coarse_decoherence_functional(np.eye(hs.size), wrong)
+
+
+@pytest.fixture(scope="module")
+def functional_2048():
+    spec = perfbench_gen().make_model(np.random.default_rng(2048), 16, (16, 16, 8),
+                                      hamiltonian=True)
+    doc = parse_model(spec.text)
+    return decoherence_functional(build_history_set(doc), build_state(doc)).functional
+
+
+def _runs(m, size):
+    return Partition(m, tuple(tuple(range(a, a + size)) for a in range(0, m, size)))
+
+
+@pytest.mark.parametrize("size", [2, 1, 16])
+def test_coarse_functional_is_the_gemm_bit_for_bit(functional_2048, size):
+    """Pairs, singletons and sorted 16-member classes at m = 2048: the class
+    sums give the 0/1-matrix gemm's bytes."""
+    part = _runs(2048, size)
+    coarse = coarse_decoherence_functional(functional_2048, part)
+    assert coarse.tobytes() == coarse_decoherence_functional_gemm(functional_2048, part).tobytes()
+
+
+def test_coarse_functional_holds_less_than_a_functional(functional_2048):
+    """On pairs the call peaks under one fine functional (0.75 of one: the
+    row sums and the result); the gemm took 1.5."""
+    tracemalloc.start()
+    try:
+        coarse_decoherence_functional(functional_2048, _runs(2048, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < functional_2048.nbytes
+
+
+def test_coarse_functional_is_the_gemm_to_a_few_eps():
+    """On random partitions at m = 512 the two routes add each block in a
+    different order: every cell is within 4 eps of its block's |D| mass
+    (at most 2 is seen), and both keep dec monotone (criterion 4)."""
+    spec = perfbench_gen().make_model(np.random.default_rng(512), 16, (16, 8, 4),
+                                      hamiltonian=True)
+    doc = parse_model(spec.text)
+    fine = decoherence_functional(build_history_set(doc), build_state(doc)).functional
+    rng = np.random.default_rng(512)
+    for _ in range(6):
+        part = Partition(512, random_partition_classes(rng, 512))
+        coarse = coarse_decoherence_functional(fine, part)
+        gemm = coarse_decoherence_functional_gemm(fine, part)
+        mass = coarse_decoherence_functional(np.abs(fine), part).real
+        assert (np.abs(coarse - gemm) <= 4 * np.finfo(float).eps * mass).all()
+        for route in (coarse, gemm):
+            assert dec_measure(route) <= dec_measure(fine) + 1e-12
 
 
 @given(seed=st.integers(0, 10_000))
@@ -232,6 +312,18 @@ def test_slot_merge_matches_flat_partition(rng):
         assert np.allclose(all_extended_probabilities(merged, psi),
                            class_sums(all_extended_probabilities(hs, psi), part),
                            atol=1e-12)
+
+
+def test_group_slots_members_are_the_loop_sums(rng):
+    """Merged members are the members added by Python's sum (which turns a
+    -0.0 into +0.0; np.array_equal does not tell them apart)."""
+    for _ in range(20):
+        d = int(rng.integers(2, 7))
+        slot = random_slot(rng, d, 1.0)
+        groups = random_partition_classes(rng, slot.size)
+        merged, _ = group_slots(HistorySet((slot,)), [groups])
+        loop = group_member_sums_loop(slot, groups)
+        assert all(np.array_equal(p.entries, e) for p, e in zip(merged.slots[0].members, loop))
 
 
 def test_slot_merge_rejects_bad_groups():

@@ -166,6 +166,18 @@ def test_projector_rejects_non_idempotent():
         Projector(np.array([[0.0, 1.0], [0.0, 0.0]]))   # not Hermitian
 
 
+def test_zero_projector_skips_only_checks_it_passes_exactly():
+    """An all-zero matrix, zeros of either sign, is exactly Hermitian and
+    idempotent, so it is built without its checks, at rank 0. NaN counts as
+    nonzero, so it and every nonzero matrix are still checked."""
+    for zero in (np.zeros((3, 3)), np.full((3, 3), -0.0), np.full((3, 3), complex(-0.0, -0.0))):
+        assert Projector(zero).rank == 0
+    with pytest.raises(InvariantViolation, match="'projector-hermiticity'"):
+        Projector(np.full((2, 2), np.nan))
+    with pytest.raises(InvariantViolation, match="'projector-idempotency'"):
+        Projector(np.array([[0.5, 0.0], [0.0, 0.0]]))
+
+
 def test_rank_one_projector_normalizes():
     p = rank_one_projector([2.0, 0.0], "x")
     assert p.rank == 1

@@ -298,6 +298,19 @@ def test_report_without_its_functional_holds_no_m_by_m_array():
     assert "functional" not in vars(report)
 
 
+def test_offenders_read_after_the_functional_scan_it():
+    """Once the functional is built the offenders are scanned on it, with the
+    records a fresh report scans on its temporary Gram matrix, at a peak
+    under one functional (a second Gram beside it took 1.5)."""
+    psi, hs = _model_of_shape(np.random.default_rng(512), (8, 8, 8), d=8)
+    fresh = decoherence_functional(hs, psi).offenders
+    report = decoherence_functional(hs, psi)
+    report.functional
+    offenders, peak = _traced_peak(lambda: report.offenders)
+    assert len(offenders) and offenders.tobytes() == fresh.tobytes()
+    assert peak < FUNCTIONAL_512
+
+
 def test_functional_peak_memory():
     """At m = 512 the first read of the functional holds one buffer, the Gram
     matrix it mirrors in place: a peak of no more than 1.1 functionals."""
