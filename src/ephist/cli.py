@@ -243,18 +243,16 @@ def _cmd_decohere(args, out: _OutDir):
 
 def _cmd_records(args, out: _OutDir):
     _, hs, psi = _history_model(args)
-    tol = _tol(args)
-    rs = construct_records(hs, psi, tol=tol)
-    strong = verify_strong_records(hs, psi, rs)
-    weak = verify_weak_records(hs, psi, rs)
-    corr = record_correlation_report(hs, psi, rs, epsilon=tol)
+    report = decoherence_functional(hs, psi, tol=_tol(args))
+    rs = construct_records(report)
+    corr = record_correlation_report(report, rs)
     out.write("records.json", _json_chunks({
         "t_rec": rs.time,
         "completion_index": rs.completion_index,
         "labels": [r.label for r in rs.members],
         "ranks": [r.rank for r in rs.members],
-        "strong_max_defect": strong.max_defect,
-        "weak_max_defect": weak.max_defect,
+        "strong_max_defect": verify_strong_records(report, rs),
+        "weak_max_defect": verify_weak_records(report, rs),
         "correlation": {
             "record_probs": corr.record_probs,
             "ep_probs": corr.ep_probs,

@@ -1,9 +1,11 @@
 """Finite-dimensional Hilbert-space primitives.
 
 States, Hermitian operators, projectors, exhaustive projector sets, and
-Heisenberg-picture time evolution. Everything is a dense complex matrix;
-the engine targets desk-scale dimensions (d <= ~64). hbar = 1 throughout
-and model time is a dimensionless ordered label.
+Heisenberg-picture time evolution. Everything is a dense complex matrix,
+16 MiB at d = 1024, the model file's cap (modelfile.DIM_CAP); a slot of k
+members costs about k^2 d^3 to validate, so `eval` on one slot of 32
+members at that cap takes about 100 s (ROADMAP.md, item 6). hbar = 1
+throughout and model time is a dimensionless ordered label.
 
 Values are immutable after construction (frozen dataclasses over
 read-only arrays) and all operations are pure, so concurrent use needs

@@ -11,9 +11,11 @@ and the branch-norm probability ||C psi||^2, which is non-negative but
 only additive when the set decoheres. The decoherence functional
 D(a, b) = <psi_a|psi_b> measures the interference between branches.
 
-A DecoherenceReport keeps the d x m branch matrix, not the m x m functional:
-the matrix is built on its first read, and the offenders scan a temporary
-Gram matrix, so deciding whether a set decoheres keeps no m x m array.
+A DecoherenceReport holds one history set, one state and one tolerance,
+and derives the rest: it builds the d x m branch matrix once, when it is
+made, and the m x m functional only when first read. Its offenders scan
+the functional if it is built, else a temporary Gram matrix, so deciding
+whether a set decoheres keeps no m x m array.
 
 Histories are numbered by one flat index, with the EARLIEST time
 varying fastest: history (a1, a2, a3, ...) of slots sized (s1, s2, ...)
@@ -114,15 +116,26 @@ def all_extended_probabilities(hs: HistorySet, psi: StateVector) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DecoherenceReport:
-    """Branch matrix and EPs; every diagnostic, the functional too, is read off them."""
+    """One set in one state at one tolerance; every diagnostic, the branch
+    matrix and the functional too, is derived from those three."""
 
-    branches: np.ndarray
-    ep_probs: np.ndarray
+    history_set: HistorySet
+    psi: StateVector
     tolerance: float
 
     def __post_init__(self):
-        for name in ("branches", "ep_probs"):
-            object.__setattr__(self, name, frozen_copy(getattr(self, name)))
+        _check_tolerance(self.tolerance)
+        self.branches   # built now, so a cap or a dimension mismatch fires here
+
+    @cached_property
+    def branches(self) -> np.ndarray:
+        b = branch_matrix(self.history_set, self.psi)
+        b.setflags(write=False)
+        return b
+
+    @cached_property
+    def ep_probs(self) -> np.ndarray:
+        return frozen_copy(_ep_probs(self.psi, self.branches))
 
     @cached_property
     def dh_probs(self) -> np.ndarray:
@@ -203,9 +216,6 @@ def _check_tolerance(tol: float) -> float:
 def decoherence_functional(
     hs: HistorySet, psi: StateVector, tol: float = DEFAULT_DEC_TOL,
 ) -> DecoherenceReport:
-    """The report of the m x m functional over flat history indices, which it
-    builds from the branches when first read, and of the EPs."""
-    _check_tolerance(tol)
-    b = branch_matrix(hs, psi)
-    b.setflags(write=False)
-    return DecoherenceReport(b, _ep_probs(psi, b), tol)
+    """The report of hs in psi at tol: its branches are built now, the m x m
+    functional over flat history indices when first read."""
+    return DecoherenceReport(hs, psi, tol)

@@ -5,9 +5,11 @@ it exists exactly when the history set is medium decoherent, and then
 the records are projectors onto the branch directions. A weak record
 only reproduces the probabilities, Re<psi|R_b C_a|psi> = delta_ba p(a).
 
-construct_records decides by the offenders of decoherence_functional's
-report, the engine's one medium-decoherence test, and builds the records
-from the same report's branches.
+Every function here takes one DecoherenceReport: the set, the state and
+the tolerance are its own, and so are the branches and EPs every check
+reads, built once per report. construct_records decides by the report's
+offenders, the engine's one medium-decoherence test, and builds the
+records from its branches; the correlation's epsilon is its tolerance.
 
 Construction is deterministic: branches are orthonormalized by modified
 Gram-Schmidt (with one re-orthogonalization pass) in flat index order,
@@ -25,17 +27,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation, NotDecoherent
-from .hilbert import Projector, ProjectorSet, StateVector, frozen_copy
-from .histories import (
-    DEFAULT_DEC_TOL,
-    HistorySet,
-    _ep_probs,
-    all_extended_probabilities,
-    branch_matrix,
-    decoherence_functional,
-)
+from .hilbert import Projector, ProjectorSet, frozen_copy
+from .histories import DecoherenceReport, _check_tolerance
 
-__all__ = ["CorrelationReport", "RecordCheckReport", "RecordSet", "construct_records",
+__all__ = ["CorrelationReport", "RecordSet", "construct_records",
            "record_correlation_report", "verify_strong_records", "verify_weak_records"]
 
 ZERO_BRANCH_TOL = 1e-12
@@ -48,19 +43,19 @@ class RecordSet(ProjectorSet):
     completion_index: int   # flat index whose record absorbed the complement subspace
 
 
-def _check_record_set(hs: HistorySet, rs: RecordSet) -> None:
+def _check_record_set(report: DecoherenceReport, rs: RecordSet) -> None:
+    hs = report.history_set
     if rs.dim != hs.dim:
         raise DimensionMismatch(f"record dim {rs.dim} vs history-set dim {hs.dim}")
     if rs.size != hs.size:
         raise DimensionMismatch(f"{rs.size} records for {hs.size} histories")
 
 
-def construct_records(hs: HistorySet, psi: StateVector, tol: float = DEFAULT_DEC_TOL) -> RecordSet:
+def construct_records(report: DecoherenceReport) -> RecordSet:
     """Build the branch-projection record set of a medium-decoherent history set."""
-    report = decoherence_functional(hs, psi, tol)
     if len(report.offenders):
-        raise NotDecoherent(report.offenders, tol)
-    b = report.branches
+        raise NotDecoherent(report.offenders, report.tolerance)
+    hs, b = report.history_set, report.branches
 
     norms = np.linalg.norm(b, axis=0)
     nonzero = [i for i in range(hs.size) if norms[i] > ZERO_BRANCH_TOL]
@@ -91,19 +86,14 @@ def construct_records(hs: HistorySet, psi: StateVector, tol: float = DEFAULT_DEC
     return RecordSet(tuple(members), time=max(hs.times) + 1.0, completion_index=nonzero[0])
 
 
-@dataclass(frozen=True)
-class RecordCheckReport:
-    max_defect: float
-
-
-def verify_strong_records(hs: HistorySet, psi: StateVector, rs: RecordSet) -> RecordCheckReport:
+def verify_strong_records(report: DecoherenceReport, rs: RecordSet) -> float:
     """max over (a, b) of || R_a C_b psi - delta_ab C_b psi ||.
 
     A zero record's residual is -C_a psi in column a and 0 elsewhere, so its
     defect is ||C_a psi||, taken by the same column reduction as the rest.
     """
-    _check_record_set(hs, rs)
-    b = branch_matrix(hs, psi)
+    _check_record_set(report, rs)
+    b = report.branches
     norms = np.linalg.norm(b, axis=0)
     worst = 0.0
     for a, r in enumerate(rs.members):
@@ -113,26 +103,25 @@ def verify_strong_records(hs: HistorySet, psi: StateVector, rs: RecordSet) -> Re
         resid = r.entries @ b
         resid[:, a] -= b[:, a]
         worst = max(worst, float(np.linalg.norm(resid, axis=0).max()))
-    return RecordCheckReport(worst)
+    return worst
 
 
-def verify_weak_records(hs: HistorySet, psi: StateVector, rs: RecordSet) -> RecordCheckReport:
+def verify_weak_records(report: DecoherenceReport, rs: RecordSet) -> float:
     """max over (b, a) of | Re<psi|R_b C_a|psi> - delta_ba p(a) |.
 
     A zero record's row is -p(b) at b and 0 elsewhere: its defect is |p(b)|.
     """
-    _check_record_set(hs, rs)
-    b = branch_matrix(hs, psi)
-    ep = _ep_probs(psi, b)
+    _check_record_set(report, rs)
+    psi, b, ep = report.psi.amplitudes, report.branches, report.ep_probs
     worst = 0.0
     for beta, r in enumerate(rs.members):
         if not r.entries.any():
             worst = max(worst, float(abs(ep[beta])))
             continue
-        row = np.real((r.entries @ psi.amplitudes).conj() @ b)
+        row = np.real((r.entries @ psi).conj() @ b)
         row[beta] -= ep[beta]
         worst = max(worst, float(np.abs(row).max()))
-    return RecordCheckReport(worst)
+    return worst
 
 
 @dataclass(frozen=True)
@@ -150,6 +139,7 @@ class CorrelationReport:
     epsilon: float
 
     def __post_init__(self):
+        _check_tolerance(self.epsilon)
         for name in ("record_probs", "ep_probs"):
             object.__setattr__(self, name, frozen_copy(getattr(self, name)))
 
@@ -168,11 +158,9 @@ class CorrelationReport:
                      for i in np.flatnonzero(ep < 0).tolist())
 
 
-def record_correlation_report(
-    hs: HistorySet, psi: StateVector, rs: RecordSet, epsilon: float = DEFAULT_DEC_TOL
-) -> CorrelationReport:
-    _check_record_set(hs, rs)
-    rec = np.array([
-        float(np.vdot(psi.amplitudes, r.entries @ psi.amplitudes).real) for r in rs.members
-    ])
-    return CorrelationReport(rec, all_extended_probabilities(hs, psi), epsilon)
+def record_correlation_report(report: DecoherenceReport, rs: RecordSet) -> CorrelationReport:
+    """The records' probabilities against the report's EPs, at its tolerance."""
+    _check_record_set(report, rs)
+    psi = report.psi.amplitudes
+    rec = np.array([float(np.vdot(psi, r.entries @ psi).real) for r in rs.members])
+    return CorrelationReport(rec, report.ep_probs, report.tolerance)

@@ -62,7 +62,6 @@ def box_coarse_set(model: ThreeBoxModel, which: str) -> HistorySet:
 @dataclass(frozen=True)
 class BoxSetReport:
     name: str
-    history_set: HistorySet
     decoherence: DecoherenceReport
     conditional_pair: tuple[float, float]   # (p(X|Phi), p(~X|Phi))
 
@@ -91,11 +90,10 @@ def three_box_report(tol: float = 1e-10) -> ThreeBoxReport:
     p_phi = float(sector_eps.sum())
     coarse = []
     for which in "ABC":
-        hs = box_coarse_set(model, which)
-        rep = decoherence_functional(hs, model.psi, tol=tol)
+        rep = decoherence_functional(box_coarse_set(model, which), model.psi, tol=tol)
         # flats 0, 1 are (X, Phi), (~X, Phi)
         pair = (float(rep.ep_probs[0] / p_phi), float(rep.ep_probs[1] / p_phi))
-        coarse.append(BoxSetReport(which, hs, rep, pair))
+        coarse.append(BoxSetReport(which, rep, pair))
     return ThreeBoxReport(
         fine_eps=fine_report.ep_probs,
         fine_dec=fine_report.dec,

@@ -47,7 +47,6 @@ from ephist import (
     Projector,
     ProjectorSet,
     ProjectorSetReport,
-    RecordCheckReport,
     RecordSet,
     StateVector,
     amplitude,
@@ -58,7 +57,6 @@ from ephist import (
 )
 from ephist.cli import _json_default
 from ephist.coarsegrain import _load_class_list
-from ephist.records import _check_record_set
 from ephist.modelfile import (
     _DIRECTIVES,
     CompositeClause,
@@ -415,21 +413,19 @@ def validate_projector_set_loop(
     return ProjectorSetReport(float(completeness), float(exclusivity))
 
 
-def verify_strong_records_loop(hs: HistorySet, psi: StateVector, rs: RecordSet) -> RecordCheckReport:
+def verify_strong_records_loop(hs: HistorySet, psi: StateVector, rs: RecordSet) -> float:
     """verify_strong_records with a d x m product for every record, zero or not."""
-    _check_record_set(hs, rs)
     b = branch_matrix(hs, psi)
     worst = 0.0
     for a, r in enumerate(rs.members):
         resid = r.entries @ b
         resid[:, a] -= b[:, a]
         worst = max(worst, float(np.linalg.norm(resid, axis=0).max()))
-    return RecordCheckReport(worst)
+    return worst
 
 
-def verify_weak_records_loop(hs: HistorySet, psi: StateVector, rs: RecordSet) -> RecordCheckReport:
+def verify_weak_records_loop(hs: HistorySet, psi: StateVector, rs: RecordSet) -> float:
     """verify_weak_records with a full row for every record, zero or not."""
-    _check_record_set(hs, rs)
     b = branch_matrix(hs, psi)
     ep = np.real(psi.amplitudes.conj() @ b)
     worst = 0.0
@@ -437,7 +433,7 @@ def verify_weak_records_loop(hs: HistorySet, psi: StateVector, rs: RecordSet) ->
         row = np.real((r.entries @ psi.amplitudes).conj() @ b)
         row[beta] -= ep[beta]
         worst = max(worst, float(np.abs(row).max()))
-    return RecordCheckReport(worst)
+    return worst
 
 
 def greedy_merge_loop(functional: np.ndarray, target_tol: float) -> GreedySearchResult:

@@ -154,12 +154,12 @@ def test_criterion_5_records_iff_decoherence():
         ok = True
         for _ in range(100):
             psi, hs = decoherent_fixture(rng)
-            rs = construct_records(hs, psi)
-            ok &= verify_strong_records(hs, psi, rs).max_defect <= 1e-9
+            report = decoherence_functional(hs, psi)
+            ok &= verify_strong_records(report, construct_records(report)) <= 1e-9
         for _ in range(100):
             psi, hs = non_decoherent_fixture(rng)     # max off-diag >= 1e-3
             try:
-                construct_records(hs, psi)
+                construct_records(decoherence_functional(hs, psi))
                 ok = False
             except NotDecoherent:
                 pass

@@ -16,6 +16,7 @@ from ephist import (
     DEFAULT_DEC_TOL,
     ModelDocument,
     NotDecoherent,
+    branch_matrix,
     build_history_set,
     build_state,
     construct_records,
@@ -148,6 +149,24 @@ def test_records_refuses_non_decoherent(tmp_path):
     mags = [o["magnitude"] for o in err["offenders"]]
     assert mags and mags == sorted(mags, reverse=True)
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("model, status", [("recorded.model", 0), ("threebox.model", 4)])
+def test_records_builds_one_branch_matrix(tmp_path, monkeypatch, model, status):
+    """Deciding, building the records and the three checks read the branches
+    of one report: a run that succeeds and a run refused as not decoherent
+    each build the branch matrix once, counted in every module that holds it."""
+    calls = []
+
+    def counted(hs, psi):
+        calls.append(hs)
+        return branch_matrix(hs, psi)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ephist.") and vars(module).get("branch_matrix") is branch_matrix:
+            monkeypatch.setattr(module, "branch_matrix", counted)
+    assert run(tmp_path, "o", "records", "--model", str(MODELS / model))[0] == status
+    assert len(calls) == 1
 
 
 def test_coarsen_named_partition(tmp_path):
@@ -812,7 +831,7 @@ def test_decohere_large_model_matches_generic_route(tmp_path):
     status, out = run(tmp_path, "r", "records", "--model", str(model))
     assert status == 4
     with pytest.raises(NotDecoherent) as exc:
-        construct_records(hs, psi)
+        construct_records(report)
     loop = offdiagonal_offenders_loop(report.functional, DEFAULT_DEC_TOL)
     assert len(loop) > 10_000 and offender_pairs(exc.value.offenders) == loop
     error = dump_json({"command": "records", **not_decoherent_payload(exc.value)})

@@ -214,7 +214,7 @@ def test_product_records(rng):
     f1 = decoherent_fixture(rng, d=3, k=2)
     f2 = decoherent_fixture(rng, d=3, k=2)
     cs = CompositeSystem((f1, f2))
-    sets = [construct_records(hs, psi) for psi, hs in cs.factors]
+    sets = [construct_records(decoherence_functional(hs, psi)) for psi, hs in cs.factors]
     joint_records = product_records(cs, sets)
 
     assert joint_records.size == cs.joint_count
@@ -251,6 +251,6 @@ def test_product_records_validation(rng):
     f1 = decoherent_fixture(rng, d=3, k=2)
     f2 = decoherent_fixture(rng, d=3, k=2)
     cs = CompositeSystem((f1, f2))
-    rs1 = construct_records(f1[1], f1[0])
+    rs1 = construct_records(decoherence_functional(f1[1], f1[0]))
     with pytest.raises(DimensionMismatch):
         product_records(cs, [rs1])

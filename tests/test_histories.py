@@ -247,7 +247,7 @@ def test_readings_are_derived_once_on_first_use(monkeypatch):
     monkeypatch.setattr(ephist.histories, "dec_measure", counted)
     psi, hs = random_model(np.random.default_rng(9))
     report = decoherence_functional(hs, psi)
-    assert calls == [] and set(vars(report)) == {"branches", "ep_probs", "tolerance"}
+    assert calls == [] and set(vars(report)) == {"history_set", "psi", "tolerance", "branches"}
     dh = report.dh_probs
     assert report.dh_probs is dh and not dh.flags.writeable
     assert isinstance(report.medium_decoherent, bool)
@@ -333,20 +333,26 @@ def test_functional_has_the_eager_bytes_at_m_2048_with_zero_branches():
 
 
 def test_report_keeps_the_functional_it_was_given():
-    """decoherence_functional's frozen branch matrix is the report's, and a
-    second report keeps it without a copy; the functional the report builds
-    is one frozen buffer, kept by the report and by HermitianOperator."""
+    """The functional the report builds is one frozen buffer, kept by the
+    report and by HermitianOperator."""
     psi, hs = random_model(np.random.default_rng(5))
     report = decoherence_functional(hs, psi)
-    branches = report.branches
-    assert not branches.flags.writeable and branches.base is None
-    rebuilt = DecoherenceReport(branches, report.ep_probs, report.tolerance)
-    assert rebuilt.branches is branches
-    assert rebuilt.ep_probs is report.ep_probs
     functional = report.functional
     assert not functional.flags.writeable and functional.base is None
     assert report.functional is functional
     assert HermitianOperator(functional).entries is functional
+
+
+def test_report_builds_its_branches_once_read_only():
+    """The report's branch matrix is built with the report, owns its data,
+    cannot be written and has branch_matrix's bytes."""
+    psi, hs = random_model(np.random.default_rng(5))
+    report = decoherence_functional(hs, psi)
+    assert "branches" in vars(report)
+    branches = report.branches
+    assert report.branches is branches
+    assert not branches.flags.writeable and branches.base is None
+    assert branches.tobytes() == branch_matrix(hs, psi).tobytes()
 
 
 def _writable(x):
@@ -366,9 +372,8 @@ def _read_only_fortran(x):
 
 
 @pytest.mark.parametrize("handed", [_writable, _read_only_view, _read_only_fortran])
-@pytest.mark.parametrize("keep", [lambda a: HermitianOperator(a).entries,
-                                  lambda a: DecoherenceReport(a, [1.0], 0.0).branches],
-                         ids=["HermitianOperator", "DecoherenceReport"])
+@pytest.mark.parametrize("keep", [lambda a: HermitianOperator(a).entries],
+                         ids=["HermitianOperator"])
 def test_arrays_a_caller_can_still_write_are_copied(handed, keep):
     """A writable array, a view of one and a Fortran-order array are copied:
     writing through what the caller holds afterwards changes nothing."""
@@ -408,6 +413,15 @@ def test_decoherence_functional_rejects_bad_tolerance(rng, tol):
         decoherence_functional(hs, psi, tol=tol)
     assert exc.value.name == "tolerance"
     assert exc.value.exit_status == 3
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+def test_report_rejects_bad_tolerance_when_built(rng, tol):
+    """A report built directly checks its tolerance as decoherence_functional does."""
+    psi, hs = diagonal_fixture(rng)
+    with pytest.raises(InvariantViolation) as exc:
+        DecoherenceReport(hs, psi, tol)
+    assert exc.value.name == "tolerance"
 
 
 def test_offenders_sorted_and_thresholded(rng):

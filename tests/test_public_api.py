@@ -27,7 +27,7 @@ REMOVED = (
     "joint_extended_probability", "merge_slot_alternatives", "slot_partition",
     "cylinder_history_set", "cylinder_partition", "identity_partition", "total_partition",
     "FINE_CAP", "serialize_model", "integrate_density", "interference_integral",
-    "AllBranchesZero", "JOINT_DIM_CAP",
+    "AllBranchesZero", "JOINT_DIM_CAP", "RecordCheckReport",
 )
 
 
@@ -158,7 +158,7 @@ def test_engine_reports_hold_only_what_they_cannot_derive():
     """Every other reading of the three engine reports is a property."""
     fields = {name: tuple(f.name for f in dataclasses.fields(getattr(ephist, name)))
               for name in ("DecoherenceReport", "CorrelationReport", "ProductRuleReport")}
-    assert fields == {"DecoherenceReport": ("branches", "ep_probs", "tolerance"),
+    assert fields == {"DecoherenceReport": ("history_set", "psi", "tolerance"),
                       "CorrelationReport": ("record_probs", "ep_probs", "epsilon"),
                       "ProductRuleReport": ("joint_ep", "factor_ep_product")}
 

@@ -57,9 +57,10 @@ MODELS = Path(__file__).resolve().parent.parent / "models"
 def test_construct_on_decoherent_fixture(seed):
     rng = np.random.default_rng(seed)
     psi, hs = decoherent_fixture(rng)
-    rs = construct_records(hs, psi)
-    assert verify_strong_records(hs, psi, rs).max_defect <= 1e-10
-    assert verify_weak_records(hs, psi, rs).max_defect <= 1e-10
+    report = decoherence_functional(hs, psi)
+    rs = construct_records(report)
+    assert verify_strong_records(report, rs) <= 1e-10
+    assert verify_weak_records(report, rs) <= 1e-10
     assert validate_projector_set(rs.members).passes
     assert rs.size == hs.size
     assert rs.time == max(hs.times) + 1.0
@@ -79,7 +80,7 @@ def test_record_set_is_a_projector_set():
 
 def test_record_labels_follow_histories(rng):
     psi, hs = decoherent_fixture(rng, d=4, k=2)
-    rs = construct_records(hs, psi)
+    rs = construct_records(decoherence_functional(hs, psi))
     labels = [history_label(hs, unflatten_index(f, hs.shape)) for f in range(hs.size)]
     assert [r.label for r in rs.members] == labels == list(hs.history_labels())
 
@@ -87,7 +88,7 @@ def test_record_labels_follow_histories(rng):
 def test_record_probabilities_match_ep(rng):
     # <psi|R_a|psi> = p(a): the record reads out the history's probability
     psi, hs = decoherent_fixture(rng)
-    rs = construct_records(hs, psi)
+    rs = construct_records(decoherence_functional(hs, psi))
     ep = all_extended_probabilities(hs, psi)
     rec = [np.vdot(psi.amplitudes, r.entries @ psi.amplitudes).real for r in rs.members]
     assert np.abs(np.array(rec) - ep).max() < 1e-12
@@ -99,7 +100,7 @@ def test_non_decoherent_raises(seed):
     rng = np.random.default_rng(seed)
     psi, hs = non_decoherent_fixture(rng, threshold=1e-3)
     with pytest.raises(NotDecoherent) as exc:
-        construct_records(hs, psi)
+        construct_records(decoherence_functional(hs, psi))
     err = exc.value
     assert err.exit_status == 4
     mags = [m for _, m in offender_pairs(err.offenders)]
@@ -117,7 +118,7 @@ def _assert_one_decision(hs, psi, tol):
     if offenders:
         assert report.max_offdiagonal == offenders[0][1]
     try:
-        construct_records(hs, psi, tol)
+        construct_records(decoherence_functional(hs, psi, tol))
     except NotDecoherent as err:
         assert offenders and offender_pairs(err.offenders) == offenders
     except InvariantViolation:   # dependent branches, found only past the decision
@@ -164,7 +165,7 @@ def test_records_name_offenders_at_the_boundary():
     psi, hs = random_model(np.random.default_rng(3), d_max=6, n_max=2)
     tol = 3.9145052677475075e-17
     with pytest.raises(NotDecoherent) as exc:
-        construct_records(hs, psi, tol)
+        construct_records(decoherence_functional(hs, psi, tol))
     assert offender_pairs(exc.value.offenders) == [((0, 5), float(np.nextafter(tol, 1.0)))]
     _assert_one_decision(hs, psi, tol)
 
@@ -193,7 +194,8 @@ def test_strong_records_imply_decoherence(rng):
     while True:
         psi, hs = _balanced_non_decoherent(rng)
         d = hs.dim
-        max_off = decoherence_functional(hs, psi).max_offdiagonal
+        report = decoherence_functional(hs, psi)
+        max_off = report.max_offdiagonal
         if max_off >= 1e-2:
             break
 
@@ -206,7 +208,7 @@ def test_strong_records_imply_decoherence(rng):
         mats[k] = np.outer(q[:, j], q[:, j].conj())
     mats[keep[0]] = mats[keep[0]] + np.eye(d) - q @ q.conj().T
     rs = RecordSet(tuple(Projector(m) for m in mats), time=3.0, completion_index=keep[0])
-    assert verify_strong_records(hs, psi, rs).max_defect >= max_off / 2 - 1e-12
+    assert verify_strong_records(report, rs) >= max_off / 2 - 1e-12
 
     # candidate 2: a complete set unrelated to the branches
     rng2 = np.random.default_rng(1)
@@ -217,18 +219,19 @@ def test_strong_records_imply_decoherence(rng):
     first = sum(mats2[: extra + 1])
     rs2 = RecordSet(tuple(Projector(m) for m in [first] + mats2[extra + 1:]),
                     time=3.0, completion_index=0)
-    assert verify_strong_records(hs, psi, rs2).max_defect >= max_off / 2 - 1e-12
+    assert verify_strong_records(report, rs2) >= max_off / 2 - 1e-12
 
 
 def test_correlation_report_flags_perturbed_records(rng):
     psi, hs = decoherent_fixture(rng, d=5, k=3)
-    rs = construct_records(hs, psi)
-    good = record_correlation_report(hs, psi, rs)
+    report = decoherence_functional(hs, psi)
+    rs = construct_records(report)
+    good = record_correlation_report(report, rs)
     assert good.max_defect < 1e-12
     assert good.max_defect < DEFAULT_DEC_TOL
     # same records read against a different state: correlation is broken
     other = random_state(rng, hs.dim)
-    report = record_correlation_report(hs, other, rs)
+    report = record_correlation_report(decoherence_functional(hs, other), rs)
     assert report.max_defect > 1e-3
 
 
@@ -239,8 +242,8 @@ def test_negative_ep_only_recorded_within_epsilon():
     from ephist import build_history_set, build_state, load_model
     doc = load_model("models/recorded.model")
     hs, psi = build_history_set(doc), build_state(doc)
-    rs = construct_records(hs, psi)
-    report = record_correlation_report(hs, psi, rs, epsilon=1e-10)
+    decoherence = decoherence_functional(hs, psi, 1e-10)
+    report = record_correlation_report(decoherence, construct_records(decoherence))
     assert report.max_defect < 1e-10
     for flat, ok in report.negative_bound_ok:
         assert ok
@@ -266,6 +269,15 @@ def test_correlation_readings_follow_from_its_data(pairs, epsilon):
     assert all(type(i) is int for i, _ in report.negative_bound_ok)
 
 
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), -float("inf"), -1.0])
+def test_correlation_report_rejects_a_bad_epsilon(epsilon):
+    """With epsilon = inf an EP of -0.5 read as epsilon-recorded; NaN and
+    negatives were kept silently."""
+    with pytest.raises(InvariantViolation) as exc:
+        CorrelationReport(np.array([-0.5]), np.array([-0.5]), epsilon)
+    assert exc.value.name == "tolerance" and exc.value.exit_status == 3
+
+
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
 def test_some_branch_carries_the_state(seed):
@@ -282,13 +294,14 @@ def test_record_checks_reject_a_record_set_of_another_model(check):
     """records of recorded.model (4 histories, d=3) against threebox.model (6,
     d=3), and against a d=2 model with 4 histories."""
     recorded = load_model(str(MODELS / "recorded.model"))
-    rs = construct_records(build_history_set(recorded), build_state(recorded))
+    rs = construct_records(decoherence_functional(build_history_set(recorded),
+                                                  build_state(recorded)))
     box = load_model(str(MODELS / "threebox.model"))
     with pytest.raises(DimensionMismatch, match="4 records for 6 histories"):
-        check(build_history_set(box), build_state(box), rs)
+        check(decoherence_functional(build_history_set(box), build_state(box)), rs)
     qubit = HistorySet(tuple(projector_set_from_basis(np.eye(2), float(t)) for t in (1, 2)))
     with pytest.raises(DimensionMismatch, match="record dim 3 vs history-set dim 2"):
-        check(qubit, StateVector(np.eye(2)[0]), rs)
+        check(decoherence_functional(qubit, StateVector(np.eye(2)[0])), rs)
 
 
 def test_construct_tolerance_is_respected(rng):
@@ -302,11 +315,11 @@ def test_construct_tolerance_is_respected(rng):
         if max_off >= 1e-3:
             break
 
-    rs = construct_records(hs, psi, tol=10.0)
-    defect = verify_strong_records(hs, psi, rs).max_defect
+    permissive = decoherence_functional(hs, psi, tol=10.0)
+    defect = verify_strong_records(permissive, construct_records(permissive))
     assert defect >= max_off / 2 - 1e-12
     with pytest.raises(NotDecoherent):
-        construct_records(hs, psi, tol=1e-8)
+        construct_records(decoherence_functional(hs, psi, tol=1e-8))
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
@@ -315,13 +328,13 @@ def test_construct_rejects_bad_tolerance(rng, tol):
     leaving NotDecoherent nothing to report."""
     for psi, hs in (decoherent_fixture(rng), non_decoherent_fixture(rng)):
         with pytest.raises(InvariantViolation) as exc:
-            construct_records(hs, psi, tol=tol)
+            construct_records(decoherence_functional(hs, psi, tol=tol))
         assert exc.value.name == "tolerance"
 
 
 def test_completion_absorbs_leftover_dimensions(rng):
     psi, hs = decoherent_fixture(rng, d=6, k=2)
-    rs = construct_records(hs, psi)
+    rs = construct_records(decoherence_functional(hs, psi))
     total = sum(r.entries for r in rs.members)
     assert np.abs(total - np.eye(hs.dim)).max() < 1e-12
     assert rs.completion_index == min(
@@ -341,7 +354,7 @@ def test_record_checks_skipping_zero_records_match_loops(seed, fixture, shuffle,
         psi, hs = diagonal_fixture(rng, d=int(rng.integers(3, 7)))
     else:
         psi, hs = decoherent_fixture(rng)
-    rs = construct_records(hs, psi)
+    rs = construct_records(decoherence_functional(hs, psi))
     assert any(not r.entries.any() for r in rs.members)
     if shuffle:
         rs = RecordSet(tuple(rs.members[i] for i in rng.permutation(rs.size)),
@@ -350,7 +363,7 @@ def test_record_checks_skipping_zero_records_match_loops(seed, fixture, shuffle,
         psi = random_state(rng, hs.dim)
     for fast, slow in ((verify_strong_records, verify_strong_records_loop),
                        (verify_weak_records, verify_weak_records_loop)):
-        assert repr(fast(hs, psi, rs).max_defect) == repr(slow(hs, psi, rs).max_defect)
+        assert repr(fast(decoherence_functional(hs, psi), rs)) == repr(slow(hs, psi, rs))
 
 
 def test_records_at_the_history_cap(rng):
@@ -372,10 +385,11 @@ def test_records_at_the_history_cap(rng):
     assert hs.size == M_CAP
     live = {flatten_index([o[k] for o in owner], hs.shape) for k in range(d)}
 
-    rs = construct_records(hs, psi)
-    assert verify_strong_records(hs, psi, rs).max_defect <= DEFAULT_DEC_TOL
-    assert verify_weak_records(hs, psi, rs).max_defect <= DEFAULT_DEC_TOL
-    assert record_correlation_report(hs, psi, rs).max_defect < DEFAULT_DEC_TOL
+    report = decoherence_functional(hs, psi)
+    rs = construct_records(report)
+    assert verify_strong_records(report, rs) <= DEFAULT_DEC_TOL
+    assert verify_weak_records(report, rs) <= DEFAULT_DEC_TOL
+    assert record_correlation_report(report, rs).max_defect < DEFAULT_DEC_TOL
     assert validate_projector_set(rs).passes
     ranks = [r.rank for r in rs.members]
     assert sum(ranks) == d
@@ -398,7 +412,7 @@ def test_construct_records_peak_memory():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        rs = construct_records(hs, psi)
+        rs = construct_records(decoherence_functional(hs, psi))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
