@@ -23,12 +23,7 @@ import numpy as np
 
 from . import __version__
 from .errors import EngineError, InvariantViolation
-from .histories import (
-    DEFAULT_DEC_TOL,
-    _check_tolerance,
-    decoherence_functional,
-    dec_measure,
-)
+from .histories import DEFAULT_DEC_TOL, decoherence_functional, dec_measure
 from .records import (
     construct_records,
     record_correlation_report,
@@ -182,10 +177,11 @@ def _require_model(args):
     return load_model(args.model)
 
 
-def _history_model(args):
-    """(document, history set, state) of --model; slots are built before the state."""
+def _report(args):
+    """(document, its report at --tol or the engine default); slots before the state."""
     doc = _require_model(args)
-    return doc, build_history_set(doc), build_state(doc)
+    hs, psi = build_history_set(doc), build_state(doc)
+    return doc, decoherence_functional(hs, psi, DEFAULT_DEC_TOL if args.tol is None else args.tol)
 
 
 def _resolve_partition(doc, text: str, fine_count: int) -> Partition:
@@ -198,19 +194,14 @@ def _resolve_partition(doc, text: str, fine_count: int) -> Partition:
     return Partition(fine_count, named[text])
 
 
-def _tol(args, default: float = DEFAULT_DEC_TOL) -> float:
-    return default if args.tol is None else _check_tolerance(args.tol)
-
-
 def _negative_sum(values: np.ndarray) -> float:
     """Sum of the strictly negative entries (<= 0)."""
     return float(values[values < 0.0].sum())
 
 
 def _cmd_eval(args, out: _OutDir):
-    _, hs, psi = _history_model(args)
-    report = decoherence_functional(hs, psi)
-    ep, dh = report.ep_probs, report.dh_probs
+    _, report = _report(args)
+    hs, ep, dh = report.history_set, report.ep_probs, report.dh_probs
     rows = [(flat, label, ep[flat], dh[flat], dh[flat] - ep[flat])
             for flat, label in enumerate(hs.history_labels())]
     out.write("histories.csv", _csv(("flat", "label", "ep", "dh", "dh_minus_ep"), rows))
@@ -226,8 +217,7 @@ def _cmd_eval(args, out: _OutDir):
 
 
 def _cmd_decohere(args, out: _OutDir):
-    _, hs, psi = _history_model(args)
-    report = decoherence_functional(hs, psi, tol=_tol(args))
+    _, report = _report(args)
     out.write("functional.csv", _functional_csv(report.functional))
     out.write("decoherence.json", _json_chunks({
         "dec": report.dec,
@@ -242,8 +232,7 @@ def _cmd_decohere(args, out: _OutDir):
 
 
 def _cmd_records(args, out: _OutDir):
-    _, hs, psi = _history_model(args)
-    report = decoherence_functional(hs, psi, tol=_tol(args))
+    _, report = _report(args)
     rs = construct_records(report)
     corr = record_correlation_report(report, rs)
     out.write("records.json", _json_chunks({
@@ -263,10 +252,9 @@ def _cmd_records(args, out: _OutDir):
 
 
 def _cmd_coarsen(args, out: _OutDir):
-    doc, hs, psi = _history_model(args)
-    fine = decoherence_functional(hs, psi, tol=_tol(args))
+    doc, fine = _report(args)
     if args.partition:
-        part = _resolve_partition(doc, args.partition, hs.size)
+        part = _resolve_partition(doc, args.partition, fine.history_set.size)
         coarse_dec = dec_measure(coarse_decoherence_functional(fine.functional, part))
         coarse_ep = class_sums(fine.ep_probs, part)
         out.write("coarsen.json", _json_chunks({
@@ -281,7 +269,7 @@ def _cmd_coarsen(args, out: _OutDir):
             "dec_monotone": bool(coarse_dec <= fine.dec + 1e-12),
         }))
     else:
-        result = greedy_merge_functional(fine.functional, target_tol=_tol(args))
+        result = greedy_merge_functional(fine.functional, target_tol=fine.tolerance)
         out.write("greedy.json", _json_chunks({
             "classes": result.partition.classes,
             "dec": result.dec,
@@ -335,7 +323,7 @@ def _cmd_twoslit(args, out: _OutDir):
     if args.bins is not None:
         cfg = TwoSlitConfig(bins=args.bins)
     else:
-        cfg = default_config(k_delta=5.0 if args.k_delta is None else args.k_delta)
+        cfg = default_config() if args.k_delta is None else default_config(args.k_delta)
     upper, lower = binned_extended_probabilities(cfg)
     edges = cfg.bin_edges()
     out.write("bins.csv", _csv(
@@ -374,7 +362,7 @@ def _cmd_twoslit(args, out: _OutDir):
 
 
 def _cmd_threebox(args, out: _OutDir):
-    report = three_box_report(tol=_tol(args, default=1e-10))
+    report = three_box_report() if args.tol is None else three_box_report(args.tol)
     out.write("threebox.json", _json_chunks({
         "fine_ep": report.fine_eps,
         "fine_dec": report.fine_dec,

@@ -14,8 +14,8 @@ D(a, b) = <psi_a|psi_b> measures the interference between branches.
 A DecoherenceReport holds one history set, one state and one tolerance,
 and derives the rest: it builds the d x m branch matrix once, when it is
 made, and the m x m functional only when first read. Its offenders scan
-the functional if it is built, else a temporary Gram matrix, so deciding
-whether a set decoheres keeps no m x m array.
+row bands of b^dag b from the branches, so deciding whether a set
+decoheres builds no m x m array, whether or not the functional is built.
 
 Histories are numbered by one flat index, with the EARLIEST time
 varying fastest: history (a1, a2, a3, ...) of slots sized (s1, s2, ...)
@@ -40,6 +40,7 @@ __all__ = ["DEFAULT_DEC_TOL", "M_CAP", "DecoherenceReport", "HistorySet",
 
 DEFAULT_DEC_TOL = 1e-8   # off-diagonal |D| threshold for medium decoherence
 M_CAP = 4096             # history-count guard against exponential blowup
+_BAND_CELLS = 1 << 16    # b^dag b cells per band of the offender scan: 1 MiB
 
 
 @dataclass(frozen=True)
@@ -170,12 +171,21 @@ class DecoherenceReport:
 
     @cached_property
     def offenders(self) -> np.recarray:
-        """On the functional once it is built, else on a temporary b^dag b, so no
-        second m x m array is built beside the functional. Their upper
-        triangles agree up to the sign of a zero, which np.abs ignores."""
-        functional = vars(self).get("functional")
-        return offdiagonal_offenders(self.branches.conj().T @ self.branches
-                                     if functional is None else functional, self.tolerance)
+        """offdiagonal_offenders of b^dag b in bands b[:, r:r+R]^dag b[:, r:] of at
+        most _BAND_CELLS cells, r and R multiples of 16: such a band has the bits
+        of its slice of the full product (one from another row need not). One
+        stable sort by magnitude keeps ties in row-major order."""
+        b, m = self.branches, self.branches.shape[1]
+        rows = max(16, _BAND_CELLS // m // 16 * 16)
+        bands = []
+        for r in range(0, m, rows):
+            band = offdiagonal_offenders(b[:, r:r + rows].conj().T @ b[:, r:], self.tolerance)
+            band.alpha += r
+            band.beta += r
+            bands.append(band)
+        found = np.concatenate(bands).view(np.recarray)
+        del bands, band   # so the band records are freed before the sort
+        return found[np.argsort(-found.magnitude, kind="stable")]
 
     @property
     def medium_decoherent(self) -> bool:
@@ -197,7 +207,9 @@ def offdiagonal_offenders(functional: np.ndarray, tol: float) -> np.recarray:
     so the upper triangle of an exactly Hermitian functional decides it.
     Ties keep row-major order. Test emptiness with len(), not truth:
     numpy refuses the truth value of an array of any length but one.
+    The tolerance must be finite and non-negative (InvariantViolation).
     """
+    _check_tolerance(tol)
     mag = np.abs(functional)
     del functional   # a caller's temporary Gram matrix is freed before the scans
     a, b = np.nonzero(np.triu(mag > tol, 1))

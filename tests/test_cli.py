@@ -107,8 +107,9 @@ def test_decohere(tmp_path):
 
 def test_decohere_builds_no_second_gram_beside_the_functional(tmp_path, monkeypatch):
     """With functional.csv cut to its header line, decohere at m = 1024 peaks
-    under 2 functionals: the offenders are scanned on the functional it
-    holds (a second Gram matrix beside it peaked at 2.55)."""
+    under 2 functionals: beside the functional it holds, the offenders scan
+    row bands of b^dag b of at most 1 MiB (a second Gram matrix beside it
+    peaked at 2.55)."""
     import ephist.cli
     spec = perfbench_gen().make_model(np.random.default_rng(1024), 16, (16, 16, 4),
                                       hamiltonian=True)

@@ -1,4 +1,5 @@
 import tracemalloc
+from pathlib import Path
 
 import ephist.histories
 import numpy as np
@@ -17,8 +18,11 @@ from ephist import (
     ProjectorSet,
     all_extended_probabilities,
     branch_matrix,
+    build_history_set,
+    build_state,
     dec_measure,
     decoherence_functional,
+    load_model,
     offdiagonal_offenders,
 )
 from conftest import FLOAT_PARTS, diagonal_fixture, random_model, random_slot, random_state
@@ -299,9 +303,10 @@ def test_report_without_its_functional_holds_no_m_by_m_array():
 
 
 def test_offenders_read_after_the_functional_scan_it():
-    """Once the functional is built the offenders are scanned on it, with the
-    records a fresh report scans on its temporary Gram matrix, at a peak
-    under one functional (a second Gram beside it took 1.5)."""
+    """Offenders read after the functional is built are the records a fresh
+    report finds: both scan the same row bands of b^dag b, never the built
+    functional, at a peak under one functional (a second Gram beside it
+    took 1.5)."""
     psi, hs = _model_of_shape(np.random.default_rng(512), (8, 8, 8), d=8)
     fresh = decoherence_functional(hs, psi).offenders
     report = decoherence_functional(hs, psi)
@@ -309,6 +314,68 @@ def test_offenders_read_after_the_functional_scan_it():
     offenders, peak = _traced_peak(lambda: report.offenders)
     assert len(offenders) and offenders.tobytes() == fresh.tobytes()
     assert peak < FUNCTIONAL_512
+
+
+@pytest.mark.parametrize("d", [2, 16, 32])
+@pytest.mark.parametrize("m", [9, 384, 1000, 4096])
+def test_aligned_gram_bands_have_the_bits_of_the_full_product(m, d):
+    """The offender scan's premise, on the installed numpy and BLAS: a band
+    b[:, r:r+R]^dag b[:, r:] whose first row is a multiple of 16 has the bits
+    of its slice of b^dag b on and above the diagonal. Checked with the
+    report's R and with R = 16, short last bands included. (Bands from rows
+    that are not multiples of 4 were seen to differ in last bits.)"""
+    rng = np.random.default_rng(m * d)
+    b = rng.normal(size=(d, m)) + 1j * rng.normal(size=(d, m))
+    full = b.conj().T @ b
+    report_rows = max(16, ephist.histories._BAND_CELLS // m // 16 * 16)   # the report's R
+    for rows in sorted({16, report_rows}):
+        for r in range(0, m, rows):
+            band = b[:, r:r + rows].conj().T @ b[:, r:]
+            assert np.array_equal(np.triu(band).view(np.uint64),
+                                  np.triu(full[r:r + rows, r:]).view(np.uint64)), (rows, r)
+
+
+@pytest.mark.parametrize("shape", [(2, 5, 13), (8, 8, 6), (10, 10, 10), (10, 10, 15)])
+def test_offenders_are_the_scan_of_the_functional_in_either_read_order(shape):
+    """The banded offenders have the bytes offdiagonal_offenders gives on the
+    whole functional, at m = 130, 384, 1000 and 1500, whether the functional
+    was read before them or after."""
+    psi, hs = _model_of_shape(np.random.default_rng(sum(shape)), shape, d=16)
+    first = decoherence_functional(hs, psi)
+    offenders = first.offenders
+    assert "functional" not in vars(first)
+    later = decoherence_functional(hs, psi)
+    want = offdiagonal_offenders(later.functional, later.tolerance)
+    assert len(want) and isinstance(offenders, np.recarray) and offenders.dtype == want.dtype
+    assert offenders.tobytes() == later.offenders.tobytes() == want.tobytes()
+
+
+def test_offenders_keep_ties_in_row_major_order_across_bands(monkeypatch):
+    """qubit_a's x and y slots three times over (m = 64) give exactly tied
+    magnitudes; with 16-row bands the ties cross band boundaries, and the
+    one stable sort still lists them in row-major order."""
+    doc = load_model(Path(__file__).resolve().parent.parent / "models" / "qubit_a.model")
+    x, y = build_history_set(doc).slots
+    hs = HistorySet(tuple(ProjectorSet(s.members, time=float(t + 1))
+                          for t, s in enumerate((x, y) * 3)))
+    monkeypatch.setattr(ephist.histories, "_BAND_CELLS", 0)   # R = 16: four bands
+    report = decoherence_functional(hs, build_state(doc))
+    offenders = report.offenders
+    assert hs.size == 64
+    tied = [offenders.alpha[offenders.magnitude == mag] // 16
+            for mag in np.unique(offenders.magnitude)]
+    assert any(len(np.unique(bands)) > 1 for bands in tied)
+    assert offenders.tobytes() == offdiagonal_offenders(report.functional,
+                                                        report.tolerance).tobytes()
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1e-9])
+def test_offenders_reject_a_bad_tolerance(tol):
+    """NaN and inf tolerances would find no offender in a functional that
+    does not decohere; they raise, as a negative one does."""
+    with pytest.raises(InvariantViolation) as exc:
+        offdiagonal_offenders(np.array([[0.5, 0.5], [0.5, 0.5]]), tol)
+    assert exc.value.name == "tolerance" and exc.value.exit_status == 3
 
 
 def test_functional_peak_memory():

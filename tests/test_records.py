@@ -400,15 +400,12 @@ def test_records_at_the_history_cap(rng):
     assert not zero.flags.writeable and zero.dtype == np.complex128 and not zero.any()
 
 
-def test_construct_records_peak_memory():
-    """At m = 512 deciding holds the Gram matrix of the branches and its
-    modulus, 1.5 functionals, beside the branches and their conjugate; the
-    report's functional is never built, and the records cost less."""
-    d = 8
+def _standard_basis_records(d):
+    """(history set, records built from a fresh report, tracemalloc peak of
+    building both): three slots of the d standard-basis projectors."""
     members = tuple(Projector(np.diag(np.eye(d)[i]), label=f"e{i}") for i in range(d))
     hs = HistorySet(tuple(ProjectorSet(members, time=float(t + 1)) for t in range(3)))
-    psi = random_state(np.random.default_rng(512), d)
-    branch_bytes = branch_matrix(hs, psi).nbytes
+    psi = random_state(np.random.default_rng(d ** 3), d)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -416,5 +413,24 @@ def test_construct_records_peak_memory():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+    return hs, rs, peak
+
+
+def test_construct_records_peak_memory():
+    """At m = 512 deciding holds row bands of b^dag b, each within 1 MiB,
+    beside the branches and their conjugate; the report's functional is
+    never built, and the records cost less. (The bound is from when deciding
+    held a whole Gram matrix and its modulus, 1.5 functionals.)"""
+    hs, rs, peak = _standard_basis_records(8)
+    branch_bytes = hs.dim * hs.size * 16
     assert rs.size == hs.size == 512
     assert peak <= 1.5 * 512 * 512 * 16 + 2 * branch_bytes
+
+
+def test_construct_records_at_the_cap_builds_no_m_by_m_array():
+    """At m = 4096 deciding and building the records peak under 1/32 of one
+    functional: the offender scan holds one 1 MiB band of b^dag b at a time
+    (a whole Gram matrix and its modulus took 1.5 functionals)."""
+    hs, rs, peak = _standard_basis_records(16)
+    assert rs.size == hs.size == M_CAP
+    assert peak < M_CAP * M_CAP * 16 / 32
