@@ -301,6 +301,7 @@ def _cmd_composite(args, out: _OutDir):
 def _cmd_finegrained(args, out: _OutDir):
     doc = _require_model(args)
     dist = fundamental_distribution(build_finegrained(doc))
+    part = _resolve_partition(doc, args.partition, dist.size) if args.partition else None
     rows = [(flat, ";".join(str(b) for b in outcome), dist.values[flat])
             for flat, outcome in enumerate(dist.outcomes())]
     out.write("finegrained.csv", _csv(("flat", "outcome", "w"), rows))
@@ -312,8 +313,7 @@ def _cmd_finegrained(args, out: _OutDir):
         "max": float(dist.values.max()),
         "total_negative": _negative_sum(dist.values),
     }
-    if args.partition:
-        part = _resolve_partition(doc, args.partition, dist.size)
+    if part is not None:
         summary["class_sums"] = class_sums(dist.values, part)
         summary["classes"] = part.classes
     out.write("summary.json", _json_chunks(summary))

@@ -17,6 +17,7 @@ oracles, not here.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from math import inf, isqrt
 from typing import Sequence
@@ -36,15 +37,27 @@ __all__ = ["GreedySearchResult", "Partition", "class_sums", "coarse_decoherence_
            "group_slots", "partition_from_literal"]
 
 
+def _index(value, name: str) -> int:
+    """operator.index(value) of an integer that is not a bool, else InvariantViolation."""
+    try:
+        if not isinstance(value, (bool, np.bool_)):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise InvariantViolation(name, 1.0, f"{value!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class Partition:
-    """Disjoint non-empty classes covering {0, ..., fine_count - 1}."""
+    """Disjoint non-empty classes of ints covering {0, ..., fine_count - 1};
+    an index or fine_count that is a bool or no integer is refused, not truncated."""
 
     fine_count: int
     classes: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        classes = tuple(tuple(int(i) for i in c) for c in self.classes)
+        object.__setattr__(self, "fine_count", _index(self.fine_count, "integer-fine-count"))
+        classes = tuple(tuple(_index(i, "integer-class-index") for i in c) for c in self.classes)
         object.__setattr__(self, "classes", classes)
         seen: set[int] = set()
         for c in classes:
@@ -192,45 +205,9 @@ def _exact_cross(current: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarra
     return np.concatenate(out)
 
 
-# elements in one tile of the greedy search's set-up and cross updates
-# (1 MiB complex): large enough to amortize numpy's per-call cost
+# cells in one run of the greedy search's cross sums and updates (1 MiB
+# complex), in its twin buffers: enough to amortize numpy's per-call cost
 _TILE = 1 << 16
-
-
-def _fill_cross(z: np.ndarray, absval: np.ndarray, cross: np.ndarray) -> None:
-    """cross[a, b] = sum over l != a, b of |D_al + D_bl| for every a < b.
-
-    cross feeds only the approximate scores, which need only stay within
-    the search's slack of the exact ones; so it may be summed in any order
-    and built once per pair (it is symmetric). z is D with its diagonal
-    zeroed: its sum over every l counts l = a as |D_ba| and l = b as
-    |D_ab|, which are subtracted again. Every term is an off-diagonal
-    modulus, so the result is within a few eps times the off-diagonal
-    mass of the plain sum, far inside the slack. Tiles of a few rows a
-    against a run of rows b >= a and of l keep every temporary within
-    _TILE elements, whatever m is.
-    """
-    m = z.shape[0]
-    span = min(m, _TILE)
-    rows = max(1, min(8, isqrt(_TILE // span)))
-    run = _TILE // (rows * span)          # >= rows, so only a0 == b0 meets the diagonal
-    ctile, ftile = np.empty(_TILE, dtype=complex), np.empty(_TILE)
-    strict = np.triu(np.ones((rows, run), dtype=bool), 1)
-    for a0 in range(0, m, rows):
-        za = z[a0:a0 + rows, None]
-        for b0 in range(a0, m, run):
-            zb = z[None, b0:b0 + run]
-            block = 0.0
-            for l0 in range(0, m, span):
-                shape = (za.shape[0], zb.shape[1], min(span, m - l0))
-                size = shape[0] * shape[1] * shape[2]
-                terms = np.add(za[..., l0:l0 + span], zb[..., l0:l0 + span],
-                               out=ctile[:size].reshape(shape))
-                block = block + np.abs(terms, out=ftile[:size].reshape(shape)).sum(axis=2)
-            block -= absval[a0:a0 + rows, b0:b0 + run]
-            block -= absval[b0:b0 + run, a0:a0 + rows].T
-            np.copyto(cross[a0:a0 + rows, b0:b0 + run], block,
-                      where=strict[:block.shape[0], :block.shape[1]] if a0 == b0 else True)
 
 
 def _drop(src: np.ndarray, dst: np.ndarray, j: int) -> None:
@@ -246,11 +223,15 @@ class _GreedyState:
 
     Holds the merged functional D (k x k complex), |D| and the approximate
     merged cross terms cross[a, b] = sum over l != a, b of |D_al + D_bl|
-    (a < b; NaN on and below the diagonal). D lives in one of two flat
-    buffers, |D| and cross as two planes in one of two more, and each is
-    compacted into its twin at every merge. So every view is C-contiguous
-    k x k: |D| is np.abs of D cell for cell, and its sum() is the one
-    dec_measure takes of D, bit for bit.
+    (a < b; NaN on and below the diagonal). cross feeds only the
+    approximate scores, so it may be summed in any order: every term is an
+    off-diagonal modulus, so it stays within a few eps times the
+    off-diagonal mass of the plain sum, far inside the search's slack.
+    D lives in one of two flat buffers, |D| and cross as two planes in one
+    of two more, and each is compacted into its twin at every merge; the
+    twins also hold every temporary of the cross sums and updates. So
+    every view is C-contiguous k x k: |D| is np.abs of D cell for cell,
+    and its sum() is the one dec_measure takes of D, bit for bit.
     """
 
     def __init__(self, functional: np.ndarray):
@@ -267,14 +248,19 @@ class _GreedyState:
         # can overflow, and no score needs checking
         self._bounded = bool(total < np.finfo(float).max / 16)
         self._slack_unit = 128 * (m + 1) * np.finfo(float).eps
-        z = self._cbufs[1].reshape(m, m)
-        np.copyto(z, self.current)
-        np.fill_diagonal(z, 0.0)
         # the off-diagonal mass bounds every cross entry; it is summed on
-        # its own, since the diagonal's rounding can swamp it in dec
-        self._off_mass = float(np.abs(z, out=self._spare(m)[1]).sum())
+        # its own (in the cross plane), since the diagonal's rounding can
+        # swamp it in dec
+        np.copyto(self.cross, self.absval)
+        np.fill_diagonal(self.cross, 0.0)
+        self._off_mass = float(self.cross.sum())
+        # cross is symmetric, so each pair is summed once: a few rows a
+        # at a time against the b from their first a on
         self.cross.fill(np.nan)
-        _fill_cross(z, self.absval, self.cross)
+        rows = max(1, min(8, isqrt(_TILE // m)))
+        for a0 in range(0, m, rows):
+            for p, row in enumerate(self._cross(a0, min(a0 + rows, m), a0)):
+                self.cross[a0 + p, a0 + p + 1:] = row[p + 1:]
 
     def _views(self) -> None:
         k = self.k
@@ -282,9 +268,24 @@ class _GreedyState:
         self._planes = self._fbufs[0][:2 * k * k].reshape(2, k, k)
         self.absval, self.cross = self._planes
 
-    def _spare(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """k x k complex and float scratch in the twin buffers."""
-        return self._cbufs[1][:k * k].reshape(k, k), self._fbufs[1][:k * k].reshape(k, k)
+    def _cross(self, a0: int, a1: int, lo: int) -> np.ndarray:
+        """[a - a0, b - lo] = sum over l != a, b of |D_al + D_bl| for the rows
+        a0 <= a < a1 and every b >= lo (not meaningful at b = a). A run of
+        b at a time takes at most _TILE cells of D_a + D_b (one b at least)
+        and never more than k x k, so it fits in the twin buffers."""
+        k, current, rows = self.k, self.current, a1 - a0
+        sums = np.empty((rows, k - lo))
+        run = max(1, min(_TILE, k * k) // (rows * k))
+        for b0 in range(lo, k, run):
+            n = min(run, k - b0)
+            terms = np.add(current[a0:a1, None], current[None, b0:b0 + n],
+                           out=self._cbufs[1][:rows * n * k].reshape(rows, n, k))
+            mags = np.abs(terms, out=self._fbufs[1][:terms.size].reshape(terms.shape))
+            for p in range(rows):
+                mags[p, :, a0 + p] = 0.0                        # l = a
+            mags.reshape(rows, n * k)[:, b0::k + 1] = 0.0       # l = b
+            mags.sum(axis=2, out=sums[:, b0 - lo:b0 - lo + n])
+        return sums
 
     def scores(self) -> tuple[np.ndarray, float, np.ndarray]:
         """(s, slack, absrow). s[a, b] for a < b is half the approximate
@@ -293,7 +294,7 @@ class _GreedyState:
         exact score. absrow is the off-diagonal row sum of |D|."""
         absval = self.absval
         absrow = absval.sum(axis=1) - absval.diagonal()
-        s = self._spare(self.k)[1]
+        s = self._fbufs[1][:self.k ** 2].reshape(self.k, self.k)
         # dec + 2 (cross - old cross) - 2 |D_ab|, with the old cross terms
         # (absrow_a - |D_ab|) + (absrow_b - |D_ba|) expanded
         np.add(self.cross, absval.T, out=s)
@@ -360,15 +361,10 @@ class _GreedyState:
         self.k = k = k - 1
         self._views()
 
-        current, absval, cross = self.current, self.absval, self.cross
-        terms, mags = self._spare(k)
-        np.abs(np.add(current[i], current, out=terms), out=mags)
-        mags[:, i] = 0.0
-        mags.ravel()[::k + 1] = 0.0
-        row = mags.sum(axis=1)
-        cross[i, i + 1:] = row[i + 1:]
-        cross[:i, i] = row[:i]
-        self.dec = float(absval.sum() - np.trace(absval))   # dec_measure's sum
+        row = self._cross(i, i + 1, 0)[0]
+        self.cross[i, i + 1:] = row[i + 1:]
+        self.cross[:i, i] = row[:i]
+        self.dec = float(self.absval.sum() - np.trace(self.absval))   # dec_measure's sum
 
 
 def greedy_merge_functional(functional: np.ndarray, target_tol: float) -> GreedySearchResult:
@@ -383,17 +379,19 @@ def greedy_merge_functional(functional: np.ndarray, target_tol: float) -> Greedy
     Hermitian to TOL_HERM and small enough for its merge scores to stay
     finite (InvariantViolation).
 
-    Cost: an O(m^3) set-up builds cross[a, b] = sum over l != a, b of
-    |D_al + D_bl| for a < b, in tiles of fixed size, so no set-up
-    temporary grows with m. Each merge then does O(k^2) numpy work for k
-    current classes, in buffers allocated once: it scores every pair with
-    whole-matrix operations on cross and on |D|, which it keeps up to
-    date; it updates row and column i of D and |D| and the three changed
-    terms of cross; and it compacts each array into its twin buffer. The
-    cheap scores lie within a rounding bound of the exact ones, so the
-    pairs that close to the best hold the first exact minimum: a lone one
-    is it, and several are scored again term by term. So the chosen pair
-    and every float are the ones a full rescan of all pairs gives.
+    Cost: four buffers of 64 m^2 bytes in all, allocated once, hold D,
+    |D|, cross and every temporary of the cross sums. An O(m^3) set-up
+    builds cross[a, b] = sum over l != a, b of |D_al + D_bl| for a < b,
+    with the routine that rebuilds row i of cross at each merge. Each
+    merge does O(k^2) numpy work for k current classes: it scores every
+    pair with whole-matrix operations on cross and on |D|, which it keeps
+    up to date; it updates row and column i of D and |D| and the three
+    changed terms of cross; and it compacts each array into its twin
+    buffer. The cheap scores lie within a rounding bound of the exact
+    ones, so the pairs that close to the best hold the first exact
+    minimum: a lone one is it, and several are scored again term by term.
+    So the chosen pair and every float are the ones a full rescan of all
+    pairs gives.
     """
     if not -inf < target_tol < inf:
         raise InvariantViolation("tolerance", target_tol, "greedy target must be finite")

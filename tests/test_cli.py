@@ -271,6 +271,16 @@ def test_finegrained_with_partition(tmp_path):
     assert lines[1].startswith("0,0;0,")
 
 
+def test_finegrained_with_a_failing_partition_writes_only_the_error(tmp_path):
+    """The threebox 'sector' classes cover 6 of the 9 fine outcomes: the run
+    fails before its first artifact, so error.json is all it leaves."""
+    status, out = run(tmp_path, "o", "finegrained",
+                      "--model", str(MODELS / "threebox.model"), "--partition", "sector")
+    assert status == 3
+    assert [p.name for p in out.iterdir()] == ["error.json"]
+    assert load(out, "error.json")["invariant"] == "covering-classes"
+
+
 def test_twoslit_default(tmp_path):
     status, out = run(tmp_path, "o", "twoslit")
     assert status == 0

@@ -44,7 +44,7 @@ from ephist import (
     three_box_report,
 )
 from ephist import coarsegrain
-from ephist.coarsegrain import _fill_cross, _GreedyState
+from ephist.coarsegrain import _GreedyState
 from oracles import (
     _cross_row,
     _exact_cross,
@@ -68,6 +68,10 @@ def test_partition_basic():
     p = Partition(4, ((0, 2), (1,), (3,)))
     assert p.size == 3
     assert list(p.class_of()) == [0, 1, 0, 2]
+    # numpy integers, as group_slots passes them, are read as Python ints
+    p = Partition(np.int64(3), (np.array([0, 2]), np.array([1], dtype=np.int32)))
+    assert p.classes == ((0, 2), (1,))
+    assert all(type(i) is int for i in (p.fine_count, *p.classes[0], *p.classes[1]))
 
 
 @pytest.mark.parametrize("classes", [
@@ -79,6 +83,25 @@ def test_partition_basic():
 def test_partition_rejects_bad_classes(classes):
     with pytest.raises(InvariantViolation):
         Partition(3, classes)
+
+
+@pytest.mark.parametrize("fine_count, classes, bad", [
+    (3, ((0.5,), (1,), (2,)), "0.5"),
+    (3, ((0,), (1,), (np.float64(2.7),)), "2.7"),
+    (3, ((0,), (1,), ("2",)), "'2'"),
+    (3, ((0,), (True,), (2,)), "True"),
+    (3, ((0,), (np.bool_(True),), (2,)), "True"),
+    (3.0, ((0,), (1,), (2,)), "3.0"),
+], ids=["0.5", "2.7", "str", "True", "np.True_", "fine_count=3.0"])
+def test_partition_refuses_non_integers(fine_count, classes, bad):
+    """Indices and fine_count are read as integers, never truncated: a float,
+    a string or a bool fails the invariant (exit 3) at construction."""
+    with pytest.raises(InvariantViolation) as exc:
+        Partition(fine_count, classes)
+    assert exc.value.exit_status == 3
+    assert exc.value.name in ("integer-class-index", "integer-fine-count")
+    assert exc.value.magnitude == 1.0
+    assert bad in str(exc.value)
 
 
 def test_partition_literal():
@@ -594,26 +617,34 @@ def test_greedy_search_memory_is_bounded():
 
 
 @pytest.mark.parametrize("tile, m", [(2, 9), (50, 30), (700, 40), (1 << 16, 512)])
-def test_fill_cross_tiles(monkeypatch, tile, m):
-    """Whatever the tile (smaller than one row of l, or than one pair of
-    rows), the set-up's cross terms are the per-row ones to a few eps of
-    the off-diagonal mass. Its temporaries are the tile and numpy's
-    iterator buffers, whatever m is: the per-row route took 6 MiB at 512."""
+def test_cross_sums_in_any_tile(monkeypatch, tile, m):
+    """Whatever the tile (smaller than one pair of rows, a few rows, or the
+    default), the set-up's cross terms are the per-row ones to a few eps of
+    the total modulus, and NaN on and below the diagonal."""
     monkeypatch.setattr(coarsegrain, "_TILE", tile)
     functional = _rank_functional(m, 3, m)
-    z, absval, cross = functional.copy(), np.abs(functional), np.full((m, m), np.nan)
-    np.fill_diagonal(z, 0.0)
+    cross = _GreedyState(functional).cross
+    iu = np.triu_indices(m, 1)
+    expected = np.array([_cross_row(functional, a) for a in range(m)])
+    assert np.abs(cross[iu] - expected[iu]).max() <= (
+        64 * m * np.finfo(float).eps * np.abs(functional).sum())
+    assert np.isnan(cross[np.tril_indices(m)]).all()
+
+
+def test_greedy_setup_temporaries_live_in_its_buffers():
+    """The set-up at m = 512 peaks within 0.5 MiB of its four buffers (64 m^2
+    bytes): the cross sums run inside the twin buffers. Private tiles and
+    a zero-diagonal copy of D took it 1.75 MiB above."""
+    m = 512
+    functional = _rank_functional(m, 16, 0)
     tracemalloc.start()
     try:
-        _fill_cross(z, absval, cross)
+        state = _GreedyState(functional)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 * tile + 2**19
-    iu = np.triu_indices(m, 1)
-    expected = np.array([_cross_row(functional, a) for a in range(m)])
-    assert np.abs(cross[iu] - expected[iu]).max() <= 64 * m * np.finfo(float).eps * absval.sum()
-    assert np.isnan(cross[np.tril_indices(m)]).all()
+    assert state.m == m
+    assert peak <= 64 * m * m + 2**19
 
 
 # ----------------------------------------------------------------- enumeration
