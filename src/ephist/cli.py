@@ -93,31 +93,47 @@ def _csv(header: Sequence[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _functional_csv(functional: np.ndarray) -> Iterator[str]:
-    """_csv of the c0..c{m-1} header and the functional's rows, one row per chunk.
+def _upper_cells(row: np.ndarray) -> tuple[list[str], list[str]]:
+    """The format_complex text of each cell (i, j) of an upper row and of its mirror
+    cell (j, i), the same with the imaginary sign flipped."""
+    cells, mirrored = [], []
+    for re, im in zip(map(repr, row.real.tolist()), row.imag.tolist()):
+        if im == 0.0:
+            cells.append(re)
+            mirrored.append(re)
+        else:   # the signs format_complex gives im and -im; NaN prints "-" both ways
+            mag = repr(abs(im))
+            cells.append(f"{re}{'+' if im >= 0 else '-'}{mag}i")
+            mirrored.append(f"{re}{'+' if im < 0 else '-'}{mag}i")
+    return cells, mirrored
 
-    The report's functional is assembled exactly Hermitian, so cell
-    (j, i) has the real bits of cell (i, j) and the negated imaginary
-    part: only the upper triangle is formatted. Row i keeps the mirrored
-    text of its cell (i, j) for row j until row j is written.
+
+def _functional_csv(upper_rows: Iterable[np.ndarray]) -> Iterator[str]:
+    """_csv of the c0..c{m-1} header and an exactly Hermitian functional's rows,
+    one row per chunk, given its upper rows functional[i, i:] in order.
+
+    Cell (j, i) has the real bits of cell (i, j) and the negated imaginary
+    part, so only the upper cells are formatted. The rows are read 16 at a
+    time; a band of rows keeps the mirrored text of its cells in column j
+    below the band as one joined string until row j is written.
     """
-    m = functional.shape[0]
+    rows = iter(upper_rows)
+    first = next(rows)
+    m = len(first)
     yield ",".join(f"c{j}" for j in range(m)) + "\n"
-    pending = [[] for _ in range(m)]
-    for i in range(m):
-        row = functional[i, i:]
-        cells, mirrored = pending[i], []
-        pending[i] = None
-        for re, im in zip(map(repr, row.real.tolist()), row.imag.tolist()):
-            if im == 0.0:
-                cells.append(re)
-                mirrored.append(re)
-            else:   # the signs format_complex gives im and -im; NaN prints "-" both ways
-                mag = repr(abs(im))
-                cells.append(f"{re}{'+' if im >= 0 else '-'}{mag}i")
-                mirrored.append(f"{re}{'+' if im < 0 else '-'}{mag}i")
-        yield ",".join(cells) + "\n"
-        list(map(list.append, pending[i + 1:], mirrored[1:]))
+    pending = [[] for _ in range(m)]   # per column: one string per band above its row
+    rows = itertools.chain((first,), rows)
+    for r in range(0, m, 16):
+        tails = []   # the mirrored text of each row of the band, from its diagonal on
+        for k, row in enumerate(itertools.islice(rows, 16)):
+            cells, mirrored = _upper_cells(row)
+            above = [tail[k - j] for j, tail in enumerate(tails)]
+            yield ",".join(pending[r + k] + above + cells) + "\n"
+            pending[r + k] = None
+            tails.append(mirrored)
+        n = len(tails)
+        list(map(list.append, pending[r + n:],
+                 map(",".join, zip(*(tail[n - j:] for j, tail in enumerate(tails))))))
 
 
 _OFFENDER = '\n    {\n      "alpha": %d,\n      "beta": %d,\n      "magnitude": %r\n    }'
@@ -218,13 +234,14 @@ def _cmd_eval(args, out: _OutDir):
 
 def _cmd_decohere(args, out: _OutDir):
     _, report = _report(args)
-    out.write("functional.csv", _functional_csv(report.functional))
+    dec, max_offdiagonal = report.dec, report.max_offdiagonal   # |D| is freed before the text grows
+    out.write("functional.csv", _functional_csv(report.upper_rows()))
     out.write("decoherence.json", _json_chunks({
-        "dec": report.dec,
+        "dec": dec,
         "dh": report.dh_probs,
         "ep": report.ep_probs,
         "linearly_positive": report.linearly_positive,
-        "max_offdiagonal": report.max_offdiagonal,
+        "max_offdiagonal": max_offdiagonal,
         "medium_decoherent": report.medium_decoherent,
         "offenders": report.offenders,
         "tolerance": report.tolerance,

@@ -13,9 +13,13 @@ D(a, b) = <psi_a|psi_b> measures the interference between branches.
 
 A DecoherenceReport holds one history set, one state and one tolerance,
 and derives the rest: it builds the d x m branch matrix once, when it is
-made, and the m x m functional only when first read. Its offenders scan
-row bands of b^dag b from the branches, so deciding whether a set
-decoheres builds no m x m array, whether or not the functional is built.
+made, and the m x m functional only when first read. Its offenders, the
+float |D| that dec and max_offdiagonal read (np.abs of the functional if
+that is built) and the functional's upper rows, which a writer formats,
+come from row bands b[:, r:r+R]^dag b[:, r:] of the branches' Gram
+matrix, r and R multiples of 16: such a band has the bits of its slice
+of the full product. So deciding whether a set decoheres builds no m x m
+array, and dec and max_offdiagonal build no complex one.
 
 Histories are numbered by one flat index, with the EARLIEST time
 varying fastest: history (a1, a2, a3, ...) of slots sized (s1, s2, ...)
@@ -28,6 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from math import inf, prod
+from typing import Iterator
 
 import numpy as np
 
@@ -41,6 +46,7 @@ __all__ = ["DEFAULT_DEC_TOL", "M_CAP", "DecoherenceReport", "HistorySet",
 DEFAULT_DEC_TOL = 1e-8   # off-diagonal |D| threshold for medium decoherence
 M_CAP = 4096             # history-count guard against exponential blowup
 _BAND_CELLS = 1 << 16    # b^dag b cells per band of the offender scan: 1 MiB
+_ALIGN = 16              # band rows and first rows are multiples of this
 
 
 @dataclass(frozen=True)
@@ -155,15 +161,57 @@ class DecoherenceReport:
         functional.setflags(write=False)
         return functional
 
-    @cached_property
-    def dec(self) -> float:
-        return dec_measure(self.functional)
+    def _bands(self, rows: int) -> Iterator[tuple[int, np.ndarray]]:
+        """(r, b[:, r:r+rows]^dag b[:, r:]) for r = 0, rows, 2 rows, ...: with rows
+        a multiple of _ALIGN, each band has the bits of its slice of b^dag b on
+        and above the diagonal (a band from a row that is not a multiple of 4
+        need not)."""
+        b = self.branches
+        for r in range(0, b.shape[1], rows):
+            yield r, b[:, r:r + rows].conj().T @ b[:, r:]
+
+    def upper_rows(self) -> Iterator[np.ndarray]:
+        """functional[i, i:] for i = 0, 1, ..., m - 1, with its bits, computed
+        16 rows at a time: the functional is never built."""
+        for r, band in self._bands(_ALIGN):
+            band += 0.0   # as the functional's cells
+            np.fill_diagonal(band, self.dh_probs[r:r + _ALIGN])
+            for k, row in enumerate(band):
+                yield row[k:]
+
+    def _modulus(self) -> np.ndarray:
+        """np.abs(functional), with its bits: from the functional when it is
+        built, else from the upper rows, mirrored _ALIGN columns at a time
+        (np.abs(z) == np.abs(z.conj()))."""
+        if "functional" in vars(self):
+            return np.abs(self.functional)
+        m = self.branches.shape[1]
+        mag = np.empty((m, m))
+        for i, row in enumerate(self.upper_rows()):
+            np.abs(row, out=mag[i, i:])
+        for r in range(0, m, _ALIGN):
+            block = mag[r:r + _ALIGN, r:r + _ALIGN]
+            upper = np.triu_indices(len(block), 1)
+            block[upper[::-1]] = block[upper]
+            mag[r + _ALIGN:, r:r + _ALIGN] = mag[r:r + _ALIGN, r + _ALIGN:].T
+        return mag
 
     @cached_property
-    def max_offdiagonal(self) -> float:
-        mag = np.abs(self.functional)
+    def _offdiagonal(self) -> tuple[float, float]:
+        """(dec, max_offdiagonal) from one |D|, which is freed on return: the sum
+        is dec_measure's, and the maximum is taken with the diagonal set to 0.0."""
+        mag = self._modulus()
+        dec = float(mag.sum() - np.trace(mag))
         np.fill_diagonal(mag, 0.0)
-        return float(mag.max(initial=0.0))
+        return dec, float(mag.max(initial=0.0))
+
+    @property
+    def dec(self) -> float:
+        return self._offdiagonal[0]
+
+    @property
+    def max_offdiagonal(self) -> float:
+        return self._offdiagonal[1]
 
     @property
     def linearly_positive(self) -> bool:
@@ -171,20 +219,18 @@ class DecoherenceReport:
 
     @cached_property
     def offenders(self) -> np.recarray:
-        """offdiagonal_offenders of b^dag b in bands b[:, r:r+R]^dag b[:, r:] of at
-        most _BAND_CELLS cells, r and R multiples of 16: such a band has the bits
-        of its slice of the full product (one from another row need not). One
-        stable sort by magnitude keeps ties in row-major order."""
-        b, m = self.branches, self.branches.shape[1]
-        rows = max(16, _BAND_CELLS // m // 16 * 16)
+        """offdiagonal_offenders of each band of b^dag b, R rows of at most
+        _BAND_CELLS cells (R a multiple of _ALIGN), shifted to the band's rows.
+        One stable sort by magnitude keeps ties in row-major order."""
+        m = self.branches.shape[1]
         bands = []
-        for r in range(0, m, rows):
-            band = offdiagonal_offenders(b[:, r:r + rows].conj().T @ b[:, r:], self.tolerance)
+        for r, gram in self._bands(max(_ALIGN, _BAND_CELLS // m // _ALIGN * _ALIGN)):
+            band = offdiagonal_offenders(gram, self.tolerance)
             band.alpha += r
             band.beta += r
             bands.append(band)
         found = np.concatenate(bands).view(np.recarray)
-        del bands, band   # so the band records are freed before the sort
+        del bands, band, gram   # so the band records are freed before the sort
         return found[np.argsort(-found.magnitude, kind="stable")]
 
     @property

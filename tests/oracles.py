@@ -14,7 +14,8 @@ it shares no shortcut with the code under test. serialize_model, the
 canonical model-file writer, is here too: only the tests write models.
 So are the routes the CLI's JSON writer replaced: one json.dumps of the
 whole payload, one dict per offender in it, and offenders as a list of
-((alpha, beta), magnitude) pairs. So is the functional as the sum of its
+((alpha, beta), magnitude) pairs, and the functional.csv writer that kept
+the mirrored text of every upper cell as its own string. So is the functional as the sum of its
 two triangles and its diagonal, which the in-place assembly replaced,
 and a decoherence report that computes every reading up front, which
 the report's derived readings replaced. So are the coarse functional as
@@ -371,6 +372,29 @@ def dump_json(obj) -> str:
     """A JSON artifact as one json.dumps of the whole payload."""
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False,
                       default=_json_default) + "\n"
+
+
+def functional_csv_pending(functional: np.ndarray) -> Iterator[str]:
+    """functional.csv from a whole functional, one row per chunk, each upper cell
+    formatted once: row i keeps the mirrored text of its cell (i, j), one string
+    per cell, for row j until row j is written."""
+    m = functional.shape[0]
+    yield ",".join(f"c{j}" for j in range(m)) + "\n"
+    pending = [[] for _ in range(m)]
+    for i in range(m):
+        row = functional[i, i:]
+        cells, mirrored = pending[i], []
+        pending[i] = None
+        for re, im in zip(map(repr, row.real.tolist()), row.imag.tolist()):
+            if im == 0.0:
+                cells.append(re)
+                mirrored.append(re)
+            else:   # the signs format_complex gives im and -im; NaN prints "-" both ways
+                mag = repr(abs(im))
+                cells.append(f"{re}{'+' if im >= 0 else '-'}{mag}i")
+                mirrored.append(f"{re}{'+' if im < 0 else '-'}{mag}i")
+        yield ",".join(cells) + "\n"
+        list(map(list.append, pending[i + 1:], mirrored[1:]))
 
 
 def enumerate_partitions(m: int) -> Iterator[Partition]:

@@ -1,4 +1,5 @@
 """End-to-end CLI runs: artifacts, exit codes, determinism."""
+import hashlib
 import json
 import re
 import subprocess
@@ -40,6 +41,7 @@ from oracles import (
     decoherence_functional_eager,
     dump_json,
     eager_report,
+    functional_csv_pending,
     not_decoherent_payload,
     offdiagonal_offenders_loop,
     offender_dicts,
@@ -105,27 +107,51 @@ def test_decohere(tmp_path):
     assert len(rows) == len(rep["ep"]) + 1
 
 
-def test_decohere_builds_no_second_gram_beside_the_functional(tmp_path, monkeypatch):
-    """With functional.csv cut to its header line, decohere at m = 1024 peaks
-    under 2 functionals: beside the functional it holds, the offenders scan
-    row bands of b^dag b of at most 1 MiB (a second Gram matrix beside it
-    peaked at 2.55)."""
-    import ephist.cli
+@pytest.fixture(scope="module")
+def h1024(tmp_path_factory):
+    """A non-decoherent 1024-history model: d=16, slots of 16, 16 and 4 members,
+    Hamiltonian evolution, drawn by perfbench/gen.py from default_rng(1024)."""
     spec = perfbench_gen().make_model(np.random.default_rng(1024), 16, (16, 16, 4),
                                       hamiltonian=True)
-    model = tmp_path / "h1024.model"
+    model = tmp_path_factory.mktemp("h1024") / "h1024.model"
     model.write_text(spec.text)
-    monkeypatch.setattr(ephist.cli, "_functional_csv", lambda f: iter([next(_functional_csv(f))]))
+    return model
+
+
+# sha256 of decohere's artifacts on h1024, recorded before functional.csv and
+# |D| were read off Gram bands instead of the whole functional
+H1024_DIGESTS = {
+    "decoherence.json": "1f2fc83eec1ff57fbf6443d4eec7316653643d535efc4da7abb5d6412ef62c49",
+    "functional.csv": "0c2b4060c608850522429753cbf943af19433eeef6d6f663be562ff901cad30b",
+}
+
+
+def test_decohere_keeps_its_bytes_at_m_1024(tmp_path, h1024):
+    """functional.csv (about 48 MB) and decoherence.json (130,560 offenders) at
+    m = 1024 have the digests recorded before the functional was read in bands."""
+    status, out = run(tmp_path, "o", "decohere", "--model", str(h1024))
+    assert status == 0
+    for name, digest in H1024_DIGESTS.items():
+        with open(out / name, "rb") as fh:
+            assert hashlib.file_digest(fh, "sha256").hexdigest() == digest, name
+
+
+def test_decohere_peaks_under_one_functional(tmp_path, h1024):
+    """The whole decohere at m = 1024 peaks under one complex m x m functional
+    (16 MiB): it builds none, reads dec and max_offdiagonal off a float |D|
+    that is freed before functional.csv is written, and keeps the mirrored
+    text as one string per 16-row band and column (the whole functional and
+    one string per mirrored cell peaked at 2.68)."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        status, out = run(tmp_path, "o", "decohere", "--model", str(model))
+        status, out = run(tmp_path, "o", "decohere", "--model", str(h1024))
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert status == 0
     assert load(out, "decoherence.json")["offenders"]
-    assert peak < 2 * 1024 * 1024 * 16
+    assert peak < 1024 * 1024 * 16
 
 
 def test_records_success(tmp_path):
@@ -775,7 +801,8 @@ def test_decohere_writers_match_generic_route(report):
     """The streaming writers give the bytes of _csv and one json.dumps, offenders or none."""
     offenders = offdiagonal_offenders(report.functional, report.tolerance)
     csv, decoherence = _oracle_decohere(report)
-    assert "".join(_functional_csv(report.functional)) == csv
+    f = report.functional
+    assert "".join(_functional_csv(f[i, i:] for i in range(len(f)))) == csv
     assert "".join(_json_chunks(_decoherence_payload(report, offenders))) == decoherence
 
 
@@ -806,8 +833,28 @@ def test_functional_csv_matches_generic_route_on_non_finite_parts(data):
     g = np.array(data.draw(st.lists(parts, min_size=2 * m * m, max_size=2 * m * m))).view(complex)
     upper = np.triu(g.reshape(m, m), 1)
     functional = upper + upper.conj().T + np.diag(np.ones(m))
-    assert "".join(_functional_csv(functional)) == \
+    assert "".join(_functional_csv(functional[i, i:] for i in range(m))) == \
         _csv(tuple(f"c{j}" for j in range(m)), functional)
+
+
+@given(m=st.integers(1, 70), seed=st.integers(0, 2**32 - 1),
+       real=st.sampled_from([0.0, 0.3, 1.0]), signed=st.booleans(), zero=st.integers(0, 8))
+@settings(max_examples=100, deadline=None)
+def test_functional_csv_matches_the_per_cell_writer(m, seed, real, signed, zero):
+    """The banded writer gives the bytes of the writer that kept one string per
+    mirrored cell, for m = 1..70 (across the edges of its 16-row bands): with
+    cells whose imaginary part is zero, -0.0 parts and zero branches."""
+    rng = np.random.default_rng(seed)
+    f = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    f.imag[rng.random((m, m)) < real] = 0.0
+    if signed:
+        f.real[rng.random((m, m)) < 0.2] = -0.0
+        f.imag[rng.random((m, m)) < 0.2] = -0.0
+    dead = rng.choice(m, size=min(zero, m), replace=False)
+    f[dead, :] = 0.0
+    f[:, dead] = 0.0
+    assert "".join(_functional_csv(f[i, i:] for i in range(m))) == \
+        "".join(functional_csv_pending(f))
 
 
 def _model_file(path, psi, hs):

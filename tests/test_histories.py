@@ -240,25 +240,33 @@ def test_derived_readings_match_the_eager_report(seed, kind, tol):
 
 
 def test_readings_are_derived_once_on_first_use(monkeypatch):
-    """decoherence_functional computes no reading; dh_probs and the offenders
-    build no functional; dec builds it on its first read, and both are kept."""
-    calls = []
+    """decoherence_functional computes no reading; dh_probs, the offenders, dec
+    and max_offdiagonal build no functional and call no dec_measure, and dec and
+    max_offdiagonal come from one |D|; the functional is built on its first
+    read, and every reading is kept."""
+    calls, moduli = [], []
 
     def counted(functional):
         calls.append(functional)
         return dec_measure(functional)
 
+    def counted_modulus(report):
+        moduli.append(report)
+        return modulus(report)
+
+    modulus = DecoherenceReport._modulus
     monkeypatch.setattr(ephist.histories, "dec_measure", counted)
+    monkeypatch.setattr(DecoherenceReport, "_modulus", counted_modulus)
     psi, hs = random_model(np.random.default_rng(9))
     report = decoherence_functional(hs, psi)
     assert calls == [] and set(vars(report)) == {"history_set", "psi", "tolerance", "branches"}
     dh = report.dh_probs
     assert report.dh_probs is dh and not dh.flags.writeable
     assert isinstance(report.medium_decoherent, bool)
+    assert report.dec == report.dec and report.max_offdiagonal == report.max_offdiagonal
+    assert len(moduli) == 1 and calls == []
     assert "functional" not in vars(report)
-    assert report.dec == report.dec
-    assert len(calls) == 1 and calls[0] is report.functional
-    assert report.functional is vars(report)["functional"]
+    assert report.functional is report.functional is vars(report)["functional"]
 
 
 def test_functional_has_no_negative_zero_off_the_diagonal():
@@ -314,6 +322,45 @@ def test_offenders_read_after_the_functional_scan_it():
     offenders, peak = _traced_peak(lambda: report.offenders)
     assert len(offenders) and offenders.tobytes() == fresh.tobytes()
     assert peak < FUNCTIONAL_512
+
+
+def _decohere_readings(report):
+    """What ephist decohere reads, in its order: (dec, max_offdiagonal) first."""
+    readings = (report.dec, report.max_offdiagonal)
+    rows = b"".join(row.tobytes() for row in report.upper_rows())
+    report.dh_probs, report.ep_probs, report.linearly_positive, report.medium_decoherent
+    return readings, rows
+
+
+def _assert_either_read_order(hs, psi):
+    """dec and max_offdiagonal read with no functional (off Gram bands) have the
+    bits of those read after it; so do the upper rows and the functional's."""
+    fresh = decoherence_functional(hs, psi)
+    (dec, mx), rows = _decohere_readings(fresh)
+    assert "functional" not in vars(fresh)
+    later = decoherence_functional(hs, psi)
+    f = later.functional
+    assert np.array([dec, mx]).tobytes() == np.array([later.dec, later.max_offdiagonal]).tobytes()
+    assert rows == b"".join(f[i, i:].tobytes() for i in range(len(f)))
+
+
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(sorted(FUNCTIONAL_MODELS)))
+@settings(max_examples=40, deadline=None)
+def test_readings_have_the_same_bits_in_either_read_order(seed, kind):
+    """Random models, at m = 512 and with exactly zero branches."""
+    psi, hs = FUNCTIONAL_MODELS[kind](np.random.default_rng(seed))
+    _assert_either_read_order(hs, psi)
+
+
+def test_readings_have_the_same_bits_in_either_read_order_at_m_2048():
+    """Two standard-basis slots of 16 singletons, then a Haar slot of 8 at d = 16:
+    240 of every 256 branches are exactly zero, the rest interfere."""
+    rng = np.random.default_rng(2048)
+    psi, hs = _standard_basis_model(rng, 16, 2, k=16)
+    hs = HistorySet(hs.slots + (random_slot(rng, 16, 3.0, k=8),))
+    assert hs.size == 2048
+    assert (~branch_matrix(hs, psi).any(axis=0)).sum() == 1920
+    _assert_either_read_order(hs, psi)
 
 
 @pytest.mark.parametrize("d", [2, 16, 32])
