@@ -256,7 +256,7 @@ def _cmd_records(args, out: _OutDir):
         "t_rec": rs.time,
         "completion_index": rs.completion_index,
         "labels": [r.label for r in rs.members],
-        "ranks": [r.rank for r in rs.members],
+        "ranks": [r.rank if live else 0 for r, live in zip(rs.members, rs._nonzero.tolist())],
         "strong_max_defect": verify_strong_records(report, rs),
         "weak_max_defect": verify_weak_records(report, rs),
         "correlation": {

@@ -83,5 +83,7 @@ def product_rule_report(cs: CompositeSystem) -> ProductRuleReport:
     amps, product = np.ones(1, dtype=np.complex128), np.ones(1)
     for psi, hs in cs.factors:
         z = psi.amplitudes.conj() @ branch_matrix(hs, psi)
-        amps, product = np.kron(amps, z), np.kron(product, z.real)
+        # np.kron's products of two vectors, without its per-call set-up
+        amps = np.multiply.outer(amps, z).ravel()
+        product = np.multiply.outer(product, z.real).ravel()
     return ProductRuleReport(amps.real, product)

@@ -2,10 +2,13 @@
 
 States, Hermitian operators, projectors, exhaustive projector sets, and
 Heisenberg-picture time evolution. Everything is a dense complex matrix,
-16 MiB at d = 1024, the model file's cap (modelfile.DIM_CAP); a slot of k
-members costs about k^2 d^3 to validate, so `eval` on one slot of 32
-members at that cap takes about 100 s (ROADMAP.md, item 6). hbar = 1
-throughout and model time is a dimensionless ordered label.
+16 MiB at d = 1024, the model file's cap (modelfile.DIM_CAP). Validating a
+set of k nonzero members costs k^2/2 pair products of d^3 each, zero
+members none: below d = 256, with d a multiple of 16, they run as one
+matmul per member (validate_projector_set), else one per pair, so `eval`
+on one slot of 32 members at that cap takes about 100 s (ROADMAP.md,
+item 6). hbar = 1 throughout and model time is a dimensionless ordered
+label.
 
 Values are immutable after construction (frozen dataclasses over
 read-only arrays) and all operations are pure, so concurrent use needs
@@ -154,14 +157,18 @@ class ProjectorSetReport:
 def validate_projector_set(members: Union["ProjectorSet", Sequence[Projector]]) -> ProjectorSetReport:
     """Check completeness and exclusivity, all a set adds to its Projector members.
 
-    Any other member type is rejected. The exclusivity pairs skip members
-    whose entries are all exactly zero: their products are exactly zero and
-    cannot raise the running maximum, so the result is the full scan's, and
-    a set with at most d nonzero members (any valid set, such as the record
-    set of a decoherent history set) costs O(d^2) products, not O(m^2).
+    Any other member type is rejected. Both checks skip members whose
+    entries are all exactly zero (a RecordSet finds them once): adding
+    one changes a sum at most in the sign of a zero, which abs erases, and
+    its products are exactly zero and cannot raise the maximum. So the
+    result is the full scan's, and a set with at most d nonzero members
+    (any valid set, such as the record set of a decoherent history set)
+    costs O(d^2) pair products, not O(m^2), taken in one matmul per nonzero
+    member where its runs stack (_exclusivity).
     """
-    if isinstance(members, ProjectorSet):
-        members = members.members
+    pset = members if isinstance(members, ProjectorSet) else None
+    if pset is not None:
+        members = pset.members
     for i, m in enumerate(members):
         if not isinstance(m, Projector):
             raise InvariantViolation("projector-member", 1.0,
@@ -172,13 +179,39 @@ def validate_projector_set(members: Union["ProjectorSet", Sequence[Projector]]) 
     d = mats[0].shape[0]
     if any(m.shape != (d, d) for m in mats):
         raise DimensionMismatch("projector set members have mixed dimensions")
-    completeness = np.abs(sum(mats) - np.eye(d)).max()
-    nonzero = [m for m in mats if m.any()]
+    live = pset._nonzero if pset is not None else (m.any() for m in mats)
+    nonzero = [m for m, keep in zip(mats, live) if keep]
+    completeness = np.abs(sum(nonzero) - np.eye(d)).max()
+    return ProjectorSetReport(float(completeness), _exclusivity(nonzero, d))
+
+
+_RUN_CELLS = 1 << 16   # cells per stacked run of exclusivity products: 1 MiB
+# Product blocks (the row bands of histories, the d-column blocks of the
+# runs of _exclusivity) start at multiples of this, so each has the bits of
+# the product of its own slices; blocks at offsets that are not multiples
+# of 4 were seen to differ in last bits.
+_ALIGN = 16
+
+
+def _exclusivity(mats: list[np.ndarray], d: int) -> float:
+    """max |a @ b| over the pairs (a before b) of mats, as a loop over the
+    pairs from 0.0 gives it with Python's max (which skips a NaN).
+
+    The members after the first are stacked side by side in runs of at most
+    _RUN_CELLS cells, and each member takes one product with the part of a
+    run after it, whose d-column blocks are the pair products, bit for bit,
+    when _ALIGN divides d. Otherwise, or at d >= 256, a run is one member,
+    not copied: the pair loop.
+    """
+    k = max(1, _RUN_CELLS // (d * d)) if d % _ALIGN == 0 else 1
     exclusivity = 0.0
-    for i, a in enumerate(nonzero):
-        for b in nonzero[i + 1:]:
-            exclusivity = max(exclusivity, np.abs(a @ b).max(initial=0.0))
-    return ProjectorSetReport(float(completeness), float(exclusivity))
+    for s in range(1, len(mats), k):
+        run = mats[s] if k == 1 else np.hstack(mats[s:s + k])
+        for i in range(min(s + k, len(mats)) - 1):
+            part = run[:, max(0, i + 1 - s) * d:]
+            pairs = np.abs(mats[i] @ part).max(axis=0).reshape(-1, d).max(axis=1)
+            exclusivity = max(exclusivity, *pairs.tolist())
+    return exclusivity
 
 
 @dataclass(frozen=True)
@@ -192,11 +225,18 @@ class ProjectorSet:
         object.__setattr__(self, "members", tuple(self.members))
         if not np.isfinite(self.time):
             raise InvariantViolation("finite-time", abs(self.time), "projector set time")
-        report = validate_projector_set(self.members)
+        report = validate_projector_set(self)
         if not report.passes:
             raise InvariantViolation("projector-set", report.worst,
                                      f"completeness {report.completeness_defect:.3e}, "
                                      f"exclusivity {report.exclusivity_defect:.3e}")
+
+    @property
+    def _nonzero(self) -> np.ndarray:
+        """Read-only mask of the members whose entries are not all exactly zero
+        (NaN and inf are nonzero), which validation reads. A RecordSet keeps
+        it, for the record passes that skip zero members."""
+        return frozen_copy([m.entries.any() for m in self.members], bool)
 
     @property
     def dim(self) -> int:

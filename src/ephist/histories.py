@@ -37,7 +37,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import CapExceeded, DimensionMismatch, InvariantViolation
-from .hilbert import ProjectorSet, StateVector, frozen_copy
+from .hilbert import _ALIGN, ProjectorSet, StateVector, frozen_copy
 
 __all__ = ["DEFAULT_DEC_TOL", "M_CAP", "DecoherenceReport", "HistorySet",
            "all_extended_probabilities", "branch_matrix", "dec_measure", "decoherence_functional",
@@ -46,7 +46,6 @@ __all__ = ["DEFAULT_DEC_TOL", "M_CAP", "DecoherenceReport", "HistorySet",
 DEFAULT_DEC_TOL = 1e-8   # off-diagonal |D| threshold for medium decoherence
 M_CAP = 4096             # history-count guard against exponential blowup
 _BAND_CELLS = 1 << 16    # b^dag b cells per band of the offender scan: 1 MiB
-_ALIGN = 16              # band rows and first rows are multiples of this
 
 
 @dataclass(frozen=True)

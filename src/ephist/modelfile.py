@@ -132,12 +132,16 @@ def _count(text: str) -> int:
 # One number token, of parse_complex's characters (so no blank, "_",
 # parenthesis, nan, inf or non-ASCII digit); complex() reads each token.
 _NUMBER = re.compile(r"[0-9+\-.eEij]++")
+# Drops a literal's brackets and reads an "i" suffix as "j".
+_TOKENS = str.maketrans({"[": None, "]": None, "i": "j"})
 
 
 def _values(literal: str) -> list[complex] | None:
-    """The finite values of the tokens in a literal (an "i" suffix read as
-    "j", "-i" as -1j); None if any token is not a finite number."""
-    tokens = _NUMBER.findall(literal.replace("i", "j"))
+    """The finite values of a literal that _NUMBER, _VECTOR or _MATRIX matched,
+    read in one split at its commas ("-i" as -1j); None if any token is not a
+    finite number. str.strip drops exactly the blanks the patterns allow
+    around a token, non-ASCII ones included."""
+    tokens = list(map(str.strip, literal.translate(_TOKENS).split(",")))
     try:
         values = list(map(complex, tokens))
     except ValueError:
@@ -270,15 +274,14 @@ def _scan_matrix(line: _Line, expected: str) -> Matrix:
     return tuple(rows)
 
 
-# The whole grammar of a vector or matrix literal, so that one match reads
-# it: brackets, depth-1 commas, blanks and _NUMBER tokens. Every repetition
-# is possessive, so a literal the patterns refuse fails at its first miss;
-# it goes to the scanner above, which places the error, as does one whose
-# tokens _values refuses.
+# The whole grammar of a vector or matrix literal, so that one match validates
+# it and _values reads it in one split: brackets, depth-1 commas, blanks and
+# _NUMBER tokens. Every repetition is possessive, so a literal the patterns
+# refuse fails at its first miss; it goes to the scanner above, which places
+# the error, as does one whose tokens _values refuses.
 _ROW = rf"\[\s*+{_NUMBER.pattern}(?:\s*+,\s*+{_NUMBER.pattern})*+\s*+\]"
 _VECTOR = re.compile(rf"\s*+{_ROW}")
 _MATRIX = re.compile(rf"\s*+\[\s*+{_ROW}(?:\s*+,\s*+{_ROW})*+\s*+\]")
-_ROW_BODY = re.compile(r"\[[^][]*+\]")
 
 
 def _parse_vector(line: _Line, expected: str) -> tuple[complex, ...]:
@@ -293,7 +296,9 @@ def _parse_vector(line: _Line, expected: str) -> tuple[complex, ...]:
 def _parse_matrix(line: _Line, expected: str) -> Matrix:
     m = _MATRIX.match(line.text, line.pos)
     values = m and _values(m.group())
-    widths = values and {row.count(",") + 1 for row in _ROW_BODY.findall(m.group())}
+    # split at "]", "," + the literal gives one piece per row (and two after
+    # the last), each holding the row's comma count: its width
+    widths = values and {row.count(",") for row in ("," + m.group()).split("]")[:-2]}
     if not widths or len(widths) != 1:
         return _scan_matrix(line, expected)
     line.pos = m.end()

@@ -18,6 +18,12 @@ complement of the branch span is absorbed into the record of the lowest
 flat index with a nonzero branch. Any completion choice preserves the
 strong-record property since the complement annihilates every branch;
 this one is fixed for reproducibility.
+
+At most d records are nonzero, so a set's zero records (entries all
+exactly zero) are found once, when the RecordSet is validated, and every
+later pass skips them: validation itself, both verifiers (a zero record's
+defect is read off the branch norms or EPs), record_correlation_report (a
+zero record's probability is 0.0) and the CLI's ranks (0).
 """
 from __future__ import annotations
 
@@ -41,6 +47,9 @@ class RecordSet(ProjectorSet):
     """One projector per flattened history index, at a record time after the last slot."""
 
     completion_index: int   # flat index whose record absorbed the complement subspace
+
+    # found once, when the set is validated, and read by every record pass
+    _nonzero = cached_property(ProjectorSet._nonzero.fget)
 
 
 def _check_record_set(report: DecoherenceReport, rs: RecordSet) -> None:
@@ -95,12 +104,9 @@ def verify_strong_records(report: DecoherenceReport, rs: RecordSet) -> float:
     _check_record_set(report, rs)
     b = report.branches
     norms = np.linalg.norm(b, axis=0)
-    worst = 0.0
-    for a, r in enumerate(rs.members):
-        if not r.entries.any():
-            worst = max(worst, float(norms[a]))
-            continue
-        resid = r.entries @ b
+    worst = max([0.0, *norms[~rs._nonzero].tolist()])
+    for a in np.flatnonzero(rs._nonzero).tolist():
+        resid = rs.members[a].entries @ b
         resid[:, a] -= b[:, a]
         worst = max(worst, float(np.linalg.norm(resid, axis=0).max()))
     return worst
@@ -113,12 +119,9 @@ def verify_weak_records(report: DecoherenceReport, rs: RecordSet) -> float:
     """
     _check_record_set(report, rs)
     psi, b, ep = report.psi.amplitudes, report.branches, report.ep_probs
-    worst = 0.0
-    for beta, r in enumerate(rs.members):
-        if not r.entries.any():
-            worst = max(worst, float(abs(ep[beta])))
-            continue
-        row = np.real((r.entries @ psi).conj() @ b)
+    worst = max([0.0, *np.abs(ep[~rs._nonzero]).tolist()])
+    for beta in np.flatnonzero(rs._nonzero).tolist():
+        row = np.real((rs.members[beta].entries @ psi).conj() @ b)
         row[beta] -= ep[beta]
         worst = max(worst, float(np.abs(row).max()))
     return worst
@@ -162,5 +165,7 @@ def record_correlation_report(report: DecoherenceReport, rs: RecordSet) -> Corre
     """The records' probabilities against the report's EPs, at its tolerance."""
     _check_record_set(report, rs)
     psi = report.psi.amplitudes
-    rec = np.array([float(np.vdot(psi, r.entries @ psi).real) for r in rs.members])
+    rec = np.zeros(rs.size)   # a zero record's probability is 0.0
+    for a in np.flatnonzero(rs._nonzero).tolist():
+        rec[a] = np.vdot(psi, rs.members[a].entries @ psi).real
     return CorrelationReport(rec, report.ep_probs, report.tolerance)

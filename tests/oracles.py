@@ -214,6 +214,15 @@ def joint_functional(cs: CompositeSystem) -> np.ndarray:
     return d
 
 
+def product_rule_kron(cs: CompositeSystem) -> tuple[np.ndarray, np.ndarray]:
+    """product_rule_report's joint EPs and EP products, folded with np.kron."""
+    amps, product = np.ones(1, dtype=np.complex128), np.ones(1)
+    for psi, hs in cs.factors:
+        z = psi.amplitudes.conj() @ branch_matrix(hs, psi)
+        amps, product = np.kron(amps, z), np.kron(product, z.real)
+    return amps.real, product
+
+
 def product_records(cs: CompositeSystem, record_sets: Sequence[RecordSet]) -> RecordSet:
     """Joint records as Kronecker products of the per-factor records.
 
@@ -458,6 +467,12 @@ def verify_weak_records_loop(hs: HistorySet, psi: StateVector, rs: RecordSet) ->
         row[beta] -= ep[beta]
         worst = max(worst, float(np.abs(row).max()))
     return worst
+
+
+def record_probs_loop(psi: StateVector, rs: RecordSet) -> np.ndarray:
+    """record_correlation_report's record_probs with <psi|R_a|psi> for every record, zero or not."""
+    a = psi.amplitudes
+    return np.array([float(np.vdot(a, r.entries @ a).real) for r in rs.members])
 
 
 def greedy_merge_loop(functional: np.ndarray, target_tol: float) -> GreedySearchResult:

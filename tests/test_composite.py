@@ -29,6 +29,7 @@ from oracles import (
     joint_functional,
     joint_state,
     product_records,
+    product_rule_kron,
     unflatten_joint,
 )
 
@@ -187,6 +188,16 @@ def test_product_rule_report_consistent(rng):
         assert abs(rep.factor_ep_product[flat] - np.prod([z.real for z in amps])) < 1e-14
         worst = max(worst, abs(rep.joint_ep[flat] - rep.factor_ep_product[flat]))
     assert abs(rep.max_violation - worst) < 1e-14
+
+
+def test_product_rule_report_is_the_kron_fold(rng):
+    """Bit for bit, the np.kron fold of the factors' amplitude vectors, for
+    two to four factors of 1 to 81 histories each."""
+    for n in (2, 3, 4):
+        cs = CompositeSystem(tuple(random_model(rng, d_max=4, n_max=3) for _ in range(n)))
+        rep, (joint_ep, product) = product_rule_report(cs), product_rule_kron(cs)
+        assert rep.joint_ep.tobytes() == joint_ep.tobytes()
+        assert rep.factor_ep_product.tobytes() == product.tobytes()
 
 
 def test_product_rule_holds_for_recorded_factors(rng):

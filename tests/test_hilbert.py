@@ -17,6 +17,7 @@ from ephist import (
     rank_one_projector,
     validate_projector_set,
 )
+from ephist import hilbert
 from conftest import haar_basis, random_slot, random_state
 from oracles import validate_projector_set_loop
 
@@ -225,6 +226,64 @@ def test_validate_skipping_zero_members_matches_loop(seed, d, zeros):
     fast, slow = validate_projector_set(members), validate_projector_set_loop(members)
     for name in ("completeness_defect", "exclusivity_defect"):
         assert repr(getattr(fast, name)) == repr(getattr(slow, name))
+
+
+def _unchecked_projector(entries) -> Projector:
+    """A Projector over entries it never checked (NaN and inf included)."""
+    p = Projector(np.zeros(np.shape(entries)))
+    object.__setattr__(p, "entries", np.array(entries, dtype=np.complex128))
+    return p
+
+
+@pytest.mark.parametrize("d", [1, 2, 16, 32, 48])
+@pytest.mark.parametrize("run", [None, 1, 2, 3])
+def test_validate_in_stacked_runs_matches_loop(d, run, monkeypatch):
+    """Both defects equal, to the last bit, the loop over all pairs: with a
+    zero member in every position, with NaN or inf entries in any nonzero
+    member, and with runs of the module's budget or of run members, whose
+    boundaries the pairs cross. At d = 1 (never stacked, and a sum along a
+    stacked axis would turn pairwise) and d = 2 every run is one member."""
+    if run:
+        monkeypatch.setattr(hilbert, "_RUN_CELLS", run * d * d)
+    rng = np.random.default_rng(d)
+    slot = list(random_slot(rng, d, 1.0, k=min(d, 6)).members)
+    overlapping = [rank_one_projector(rng.normal(size=d) + 1j * rng.normal(size=d))
+                   for _ in range(3)]
+    zero = Projector(np.zeros((d, d)))
+    cases = []
+    for members in (slot, slot + overlapping):
+        cases += [members[:p] + [zero] + members[p:] for p in range(len(members) + 1)]
+        for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+            for p, m in enumerate(members):
+                spoiled = _unchecked_projector(_spoil(m.entries, 7 * p, bad))
+                cases.append([zero] + members[:p] + [spoiled] + members[p + 1:])
+    for members in cases:
+        with np.errstate(invalid="ignore", over="ignore"):
+            fast, slow = validate_projector_set(members), validate_projector_set_loop(members)
+        assert (repr((fast.completeness_defect, fast.exclusivity_defect))
+                == repr((slow.completeness_defect, slow.exclusivity_defect)))
+    pset = ProjectorSet(tuple(cases[1]), time=1.0)   # validated through its own zero mask
+    assert repr(validate_projector_set(pset)) == repr(validate_projector_set_loop(pset))
+    assert pset._nonzero.tolist() == [bool(m.entries.any()) for m in pset.members]
+
+
+@pytest.mark.parametrize("d", [16, 32, 48, 64, 128, 240])
+def test_stacked_run_blocks_have_the_bits_of_the_pair_products(d):
+    """The exclusivity runs' premise, on the installed numpy and BLAS: with d
+    a multiple of 16, each d-column block of a @ run, and of a @ the part of
+    the run after its first block, has the bits of a @ b, and so does the
+    modulus of either."""
+    rng = np.random.default_rng(d)
+    k = max(2, hilbert._RUN_CELLS // (d * d))
+    a, *bs = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(k + 1))
+    run = np.hstack(bs)
+    for skip in (0, 1):
+        stacked = a @ run[:, skip * d:]
+        for j, b in enumerate(bs[skip:]):
+            block = stacked[:, j * d:(j + 1) * d]
+            assert np.array_equal(block.view(np.uint64), (a @ b).view(np.uint64)), (skip, j)
+            assert np.array_equal(np.abs(stacked).reshape(d, -1, d)[:, j].view(np.uint64),
+                                  np.abs(a @ b).view(np.uint64)), (skip, j)
 
 
 def test_projector_set_rejects_incomplete():

@@ -2,6 +2,8 @@
 import functools
 import itertools
 import math
+import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -523,21 +525,60 @@ def test_benchmark_models_parse_like_the_loop_oracle():
             assert parse_model(spec.text) == parse_model_loop(spec.text)
 
 
-def test_valid_literals_never_reach_the_scanner(monkeypatch):
-    """Every shipped model and seed 0 of every benchmark workload is read by
-    the single-pattern path alone: a literal that fell back to the scanner
-    would still parse, but without the speed the pattern gives."""
+def _no_scanner(monkeypatch):
     def scanner(line, expected):
         raise AssertionError(f"line {line.no} fell back to the scanner: {line.text[:60]}")
 
     monkeypatch.setattr(modelfile, "_scan_vector", scanner)
     monkeypatch.setattr(modelfile, "_scan_matrix", scanner)
+
+
+def test_valid_literals_never_reach_the_scanner(monkeypatch):
+    """Every shipped model and seed 0 of every benchmark workload is read by
+    the single-pattern path alone: a literal that fell back to the scanner
+    would still parse, but without the speed the pattern gives."""
+    _no_scanner(monkeypatch)
     for path in ALL_MODELS:
         parse_model(path.read_text())
     gen = perfbench_gen()
     for workload in gen.WORKLOADS:
         for spec in gen.generate(workload, 0):
             parse_model(spec.text)
+
+
+def test_strip_drops_exactly_the_blanks_the_patterns_allow():
+    """_values strips each token with str.strip, where the patterns allow \\s:
+    the same characters, across all of Unicode."""
+    chars = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", chars) == [c for c in chars if not c.strip()]
+
+
+@pytest.mark.parametrize("b", ["\t", "\x1f", " ", "\u3000"])
+def test_split_literal_reader_matches_the_loop_oracle(b, monkeypatch):
+    """Vector, square and 1x1 matrix literals with a tab, a unit separator, a
+    space or an ideographic space around -i, -j and i entries are read by
+    the single-pattern path alone, and give the loop oracle's document field
+    for field and by the repr of each value, so every -0.0 real part
+    survives. A ragged last row gives the oracle's error."""
+    def lit(rows):
+        return "[" + ",".join(f"{b}[{b}" + f"{b},{b}".join(r) + f"{b}]{b}" for r in rows) + "]"
+
+    text = "\n".join((
+        "dim 2",
+        f"state [{b}-i{b},{b}0.6{b}]",
+        f"evolution hamiltonian {lit([['0', '-i'], ['i', '-0.0']])}",
+        "slot 1 s",
+        f"member X matrix {lit([['-j', '-0.0-2.5e-1i'], ['0.5i', '1']])}",
+        f"member Y matrix {lit([['i', '-1.5e+0j'], ['-i', '-j']])}",
+    ))
+    one = f"dim 1\nstate [{b}-j{b}]\nslot 1 s\nmember X matrix {lit([['-i']])}"
+    ragged = f"dim 2\nslot 1 s\nmember X matrix {lit([['1', '0'], ['-i']])}"
+    assert _outcome(parse_model, ragged) == _outcome(parse_model_loop, ragged)
+    assert _outcome(parse_model, ragged)[:4] == ("ParseError", 3, 17, "rows of equal length")
+    _no_scanner(monkeypatch)
+    for model in (text, one):
+        assert repr(parse_model(model)) == repr(parse_model_loop(model))
+    assert [math.copysign(1.0, z.real) for z in parse_model(text).state] == [-1.0, 1.0]
 
 
 # ------------------------------------------------------------------- building

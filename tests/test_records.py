@@ -44,6 +44,7 @@ from oracles import (
     flatten_index,
     history_label,
     offender_pairs,
+    record_probs_loop,
     unflatten_index,
     verify_strong_records_loop,
     verify_weak_records_loop,
@@ -346,9 +347,10 @@ def test_completion_absorbs_leftover_dimensions(rng):
        shuffle=st.booleans(), other_state=st.booleans())
 @settings(max_examples=40, deadline=None)
 def test_record_checks_skipping_zero_records_match_loops(seed, fixture, shuffle, other_state):
-    """Both defects equal, to the last bit, the ones from a product per record.
-    Shuffled records put zero records on nonzero branches, and another state
-    moves every branch, so the skipped records' defects are not all ~0."""
+    """Both defects and the correlation's record probabilities equal, to the
+    last bit, the ones from a product per record. Shuffled records put zero
+    records on nonzero branches, and another state moves every branch, so
+    the skipped records' defects are not all ~0."""
     rng = np.random.default_rng(seed)
     if fixture == "diagonal":
         psi, hs = diagonal_fixture(rng, d=int(rng.integers(3, 7)))
@@ -364,6 +366,10 @@ def test_record_checks_skipping_zero_records_match_loops(seed, fixture, shuffle,
     for fast, slow in ((verify_strong_records, verify_strong_records_loop),
                        (verify_weak_records, verify_weak_records_loop)):
         assert repr(fast(decoherence_functional(hs, psi), rs)) == repr(slow(hs, psi, rs))
+    corr = record_correlation_report(decoherence_functional(hs, psi), rs)
+    assert corr.record_probs.tobytes() == record_probs_loop(psi, rs).tobytes()
+    # the zero records were found once, when the set was validated
+    assert vars(rs)["_nonzero"].tolist() == [bool(r.entries.any()) for r in rs.members]
 
 
 def test_records_at_the_history_cap(rng):
