@@ -26,11 +26,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvariantViolation, ParseError
 from .hilbert import HermitianOperator, Projector, ProjectorSet, StateVector
-from .histories import (
-    HistorySet,
-    all_extended_probabilities,
-    decoherence_functional,
-)
+from .histories import (HistorySet, _offdiagonal_sum, all_extended_probabilities,
+                        decoherence_functional)
 
 __all__ = ["GreedySearchResult", "Partition", "class_sums", "coarse_decoherence_functional",
            "coarse_extended_probabilities", "greedy_decohering_search", "greedy_merge_functional",
@@ -231,7 +228,7 @@ class _GreedyState:
     of two more, and each is compacted into its twin at every merge; the
     twins also hold every temporary of the cross sums and updates. So
     every view is C-contiguous k x k: |D| is np.abs of D cell for cell,
-    and its sum() is the one dec_measure takes of D, bit for bit.
+    and dec is dec_measure's formula on it, bit for bit.
     """
 
     def __init__(self, functional: np.ndarray):
@@ -241,12 +238,11 @@ class _GreedyState:
         self._fbufs = [np.empty(2 * m * m), np.empty(2 * m * m)]
         self._views()
         np.abs(self.current, out=self.absval)
-        total = self.absval.sum()
-        self.dec = float(total - np.trace(self.absval))
+        self.dec = _offdiagonal_sum(self.absval)
         # every score, and every sum formed on the way to one, is at most
         # about ten times the input's total modulus: below this bound none
         # can overflow, and no score needs checking
-        self._bounded = bool(total < np.finfo(float).max / 16)
+        self._bounded = bool(self.absval.sum() < np.finfo(float).max / 16)
         self._slack_unit = 128 * (m + 1) * np.finfo(float).eps
         # the off-diagonal mass bounds every cross entry; it is summed on
         # its own (in the cross plane), since the diagonal's rounding can
@@ -364,7 +360,7 @@ class _GreedyState:
         row = self._cross(i, i + 1, 0)[0]
         self.cross[i, i + 1:] = row[i + 1:]
         self.cross[:i, i] = row[:i]
-        self.dec = float(self.absval.sum() - np.trace(self.absval))   # dec_measure's sum
+        self.dec = _offdiagonal_sum(self.absval)
 
 
 def greedy_merge_functional(functional: np.ndarray, target_tol: float) -> GreedySearchResult:

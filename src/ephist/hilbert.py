@@ -160,7 +160,8 @@ def validate_projector_set(members: Union["ProjectorSet", Sequence[Projector]]) 
     Any other member type is rejected. Both checks skip members whose
     entries are all exactly zero (a RecordSet finds them once): adding
     one changes a sum at most in the sign of a zero, which abs erases, and
-    its products are exactly zero and cannot raise the maximum. So the
+    its products are exactly zero, which cannot raise the maximum, or NaN
+    against a non-finite member (0 * inf is NaN), checked instead. So the
     result is the full scan's, and a set with at most d nonzero members
     (any valid set, such as the record set of a decoherent history set)
     costs O(d^2) pair products, not O(m^2), taken in one matmul per nonzero
@@ -182,7 +183,9 @@ def validate_projector_set(members: Union["ProjectorSet", Sequence[Projector]]) 
     live = pset._nonzero if pset is not None else (m.any() for m in mats)
     nonzero = [m for m, keep in zip(mats, live) if keep]
     completeness = np.abs(sum(nonzero) - np.eye(d)).max()
-    return ProjectorSetReport(float(completeness), _exclusivity(nonzero, d))
+    zeros_stay_zero = len(nonzero) == len(mats) or all(np.isfinite(m).all() for m in nonzero)
+    exclusivity = _exclusivity(nonzero, d) if zeros_stay_zero else np.nan
+    return ProjectorSetReport(float(completeness), exclusivity)
 
 
 _RUN_CELLS = 1 << 16   # cells per stacked run of exclusivity products: 1 MiB
@@ -194,8 +197,8 @@ _ALIGN = 16
 
 
 def _exclusivity(mats: list[np.ndarray], d: int) -> float:
-    """max |a @ b| over the pairs (a before b) of mats, as a loop over the
-    pairs from 0.0 gives it with Python's max (which skips a NaN).
+    """max |a @ b| over the pairs (a before b) of mats, from 0.0; NaN if a
+    product holds one, as ProjectorSetReport.worst folds.
 
     The members after the first are stacked side by side in runs of at most
     _RUN_CELLS cells, and each member takes one product with the part of a
@@ -208,10 +211,8 @@ def _exclusivity(mats: list[np.ndarray], d: int) -> float:
     for s in range(1, len(mats), k):
         run = mats[s] if k == 1 else np.hstack(mats[s:s + k])
         for i in range(min(s + k, len(mats)) - 1):
-            part = run[:, max(0, i + 1 - s) * d:]
-            pairs = np.abs(mats[i] @ part).max(axis=0).reshape(-1, d).max(axis=1)
-            exclusivity = max(exclusivity, *pairs.tolist())
-    return exclusivity
+            exclusivity = np.abs(mats[i] @ run[:, max(0, i + 1 - s) * d:]).max(initial=exclusivity)
+    return float(exclusivity)
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,12 @@ D(a, b) = <psi_a|psi_b> measures the interference between branches.
 
 A DecoherenceReport holds one history set, one state and one tolerance,
 and derives the rest: it builds the d x m branch matrix once, when it is
-made, and the m x m functional only when first read. Its offenders, the
-float |D| that dec and max_offdiagonal read (np.abs of the functional if
-that is built) and the functional's upper rows, which a writer formats,
-come from row bands b[:, r:r+R]^dag b[:, r:] of the branches' Gram
-matrix, r and R multiples of 16: such a band has the bits of its slice
-of the full product. So deciding whether a set decoheres builds no m x m
-array, and dec and max_offdiagonal build no complex one.
+made, and forms every Gram cell in row bands b[:, r:r+R]^dag b[:, r:],
+r and R multiples of 16, which have the bits of their slices of the full
+product. The offenders scan bands of about 1 MiB; the upper rows a writer
+formats, the functional (built when first read) and the float |D| of dec
+and max_offdiagonal come from 16-row bands. So deciding whether a set
+decoheres builds no m x m array, and dec and max_offdiagonal no complex one.
 
 Histories are numbered by one flat index, with the EARLIEST time
 varying fastest: history (a1, a2, a3, ...) of slots sized (s1, s2, ...)
@@ -95,14 +94,10 @@ class HistorySet:
         return tuple(",".join(reversed(t)) for t in product(*reversed(self.labels)))
 
 
-def _check_state(hs: HistorySet, psi: StateVector) -> None:
-    if psi.dim != hs.dim:
-        raise DimensionMismatch(f"state dim {psi.dim} vs history-set dim {hs.dim}")
-
-
 def branch_matrix(hs: HistorySet, psi: StateVector) -> np.ndarray:
     """All branch vectors as columns, flat order (earliest time fastest)."""
-    _check_state(hs, psi)
+    if psi.dim != hs.dim:
+        raise DimensionMismatch(f"state dim {psi.dim} vs history-set dim {hs.dim}")
     if hs.size > M_CAP:
         raise CapExceeded("history count", hs.size, M_CAP)
     b = psi.amplitudes[:, None]
@@ -150,57 +145,57 @@ class DecoherenceReport:
 
     @cached_property
     def functional(self) -> np.ndarray:
-        """b^dag b in one buffer, each row's lower part its column's upper part
-        conjugated: exactly Hermitian, with the exactly real dh_probs on the diagonal."""
-        functional = self.branches.conj().T @ self.branches
-        for i in range(1, functional.shape[0]):
-            np.conjugate(functional[:i, i], out=functional[i, :i])
-        functional += 0.0   # so no cell off the diagonal is -0.0 (0.0 + -0.0 is 0.0)
-        np.fill_diagonal(functional, self.dh_probs)
+        """b^dag b from 16-row bands (R-row ones hold two 1 MiB bands: 1.44
+        functionals at m = 512), exactly Hermitian, dh_probs on the diagonal."""
+        functional = self._assembled(complex, lambda band: band)
+        functional += 0.0   # the mirror's conjugates of 0.0 are -0.0
         functional.setflags(write=False)
         return functional
 
     def _bands(self, rows: int) -> Iterator[tuple[int, np.ndarray]]:
-        """(r, b[:, r:r+rows]^dag b[:, r:]) for r = 0, rows, 2 rows, ...: with rows
-        a multiple of _ALIGN, each band has the bits of its slice of b^dag b on
-        and above the diagonal (a band from a row that is not a multiple of 4
-        need not)."""
-        b = self.branches
+        """(r, b[:, r:r+rows]^dag b[:, r:]), no -0.0 off the diagonal, dh_probs on
+        it, for r = 0, rows, ...: the report's only Gram cells. With rows a multiple
+        of _ALIGN they have the functional's bits on and above the diagonal (a
+        band from a row that is not a multiple of 4 need not)."""
+        b, dh = self.branches, self.dh_probs
         for r in range(0, b.shape[1], rows):
-            yield r, b[:, r:r + rows].conj().T @ b[:, r:]
+            band = b[:, r:r + rows].conj().T @ b[:, r:]
+            band += 0.0   # so no cell off the diagonal is -0.0 (0.0 + -0.0 is 0.0)
+            np.fill_diagonal(band, dh[r:r + rows])
+            yield r, band
 
     def upper_rows(self) -> Iterator[np.ndarray]:
         """functional[i, i:] for i = 0, 1, ..., m - 1, with its bits, computed
         16 rows at a time: the functional is never built."""
-        for r, band in self._bands(_ALIGN):
-            band += 0.0   # as the functional's cells
-            np.fill_diagonal(band, self.dh_probs[r:r + _ALIGN])
+        for _, band in self._bands(_ALIGN):
             for k, row in enumerate(band):
                 yield row[k:]
 
+    def _assembled(self, dtype: type, cell) -> np.ndarray:
+        """m x m: cell() of the 16-row bands on and above the diagonal, and
+        below it each row i the conjugate of column i above it."""
+        m = self.branches.shape[1]
+        out = np.empty((m, m), dtype)
+        for r, band in self._bands(_ALIGN):
+            out[r:r + _ALIGN, r:] = cell(band)   # the block's lower cells are mirrored below
+        for i in range(1, m):
+            np.conjugate(out[:i, i], out=out[i, :i])
+        return out
+
     def _modulus(self) -> np.ndarray:
-        """np.abs(functional), with its bits: from the functional when it is
-        built, else from the upper rows, mirrored _ALIGN columns at a time
-        (np.abs(z) == np.abs(z.conj()))."""
+        """np.abs(functional), with its bits (np.abs(z) == np.abs(z.conj())):
+        from the functional when it is built, which saves the bands (8 ms in
+        a sweep of 400 small reports), else assembled from np.abs of the bands."""
         if "functional" in vars(self):
             return np.abs(self.functional)
-        m = self.branches.shape[1]
-        mag = np.empty((m, m))
-        for i, row in enumerate(self.upper_rows()):
-            np.abs(row, out=mag[i, i:])
-        for r in range(0, m, _ALIGN):
-            block = mag[r:r + _ALIGN, r:r + _ALIGN]
-            upper = np.triu_indices(len(block), 1)
-            block[upper[::-1]] = block[upper]
-            mag[r + _ALIGN:, r:r + _ALIGN] = mag[r:r + _ALIGN, r + _ALIGN:].T
-        return mag
+        return self._assembled(float, np.abs)
 
     @cached_property
     def _offdiagonal(self) -> tuple[float, float]:
         """(dec, max_offdiagonal) from one |D|, which is freed on return: the sum
         is dec_measure's, and the maximum is taken with the diagonal set to 0.0."""
         mag = self._modulus()
-        dec = float(mag.sum() - np.trace(mag))
+        dec = _offdiagonal_sum(mag)
         np.fill_diagonal(mag, 0.0)
         return dec, float(mag.max(initial=0.0))
 
@@ -218,9 +213,9 @@ class DecoherenceReport:
 
     @cached_property
     def offenders(self) -> np.recarray:
-        """offdiagonal_offenders of each band of b^dag b, R rows of at most
-        _BAND_CELLS cells (R a multiple of _ALIGN), shifted to the band's rows.
-        One stable sort by magnitude keeps ties in row-major order."""
+        """offdiagonal_offenders of bands of R rows, at most _BAND_CELLS cells (16
+        rows made `records` 2% slower), shifted to the band's rows. One stable
+        order by magnitude, gathered field by field, keeps ties in row-major order."""
         m = self.branches.shape[1]
         bands = []
         for r, gram in self._bands(max(_ALIGN, _BAND_CELLS // m // _ALIGN * _ALIGN)):
@@ -230,7 +225,10 @@ class DecoherenceReport:
             bands.append(band)
         found = np.concatenate(bands).view(np.recarray)
         del bands, band, gram   # so the band records are freed before the sort
-        return found[np.argsort(-found.magnitude, kind="stable")]
+        order = np.argsort(-found.magnitude, kind="stable")
+        for name in found.dtype.names:
+            found[name] = found[name][order]
+        return found
 
     @property
     def medium_decoherent(self) -> bool:
@@ -239,8 +237,12 @@ class DecoherenceReport:
 
 def dec_measure(functional: np.ndarray) -> float:
     """Sum of off-diagonal |D|: the scalar distance from decoherence."""
-    a = np.abs(functional)
-    return float(a.sum() - np.trace(a))
+    return _offdiagonal_sum(np.abs(functional))
+
+
+def _offdiagonal_sum(mag: np.ndarray) -> float:
+    """dec of a float |D|: its sum less its trace, the one formula every dec takes."""
+    return float(mag.sum() - np.trace(mag))
 
 
 def offdiagonal_offenders(functional: np.ndarray, tol: float) -> np.recarray:
@@ -263,11 +265,10 @@ def offdiagonal_offenders(functional: np.ndarray, tol: float) -> np.recarray:
     return np.rec.fromarrays((a[order], b[order], mag[order]), names="alpha,beta,magnitude")
 
 
-def _check_tolerance(tol: float) -> float:
-    """tol itself if it is finite and non-negative; NaN, inf and negatives raise."""
+def _check_tolerance(tol: float) -> None:
+    """Raise unless tol is finite and non-negative (NaN, inf and negatives)."""
     if not 0.0 <= tol < inf:
         raise InvariantViolation("tolerance", tol, "tolerance must be finite and non-negative")
-    return tol
 
 
 def decoherence_functional(

@@ -442,7 +442,7 @@ def validate_projector_set_loop(
     exclusivity = 0.0
     for i, a in enumerate(mats):
         for b in mats[i + 1:]:
-            exclusivity = max(exclusivity, np.abs(a @ b).max(initial=0.0))
+            exclusivity = np.max((exclusivity, np.abs(a @ b).max()))
     return ProjectorSetReport(float(completeness), float(exclusivity))
 
 

@@ -267,6 +267,18 @@ def test_validate_in_stacked_runs_matches_loop(d, run, monkeypatch):
     assert pset._nonzero.tolist() == [bool(m.entries.any()) for m in pset.members]
 
 
+def test_exclusivity_keeps_a_nan_product():
+    """A pair product holding a NaN makes the exclusivity defect NaN, in the
+    engine and in the loop oracle, as ProjectorSetReport.worst keeps one; so
+    does a zero member beside a NaN one (0 * nan is NaN), which the engine
+    never multiplies."""
+    spoiled = _unchecked_projector([[np.nan, 0.0], [0.0, 0.0]])
+    zero = Projector(np.zeros((2, 2)))
+    for members in ([spoiled, Projector(np.diag([0.0, 1.0]))], [zero, spoiled]):
+        for report in (validate_projector_set(members), validate_projector_set_loop(members)):
+            assert np.isnan(report.completeness_defect) and np.isnan(report.exclusivity_defect)
+
+
 @pytest.mark.parametrize("d", [16, 32, 48, 64, 128, 240])
 def test_stacked_run_blocks_have_the_bits_of_the_pair_products(d):
     """The exclusivity runs' premise, on the installed numpy and BLAS: with d
